@@ -16,13 +16,12 @@ from .chains import (
     validate_model,
 )
 from .embedding import (
-    CountStats,
+    Counts,
     DataMatrix,
-    batch_counts,
     build_matrices,
-    count_stats,
+    count_transitions,
     embed_model,
-    embed_trajectory,
+    empirical_matrix,
     two_inf_distance,
 )
 from .likelihood import (

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import simgen
-from .embedding import batch_counts, build_matrices, embed_counts_batch, DataMatrix
+from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidSpec, MMCLabError, NumericalError
 from .likelihood import oracle_classify, refine, save_stage2, stage2_from_json
 from .metrics import (
@@ -113,19 +113,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _empirical_matrix(trajs, S: int) -> DataMatrix:
-    visits, transitions = batch_counts(trajs.states, S)
-    return DataMatrix(values=embed_counts_batch(visits, transitions, trajs.H),
-                      kind="empirical", S=S, H=trajs.H)
-
-
 def cmd_cluster(args) -> int:
     trajs, S = simgen.load_trajectories(args.trajectories)
     instance = simgen.load_instance(args.instance) if args.instance else None
     gamma = _resolve_gamma(args, instance)
     cfg = SpectralConfig(delta=args.delta, gamma_ps=gamma, c_sigma=args.c_sigma,
                          c_rho=args.c_rho)
-    res = spectral_cluster(_empirical_matrix(trajs, S), cfg)
+    res = spectral_cluster(empirical_matrix(count_transitions(trajs.states, S)), cfg)
     out = Path(args.out) / (args.name + ".stage1.json")
     save_stage1(res, out)
     print(f"wrote {out} (K_hat={res.K_hat}, R_hat={res.R_hat}, "
@@ -136,7 +130,8 @@ def cmd_cluster(args) -> int:
 def cmd_refine(args) -> int:
     trajs, S = simgen.load_trajectories(args.trajectories)
     stage1 = load_stage1(args.stage1)
-    res = refine(trajs, stage1.labels, stage1.K_hat, args.smoothing, S=S)
+    res = refine(count_transitions(trajs.states, S), stage1.labels, stage1.K_hat,
+                 args.smoothing)
     out = Path(args.out) / (args.name + ".stage2.json")
     save_stage2(res, out, dump_loglik=args.dump_loglik)
     print(f"wrote {out} (changed={res.changed})")
@@ -194,14 +189,15 @@ def _sweep_point(payload: tuple) -> tuple:
                                shuffle_seed=int(cfg.get("shuffle_seed", 0)))
     gamma = float(cfg["gamma"]) if cfg.get("gamma") is not None \
         else float(min(m.gamma_ps for m in instance.models))
-    trajs = simgen.sample_trajectories(instance, seed)
-    _, W_hat = build_matrices(instance, trajs)
+    counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
+    # bind W-hat alone: the truth matrix W is not needed past this line
+    W_hat = build_matrices(instance, counts)[1]
     spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma,
                               c_sigma=float(cfg.get("c_sigma", 8.0)),
                               c_rho=float(cfg.get("c_rho", 32.0)))
     stage1 = spectral_cluster(W_hat, spec_cfg)
-    stage2 = refine(trajs, stage1.labels, stage1.K_hat, lam, S=instance.S)
-    oracle = oracle_classify(trajs, instance.models,
+    stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
+    oracle = oracle_classify(counts, instance.models,
                              use_initial=bool(cfg.get("use_initial", False)))
     D, _ = divergence_D(instance)
     d_pi, _ = divergence_D_pi(instance.models)

@@ -16,16 +16,14 @@ import numpy as np
 
 from .chains import MarkovModel
 from .errors import DimensionMismatch, StateOutOfRange
-from .simgen import MixtureInstance, TrajectorySet
+from .simgen import MixtureInstance
 
 __all__ = [
-    "CountStats",
+    "Counts",
     "DataMatrix",
-    "count_stats",
-    "batch_counts",
+    "count_transitions",
     "embed_model",
-    "embed_trajectory",
-    "embed_counts_batch",
+    "empirical_matrix",
     "build_matrices",
     "two_inf_distance",
     "pi_from_embedding",
@@ -36,12 +34,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CountStats:
-    """Occupation counts over h in [H] and transition counts over h in [H-1]."""
+class Counts:
+    """Per-trajectory sufficient statistics of a (T, H) state array.
 
-    visits: np.ndarray       # (S,)
-    transitions: np.ndarray  # (S, S)
+    ``visits`` counts occupations over h in [H]; ``transitions`` counts pairs
+    (s_h, s_{h+1}) over h in [H-1], so each trajectory's block sums to H-1.
+    """
+
+    first: np.ndarray        # (T,) int64 initial states
+    visits: np.ndarray       # (T, S) int64
+    transitions: np.ndarray  # (T, S, S) int64
     H: int
+
+    def __post_init__(self):
+        for arr in (self.first, self.visits, self.transitions):
+            arr.setflags(write=False)
+
+    @property
+    def S(self) -> int:
+        return self.visits.shape[1]
+
+    @property
+    def T(self) -> int:
+        return self.visits.shape[0]
 
 
 @dataclass(frozen=True)
@@ -61,28 +76,25 @@ class DataMatrix:
         return self.values.shape[0]
 
 
-def count_stats(trajectory: np.ndarray, S: int) -> CountStats:
-    """Exact visit and transition counts of a single trajectory."""
-    traj = np.asarray(trajectory, dtype=np.int64)
-    if traj.ndim != 1 or traj.shape[0] < 2:
-        raise DimensionMismatch("trajectory must be 1-D with H >= 2")
-    if traj.min() < 0 or traj.max() >= S:
+def count_transitions(states: np.ndarray, S: int) -> Counts:
+    """Exact visit and transition counts of every row of a (T, H) state array."""
+    states = np.asarray(states)
+    if states.ndim != 2 or states.shape[1] < 2:
+        raise DimensionMismatch("states must be a (T, H) array with H >= 2")
+    if states.size and (states.min() < 0 or states.max() >= S):
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
-    visits = np.bincount(traj, minlength=S).astype(np.int64)
-    pair_idx = traj[:-1] * S + traj[1:]
-    transitions = np.bincount(pair_idx, minlength=S * S).reshape(S, S).astype(np.int64)
-    return CountStats(visits=visits, transitions=transitions, H=traj.shape[0])
-
-
-def batch_counts(states: np.ndarray, S: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trajectory visit (T,S) and transition (T,S,S) counts, vectorized."""
     T, H = states.shape
-    t_idx = np.repeat(np.arange(T, dtype=np.int64), H)
-    visits = np.bincount(t_idx * S + states.ravel(), minlength=T * S).reshape(T, S)
-    t_idx = np.repeat(np.arange(T, dtype=np.int64), H - 1)
-    flat = t_idx * (S * S) + states[:, :-1].ravel() * S + states[:, 1:].ravel()
-    transitions = np.bincount(flat, minlength=T * S * S).reshape(T, S, S)
-    return visits, transitions
+    # flat index (t, s, s') of every transition, built in place in one int64 buffer
+    flat = states[:, :-1].astype(np.int64)
+    flat += np.arange(T, dtype=np.int64)[:, None] * S
+    flat *= S
+    flat += states[:, 1:]
+    transitions = np.bincount(flat.ravel(), minlength=T * S * S).reshape(T, S, S)
+    # every visit but the last is the source of one transition
+    visits = transitions.sum(axis=2)
+    visits[np.arange(T), states[:, -1]] += 1
+    return Counts(first=states[:, 0].astype(np.int64), visits=visits,
+                  transitions=transitions, H=H)
 
 
 def embed_model(M: MarkovModel) -> np.ndarray:
@@ -90,40 +102,29 @@ def embed_model(M: MarkovModel) -> np.ndarray:
     return (np.sqrt(M.pi)[:, None] * M.P).ravel()
 
 
-def embed_trajectory(stats: CountStats) -> np.ndarray:
-    """Coordinates N(s,s') / sqrt(H N(s)); rows with N(s) = 0 map to zero.
+def empirical_matrix(counts: Counts) -> DataMatrix:
+    """W-hat: row t has coordinates N_t(s,s') / sqrt(H N_t(s)); rows with
+    N_t(s) = 0 map to zero.
 
     N(s) counts all H visits (including the final state, which has no
     outgoing transition), exactly as the population embedding's weight does
     in the limit.
     """
-    denom = np.sqrt(stats.H * stats.visits.astype(np.float64))
-    out = np.zeros_like(stats.transitions, dtype=np.float64)
-    np.divide(stats.transitions, denom[:, None], out=out, where=denom[:, None] > 0)
-    return out.ravel()
+    denom = np.sqrt(counts.H * counts.visits.astype(np.float64))[:, :, None]
+    out = np.zeros(counts.transitions.shape, dtype=np.float64)
+    np.divide(counts.transitions, denom, out=out, where=denom > 0)
+    return DataMatrix(values=out.reshape(counts.T, -1), kind="empirical",
+                      S=counts.S, H=counts.H)
 
 
-def embed_counts_batch(visits: np.ndarray, transitions: np.ndarray, H: int) -> np.ndarray:
-    """Vectorized :func:`embed_trajectory` over (T,S) visits and (T,S,S) transitions."""
-    denom = np.sqrt(H * visits.astype(np.float64))[:, :, None]
-    out = np.zeros(transitions.shape, dtype=np.float64)
-    np.divide(transitions, denom, out=out, where=denom > 0)
-    return out.reshape(out.shape[0], -1)
-
-
-def build_matrices(instance: MixtureInstance, trajs: TrajectorySet) -> tuple[DataMatrix, DataMatrix]:
+def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatrix, DataMatrix]:
     """Ground-truth W (row t = model embedding of f(t)) and empirical W-hat."""
-    if trajs.T != instance.T or trajs.H != instance.H:
-        raise DimensionMismatch("trajectory set shape does not match the instance")
-    S = instance.S
-    if trajs.states.max() >= S:
-        raise DimensionMismatch("trajectories visit states outside the instance state space")
+    if counts.T != instance.T or counts.H != instance.H or counts.S != instance.S:
+        raise DimensionMismatch("trajectory counts do not match the instance shape")
     model_rows = np.stack([embed_model(m) for m in instance.models])
-    W = DataMatrix(values=model_rows[instance.decoding].copy(), kind="truth", S=S, H=instance.H)
-    visits, transitions = batch_counts(trajs.states, S)
-    W_hat = DataMatrix(values=embed_counts_batch(visits, transitions, trajs.H),
-                       kind="empirical", S=S, H=trajs.H)
-    return W, W_hat
+    W = DataMatrix(values=model_rows[instance.decoding].copy(), kind="truth",
+                   S=instance.S, H=instance.H)
+    return W, empirical_matrix(counts)
 
 
 def two_inf_distance(A: DataMatrix | np.ndarray, B: DataMatrix | np.ndarray) -> float:

@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .chains import MarkovModel
-from .embedding import batch_counts
-from .errors import EmptyCluster, LengthMismatch, ZeroProbabilityTransition
-from .simgen import TrajectorySet
+from .embedding import Counts
+from .errors import (EmptyCluster, LengthMismatch, StateSpaceMismatch,
+                     ZeroProbabilityTransition)
 
 __all__ = ["TransitionEstimate", "Stage2Result", "pool_estimates",
            "trajectory_loglik", "refine", "oracle_classify",
@@ -54,12 +54,7 @@ class Stage2Result:
         self.loglik.setflags(write=False)
 
 
-def _infer_S(trajs: TrajectorySet) -> int:
-    return int(trajs.states.max()) + 1
-
-
-def pool_estimates(trajs: TrajectorySet, labels: np.ndarray, K: int, lam: float,
-                   S: int | None = None) -> TransitionEstimate:
+def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> TransitionEstimate:
     """p0_k(s'|s) = (pooled N(s,s') + lam) / (pooled source count of s + lam * S).
 
     The denominator counts transition sources (sum over s' of N(s,s'), i.e.
@@ -67,11 +62,11 @@ def pool_estimates(trajs: TrajectorySet, labels: np.ndarray, K: int, lam: float,
     exactly at lam = 0.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != trajs.T:
+    if labels.shape[0] != counts.T:
         raise LengthMismatch("labels length does not match trajectory count")
     if lam < 0:
         raise ValueError("smoothing must be nonnegative")
-    S = S if S is not None else _infer_S(trajs)
+    S = counts.S
     counts_per_cluster = np.bincount(labels, minlength=K)
     if K < 1 or labels.min() < 0 or labels.max() >= K:
         raise EmptyCluster(f"labels must lie in [0, {K - 1}]")
@@ -79,9 +74,8 @@ def pool_estimates(trajs: TrajectorySet, labels: np.ndarray, K: int, lam: float,
         empty = int(np.argmin(counts_per_cluster))
         raise EmptyCluster(f"cluster {empty} has no trajectories")
 
-    _, transitions = batch_counts(trajs.states, S)
     trans = np.zeros((K, S, S), dtype=np.float64)
-    np.add.at(trans, labels, transitions.astype(np.float64))
+    np.add.at(trans, labels, counts.transitions.astype(np.float64))
     sources = trans.sum(axis=2)  # (K, S)
 
     denom = sources + lam * S
@@ -134,9 +128,8 @@ def trajectory_loglik(traj: Sequence[int], kernel: np.ndarray) -> float:
     return math.fsum(np.repeat(logk[counts > 0], counts[counts > 0]))
 
 
-def refine(trajs: TrajectorySet, labels_f0: np.ndarray, K: int, lam: float,
-           S: int | None = None, *, iterate: bool = False,
-           max_rounds: int = 50) -> Stage2Result:
+def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float, *,
+           iterate: bool = False, max_rounds: int = 50) -> Stage2Result:
     """One pooling + reassignment pass (``iterate`` loops to a fixed point).
 
     Ties keep the incumbent label when it attains the maximum, else break to
@@ -144,14 +137,12 @@ def refine(trajs: TrajectorySet, labels_f0: np.ndarray, K: int, lam: float,
     labeling is a fixed point.
     """
     labels = np.asarray(labels_f0, dtype=np.int64).copy()
-    S = S if S is not None else _infer_S(trajs)
-    _, transitions = batch_counts(trajs.states, S)
     rounds = max_rounds if iterate else 1
     total_changed = 0
     scores = None
     for _ in range(rounds):
-        est = pool_estimates(trajs, labels, K, lam, S=S)
-        scores = _loglik_from_counts(transitions, est.kernels)
+        est = pool_estimates(counts, labels, K, lam)
+        scores = _loglik_from_counts(counts.transitions, est.kernels)
         if lam == 0.0 and np.any(np.all(np.isneginf(scores), axis=1)):
             raise ZeroProbabilityTransition(
                 "a trajectory has -inf score under every cluster at smoothing 0")
@@ -168,7 +159,7 @@ def refine(trajs: TrajectorySet, labels_f0: np.ndarray, K: int, lam: float,
                         smoothing=float(lam))
 
 
-def oracle_classify(trajs: TrajectorySet, models: Sequence[MarkovModel],
+def oracle_classify(counts: Counts, models: Sequence[MarkovModel],
                     use_initial: bool = False) -> np.ndarray:
     """Known-kernel maximum-likelihood labels (reference classifier).
 
@@ -176,8 +167,9 @@ def oracle_classify(trajs: TrajectorySet, models: Sequence[MarkovModel],
     log mu_k(s_1). Raises if any model assigns probability zero to an
     observed transition; ties break to the lowest model index.
     """
-    S = models[0].S
-    _, transitions = batch_counts(trajs.states, S)
+    if any(m.S != counts.S for m in models):
+        raise StateSpaceMismatch(f"every model must have the counts' S={counts.S}")
+    transitions = counts.transitions
     kernels = np.stack([m.P for m in models])
     used_any = transitions.sum(axis=0) > 0
     if np.any((kernels <= 0.0) & used_any[None, :, :]):
@@ -185,10 +177,9 @@ def oracle_classify(trajs: TrajectorySet, models: Sequence[MarkovModel],
             "a model assigns probability 0 to an observed transition")
     scores = _loglik_from_counts(transitions, kernels)
     if use_initial:
-        first = trajs.states[:, 0]
         with np.errstate(divide="ignore"):
             logmu = np.log(np.stack([m.mu for m in models]))
-        scores = scores + logmu[:, first].T
+        scores = scores + logmu[:, counts.first].T
     return np.argmax(scores, axis=1).astype(np.int64)
 
 

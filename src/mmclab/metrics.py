@@ -22,7 +22,6 @@ from .simgen import MixtureInstance
 __all__ = [
     "misclassification",
     "brute_force_misclassification",
-    "assignment_misclassification",
     "kl_divergence",
     "tv_distance",
     "hellinger_sq",
@@ -54,19 +53,6 @@ def _confusion(f_hat: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
     return C
 
 
-def _brute_force_match(C: np.ndarray) -> int:
-    """max over permutations sigma of sum_b C[sigma(b), b]."""
-    K = C.shape[0]
-    return max(sum(int(C[sigma[b], b]) for b in range(K))
-               for sigma in itertools.permutations(range(K)))
-
-
-def _assignment_match(C: np.ndarray) -> int:
-    """Same maximum via optimal assignment (Hungarian-style)."""
-    row, col = linear_sum_assignment(-C)
-    return int(C[row, col].sum())
-
-
 def _prepare_labels(f_hat: np.ndarray, f: np.ndarray, T: int | None) -> tuple[np.ndarray, np.ndarray, int]:
     f_hat = np.asarray(f_hat, dtype=np.int64)
     f = np.asarray(f, dtype=np.int64)
@@ -82,36 +68,31 @@ def _prepare_labels(f_hat: np.ndarray, f: np.ndarray, T: int | None) -> tuple[np
 
 def brute_force_misclassification(f_hat: np.ndarray, f: np.ndarray,
                                   T: int | None = None) -> int:
-    """E_T by explicit enumeration of all K! relabelings."""
+    """E_T by explicit enumeration of all K! relabelings sigma, maximizing
+    sum_b C[sigma(b), b]; the reference :func:`misclassification` is tested
+    against."""
     f_hat, f, K = _prepare_labels(f_hat, f, T)
     if f.shape[0] == 0:
         return 0
-    return f.shape[0] - _brute_force_match(_confusion(f_hat, f, K))
-
-
-def assignment_misclassification(f_hat: np.ndarray, f: np.ndarray,
-                                 T: int | None = None) -> int:
-    """E_T via optimal assignment on the confusion matrix."""
-    f_hat, f, K = _prepare_labels(f_hat, f, T)
-    if f.shape[0] == 0:
-        return 0
-    return f.shape[0] - _assignment_match(_confusion(f_hat, f, K))
+    C = _confusion(f_hat, f, K)
+    return f.shape[0] - max(sum(int(C[sigma[b], b]) for b in range(K))
+                            for sigma in itertools.permutations(range(K)))
 
 
 def misclassification(f_hat: np.ndarray, f: np.ndarray, T: int | None = None) -> int:
     """E_T: misclassified count minimized over relabelings of the clusters.
 
     Label vectors may use different numbers of clusters; the smaller label set
-    is padded with empty clusters before the permutation minimization. Brute
-    force is used for K <= 8, optimal assignment beyond (they agree; tested).
+    is padded with empty clusters before the permutation minimization, which
+    is solved exactly as an optimal assignment (Hungarian) on the confusion
+    matrix; ``brute_force_misclassification`` is the K! reference.
     """
     f_hat, f, K = _prepare_labels(f_hat, f, T)
-    n = f.shape[0]
-    if n == 0:
+    if f.shape[0] == 0:
         return 0
     C = _confusion(f_hat, f, K)
-    matched = _brute_force_match(C) if K <= 8 else _assignment_match(C)
-    return n - matched
+    row, col = linear_sum_assignment(-C)
+    return f.shape[0] - int(C[row, col].sum())
 
 
 # --- divergences between probability vectors ------------------------------

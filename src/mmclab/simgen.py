@@ -168,7 +168,7 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
     P_cdf[:, :, -1] = 1.0
     gens = _trajectory_rngs(seed, T)
 
-    states = np.empty((T, H), dtype=np.int64)
+    states = np.empty((T, H), dtype=np.int32)
     u0 = np.array([g.random() for g in gens])
     states[:, 0] = (u0[:, None] > mu_cdf[f]).sum(axis=1)
     cdf_flat = P_cdf.reshape(-1, S)  # row f*S + s is the CDF of p^{(f)}(.|s)
@@ -182,7 +182,7 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
             cur = (U[:, j, None] > cdf_flat[base + cur]).sum(axis=1)
             states[:, h + j] = cur
         h += width
-    return TrajectorySet(states=states.astype(np.int32), seed=int(seed),
+    return TrajectorySet(states=states, seed=int(seed),
                          instance_id=instance.instance_id())
 
 

@@ -105,13 +105,14 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     S, H = W_hat.S, W_hat.H
 
     try:
-        U, sv, _ = np.linalg.svd(W_hat.values, full_matrices=False)
+        U, sv = np.linalg.svd(W_hat.values, full_matrices=False)[:2]
     except np.linalg.LinAlgError as exc:
         raise SvdFailure("SVD of the data matrix did not converge") from exc
 
     sigma_thres = sigma_threshold(T, S, H, cfg)
     R_hat = max(1, estimate_rank(sv, sigma_thres))
     X = U[:, :R_hat] * sv[:R_hat]
+    del U  # the peel needs only X; free the T x min(T, S^2) factor before the T x T work
 
     radius = cfg.radius_override if cfg.radius_override is not None else sigma_thres
     sq_norms = (X ** 2).sum(axis=1)

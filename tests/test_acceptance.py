@@ -17,6 +17,7 @@ from mmclab import (
     augmented_chain,
     build_matrices,
     check_gap_inequalities,
+    count_transitions,
     delta_W_sq,
     divergence_D_pi,
     gen_random_ergodic,
@@ -37,7 +38,6 @@ from mmclab import (
 from mmclab.cli import run_sweep
 from mmclab.embedding import DataMatrix, embed_model
 from mmclab.metrics import (
-    assignment_misclassification,
     brute_force_misclassification,
     necessary_condition_probability_form,
 )
@@ -146,8 +146,7 @@ class TestCriterion4MetricAndOracle:
             T = int(rng.integers(K, 60))
             f = random_labels(rng, T, K)
             f_hat = random_labels(rng, T, K)
-            if brute_force_misclassification(f_hat, f) != \
-                    assignment_misclassification(f_hat, f):
+            if brute_force_misclassification(f_hat, f) != misclassification(f_hat, f):
                 bad += 1
         report("AC4/assignment", bad == 0, f"({bad} disagreements over 200 cases)")
         assert bad == 0
@@ -215,11 +214,11 @@ def decay_runs():
         inst = make_instance(models, np.array([0.5, 0.5]), 200, H)
         e1s, e2s = [], []
         for seed in range(50):
-            trajs = sample_trajectories(inst, seed)
-            _, W_hat = build_matrices(inst, trajs)
+            counts = count_transitions(sample_trajectories(inst, seed).states, inst.S)
+            _, W_hat = build_matrices(inst, counts)
             cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
             r1 = spectral_cluster(W_hat, cfg)
-            r2 = refine(trajs, r1.labels, r1.K_hat, 0.5, S=inst.S)
+            r2 = refine(counts, r1.labels, r1.K_hat, 0.5)
             e1s.append(misclassification(r1.labels, inst.decoding))
             e2s.append(misclassification(r2.labels, inst.decoding))
         out[H] = (np.array(e1s), np.array(e2s))
@@ -263,9 +262,9 @@ class TestCriterion7PluginConsistency:
         assert inst.T * inst.H >= 10 ** 6
         agree = total = 0
         for seed in range(10):
-            trajs = sample_trajectories(inst, seed)
-            plug = refine(trajs, inst.decoding, 2, 1e-9, S=inst.S)
-            oracle = oracle_classify(trajs, models)
+            counts = count_transitions(sample_trajectories(inst, seed).states, inst.S)
+            plug = refine(counts, inst.decoding, 2, 1e-9)
+            oracle = oracle_classify(counts, models)
             agree += int((plug.labels == oracle).sum())
             total += inst.T
         frac = agree / total
@@ -323,7 +322,7 @@ class TestCriterion9ConcentrationEnvelope:
             for seed in range(100):
                 inst = single_chain_instance(model, T, H)
                 trajs = sample_trajectories(inst, seed)
-                W, W_hat = build_matrices(inst, trajs)
+                W, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
                 hits += int(two_inf_distance(W, W_hat) <= bound)
             ok &= hits >= 95
             details.append(f"H={H}: {hits}/100")

@@ -7,7 +7,7 @@ import pytest
 
 from mmclab import predicted_error_rate
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
-from mmclab.simgen import load_instance, load_trajectories
+from mmclab.simgen import load_instance, load_trajectories, save_trajectories
 
 
 def strip_walltime(csv_text: str) -> str:
@@ -95,6 +95,23 @@ class TestPipeline:
         rc = main(["cluster", str(tmp_path / "sample.traj.bin"), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_header_S_below_stored_states_exits_2(self, tmp_path, instance_file, capsys):
+        main(["sample", str(instance_file), "--seed", "2", "--out", str(tmp_path)])
+        good = tmp_path / "sample.traj.bin"
+        assert main(["cluster", str(good), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
+        trajs, S = load_trajectories(good)
+        assert trajs.states.max() == S - 1
+        bad = tmp_path / "bad.traj.bin"
+        save_trajectories(trajs, bad, S - 1)
+        capsys.readouterr()
+        assert main(["cluster", str(bad), "--gamma", "1.0", "--out", str(tmp_path),
+                     "--name", "bad"]) == 2
+        assert main(["refine", str(bad), str(tmp_path / "cluster.stage1.json"),
+                     "--out", str(tmp_path), "--name", "bad"]) == 2
+        assert capsys.readouterr().err.count("state indices must lie in") == 2
+        assert not (tmp_path / "bad.stage1.json").exists()
+        assert not (tmp_path / "bad.stage2.json").exists()
+
     def test_gaps_command(self, tmp_path, instance_file, capsys):
         assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "gaps.gaps.json").read_text())
@@ -132,6 +149,21 @@ class TestSweep:
         a = run_sweep(dict(SWEEP_CFG), jobs=1)
         b = run_sweep(dict(SWEEP_CFG), jobs=4)
         assert strip_walltime(a) == strip_walltime(b)
+
+    def test_counts_computed_once_per_point(self, monkeypatch):
+        import mmclab.cli as cli_mod
+
+        calls = []
+        original = cli_mod.count_transitions
+
+        def counting(states, S):
+            calls.append(states.shape)
+            return original(states, S)
+
+        monkeypatch.setattr(cli_mod, "count_transitions", counting)
+        run_sweep(dict(SWEEP_CFG), jobs=1)
+        assert sorted(calls) == sorted((24, H) for H in SWEEP_CFG["H"]
+                                       for _ in SWEEP_CFG["seeds"])
 
     def test_duplicate_seeds_rejected(self):
         cfg = dict(SWEEP_CFG)

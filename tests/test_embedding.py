@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra import numpy as hnp
+
 from mmclab import (
-    batch_counts,
     build_matrices,
-    count_stats,
+    count_transitions,
     embed_model,
-    embed_trajectory,
+    empirical_matrix,
     gen_separation_instance,
     make_instance,
     sample_trajectories,
@@ -27,49 +28,94 @@ from mmclab.simgen import single_chain_instance
 from tests.conftest import random_models
 
 
+def reference_counts(traj, S):
+    """Per-trajectory reference: visit and transition bincounts of one row."""
+    traj = np.asarray(traj, dtype=np.int64)
+    visits = np.bincount(traj, minlength=S)
+    transitions = np.bincount(traj[:-1] * S + traj[1:], minlength=S * S).reshape(S, S)
+    return visits, transitions
+
+
+def one(traj, S):
+    """Counts of a single trajectory (T = 1)."""
+    return count_transitions(np.asarray([traj]), S)
+
+
+@st.composite
+def state_arrays(draw):
+    S = draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(2, 40)))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return draw(hnp.arrays(dtype, shape, elements=st.integers(0, S - 1))), S
+
+
 class TestCountStats:
     def test_basic_hand_count(self):
         # states (1,1,2) in 1-based notation = (0,0,1) here
-        cs = count_stats([0, 0, 1], S=2)
-        assert cs.visits.tolist() == [2, 1]
-        assert cs.transitions.tolist() == [[1, 1], [0, 0]]
-        assert cs.H == 3
+        cs = one([0, 0, 1], S=2)
+        assert cs.visits.tolist() == [[2, 1]]
+        assert cs.transitions.tolist() == [[[1, 1], [0, 0]]]
+        assert cs.H == 3 and cs.T == 1 and cs.S == 2
+        assert cs.first.tolist() == [0]
 
     def test_constant_trajectory(self):
-        cs = count_stats([0, 0, 0, 0], S=2)
-        assert cs.visits.tolist() == [4, 0]
-        assert cs.transitions[0, 0] == 3
+        cs = one([0, 0, 0, 0], S=2)
+        assert cs.visits.tolist() == [[4, 0]]
+        assert cs.transitions[0, 0, 0] == 3
 
     def test_alternating(self):
-        cs = count_stats([0, 1, 0, 1], S=2)
-        assert cs.visits.tolist() == [2, 2]
-        assert cs.transitions[0, 1] == 2
-        assert cs.transitions[1, 0] == 1
+        cs = one([0, 1, 0, 1], S=2)
+        assert cs.visits.tolist() == [[2, 2]]
+        assert cs.transitions[0, 0, 1] == 2
+        assert cs.transitions[0, 1, 0] == 1
 
     def test_count_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             S = int(rng.integers(2, 6))
             H = int(rng.integers(2, 50))
-            traj = rng.integers(0, S, size=H)
-            cs = count_stats(traj, S)
+            cs = one(rng.integers(0, S, size=H), S)
             assert cs.visits.sum() == H
             assert cs.transitions.sum() == H - 1
-            outgoing = cs.transitions.sum(axis=1)
-            assert np.all((outgoing == cs.visits) | (outgoing == cs.visits - 1))
+            outgoing = cs.transitions[0].sum(axis=1)
+            assert np.all((outgoing == cs.visits[0]) | (outgoing == cs.visits[0] - 1))
 
     def test_state_out_of_range(self):
         with pytest.raises(StateOutOfRange):
-            count_stats([0, 3], S=2)
+            one([0, 3], S=2)
 
-    def test_batch_counts_match_loop(self):
-        rng = np.random.default_rng(1)
-        states = rng.integers(0, 3, size=(8, 11))
-        visits, trans = batch_counts(states, 3)
-        for t in range(8):
-            cs = count_stats(states[t], 3)
-            assert np.array_equal(visits[t], cs.visits)
-            assert np.array_equal(trans[t], cs.transitions)
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_state_at_S_or_negative_rejected(self, bad):
+        # either would fold into a neighbouring count cell if it were counted
+        states = np.zeros((3, 5), dtype=np.int32)
+        states[1, 2] = bad
+        with pytest.raises(StateOutOfRange):
+            count_transitions(states, 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 1), (2, 3, 4)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            count_transitions(np.zeros(shape, dtype=np.int32), 2)
+
+    def test_counts_are_read_only_int64(self):
+        cs = count_transitions(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int32), 2)
+        for arr in (cs.first, cs.visits, cs.transitions):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+
+    @given(state_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_count_transitions_matches_reference(self, drawn):
+        states, S = drawn
+        T, H = states.shape
+        cs = count_transitions(states, S)
+        assert (cs.T, cs.S, cs.H) == (T, S, H)
+        for t in range(T):
+            visits, transitions = reference_counts(states[t], S)
+            assert np.array_equal(cs.visits[t], visits)
+            assert np.array_equal(cs.transitions[t], transitions)
+        assert (cs.visits.sum(axis=1) == H).all()
+        assert (cs.transitions.sum(axis=(1, 2)) == H - 1).all()
+        assert np.array_equal(cs.first, states[:, 0])
 
 
 class TestEmbedModel:
@@ -105,42 +151,51 @@ class TestEmbedModel:
                                kernel_from_embedding(L2, 3), atol=1e-10)
 
 
+def embed_one(traj, S):
+    return empirical_matrix(one(traj, S)).values[0]
+
+
 class TestEmbedTrajectory:
     def test_hand_example(self):
-        cs = count_stats([0, 0, 1], S=2)
-        vec = embed_trajectory(cs)
+        vec = embed_one([0, 0, 1], S=2)
         assert vec == pytest.approx([1 / np.sqrt(6), 1 / np.sqrt(6), 0, 0], abs=1e-12)
 
     def test_constant_trajectory(self):
-        cs = count_stats([0, 0, 0, 0], S=2)
-        assert embed_trajectory(cs).tolist() == [0.75, 0.0, 0.0, 0.0]
+        assert embed_one([0, 0, 0, 0], S=2).tolist() == [0.75, 0.0, 0.0, 0.0]
 
     def test_coordinates_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             S = int(rng.integers(2, 5))
             traj = rng.integers(0, S, size=int(rng.integers(2, 40)))
-            cs = count_stats(traj, S)
-            vec = embed_trajectory(cs).reshape(S, S)
-            bound = np.sqrt(np.maximum(cs.visits, 1) / cs.H)
+            vec = embed_one(traj, S).reshape(S, S)
+            visits, _ = reference_counts(traj, S)
+            bound = np.sqrt(np.maximum(visits, 1) / len(traj))
             assert (vec <= bound[:, None] + 1e-12).all()
             assert vec.max() <= 1.0 and vec.min() >= 0.0
 
     def test_unvisited_states_give_zero_block(self):
-        cs = count_stats([0, 1, 0], S=4)
-        vec = embed_trajectory(cs).reshape(4, 4)
+        vec = embed_one([0, 1, 0], S=4).reshape(4, 4)
         assert np.all(vec[2:] == 0)
         assert np.all(vec[:, 2:] == 0)
         # the visited block does not depend on how many unused states exist
-        small = embed_trajectory(count_stats([0, 1, 0], S=2)).reshape(2, 2)
+        small = embed_one([0, 1, 0], S=2).reshape(2, 2)
         assert np.array_equal(vec[:2, :2], small)
+
+    def test_rows_equal_single_trajectory_embeddings(self):
+        rng = np.random.default_rng(3)
+        states = rng.integers(0, 3, size=(7, 25))
+        W_hat = empirical_matrix(count_transitions(states, 3))
+        assert W_hat.kind == "empirical" and (W_hat.T, W_hat.S, W_hat.H) == (7, 3, 25)
+        for t in range(7):
+            assert np.array_equal(W_hat.values[t], embed_one(states[t], 3))
 
 
 class TestDataMatrices:
     def test_truth_matrix_has_K_distinct_rows(self):
         inst = gen_separation_instance(2, T=12, H=10)
         trajs = sample_trajectories(inst, 0)
-        W, W_hat = build_matrices(inst, trajs)
+        W, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         assert W.values.shape == (12, 16)
         assert len(np.unique(W.values, axis=0)) == 2
         assert np.linalg.matrix_rank(W.values) <= 2
@@ -150,7 +205,7 @@ class TestDataMatrices:
         m = random_models(1, 3, seed0=5)[0]
         inst = make_instance([m, m], np.array([0.5, 0.5]), 8, 6)
         trajs = sample_trajectories(inst, 1)
-        W, _ = build_matrices(inst, trajs)
+        W, _ = build_matrices(inst, count_transitions(trajs.states, inst.S))
         assert np.linalg.matrix_rank(W.values) == 1
 
     def test_row_error_shrinks_with_H(self):
@@ -159,7 +214,7 @@ class TestDataMatrices:
         for H in (1_000, 10_000):
             inst = single_chain_instance(m, T=30, H=H)
             trajs = sample_trajectories(inst, 13)
-            W, W_hat = build_matrices(inst, trajs)
+            W, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
             errs.append(np.sqrt(((W.values - W_hat.values) ** 2).sum(axis=1)).mean())
         assert errs[1] < errs[0]
 
@@ -177,10 +232,19 @@ class TestDataMatrices:
         with pytest.raises(DimensionMismatch):
             two_inf_distance(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_counts_must_match_instance(self):
+        inst = gen_separation_instance(1, T=5, H=8)
+        states = sample_trajectories(inst, 2).states
+        for counts in (count_transitions(states, inst.S + 1),
+                       count_transitions(states[:4], inst.S),
+                       count_transitions(states[:, :7], inst.S)):
+            with pytest.raises(DimensionMismatch):
+                build_matrices(inst, counts)
+
     def test_matrix_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=5, H=8)
         trajs = sample_trajectories(inst, 2)
-        _, W_hat = build_matrices(inst, trajs)
+        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         save_matrix(W_hat, tmp_path / "w.bin")
         again = load_matrix(tmp_path / "w.bin")
         assert np.array_equal(again.values, W_hat.values)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmclab import (
+    count_transitions,
     gen_random_ergodic,
     gen_separation_instance,
     make_instance,
@@ -15,52 +16,55 @@ from mmclab import (
     trajectory_loglik,
     validate_model,
 )
-from mmclab.errors import EmptyCluster, ZeroProbabilityTransition
+from mmclab.errors import EmptyCluster, StateSpaceMismatch, ZeroProbabilityTransition
 from mmclab.likelihood import save_stage2, load_stage2
-from mmclab.simgen import TrajectorySet, single_chain_instance
+from mmclab.simgen import single_chain_instance
 from tests.conftest import random_models
 
 
-def traj_set(states):
-    return TrajectorySet(states=np.asarray(states, dtype=np.int32), seed=0,
-                         instance_id="test")
+def counts_of(states, S):
+    return count_transitions(np.asarray(states, dtype=np.int32), S)
+
+
+def sampled_counts(inst, seed):
+    return count_transitions(sample_trajectories(inst, seed).states, inst.S)
 
 
 class TestPoolEstimates:
     def test_single_trajectory_unsmoothed(self):
-        trajs = traj_set([[0, 0, 1]])
-        est = pool_estimates(trajs, np.array([0]), K=1, lam=0.0, S=2)
+        counts = counts_of([[0, 0, 1]], S=2)
+        est = pool_estimates(counts, np.array([0]), K=1, lam=0.0)
         assert np.allclose(est.kernels[0, 0], [0.5, 0.5])
         assert est.undefined_rows[0].tolist() == [False, True]
         assert np.all(est.kernels[0, 1] == 0.0)
 
     def test_single_trajectory_smoothed(self):
-        trajs = traj_set([[0, 0, 1]])
-        est = pool_estimates(trajs, np.array([0]), K=1, lam=0.5, S=2)
+        counts = counts_of([[0, 0, 1]], S=2)
+        est = pool_estimates(counts, np.array([0]), K=1, lam=0.5)
         assert np.allclose(est.kernels[0, 1], [0.5, 0.5])  # pure prior row
         assert np.allclose(est.kernels[0].sum(axis=1), 1.0, atol=1e-12)
 
     def test_pooling_identical_trajectories_invariant(self):
-        one = traj_set([[0, 1, 0, 0]])
-        two = traj_set([[0, 1, 0, 0], [0, 1, 0, 0]])
-        e1 = pool_estimates(one, np.zeros(1, dtype=int), 1, 0.0, S=2)
-        e2 = pool_estimates(two, np.zeros(2, dtype=int), 1, 0.0, S=2)
+        one = counts_of([[0, 1, 0, 0]], S=2)
+        two = counts_of([[0, 1, 0, 0], [0, 1, 0, 0]], S=2)
+        e1 = pool_estimates(one, np.zeros(1, dtype=int), 1, 0.0)
+        e2 = pool_estimates(two, np.zeros(2, dtype=int), 1, 0.0)
         assert np.allclose(e1.kernels, e2.kernels, atol=1e-15)
 
     def test_rows_normalize_with_smoothing(self):
         rng = np.random.default_rng(0)
-        trajs = traj_set(rng.integers(0, 3, size=(6, 20)))
+        counts = counts_of(rng.integers(0, 3, size=(6, 20)), S=3)
         labels = np.array([0, 0, 1, 1, 2, 2])
         for lam in (0.0, 0.5, 2.0):
-            est = pool_estimates(trajs, labels, 3, lam, S=3)
+            est = pool_estimates(counts, labels, 3, lam)
             defined = ~est.undefined_rows
             sums = est.kernels.sum(axis=2)[defined]
             assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_empty_cluster_raises(self):
-        trajs = traj_set([[0, 1], [1, 0]])
+        counts = counts_of([[0, 1], [1, 0]], S=2)
         with pytest.raises(EmptyCluster):
-            pool_estimates(trajs, np.array([0, 0]), K=2, lam=0.5, S=2)
+            pool_estimates(counts, np.array([0, 0]), K=2, lam=0.5)
 
 
 class TestTrajectoryLoglik:
@@ -94,56 +98,53 @@ class TestTrajectoryLoglik:
 class TestRefine:
     def test_fixed_point(self):
         inst = gen_separation_instance(2, T=40, H=400)
-        trajs = sample_trajectories(inst, 0)
-        first = refine(trajs, inst.decoding, 2, 0.5, S=inst.S)
-        again = refine(trajs, first.labels, 2, 0.5, S=inst.S)
+        counts = sampled_counts(inst, 0)
+        first = refine(counts, inst.decoding, 2, 0.5)
+        again = refine(counts, first.labels, 2, 0.5)
         if first.changed == 0:
             assert np.array_equal(first.labels, inst.decoding)
         assert again.changed == 0 or np.array_equal(again.labels, first.labels)
 
     def test_optimal_labels_unchanged(self):
         inst = gen_separation_instance(2, T=60, H=1_000)
-        trajs = sample_trajectories(inst, 1)
-        res = refine(trajs, inst.decoding, 2, 0.5, S=inst.S)
+        res = refine(sampled_counts(inst, 1), inst.decoding, 2, 0.5)
         assert res.changed == 0
         assert np.array_equal(res.labels, inst.decoding)
 
     def test_improves_on_corrupted_labels(self):
         inst = gen_separation_instance(2, T=60, H=1_500)
-        trajs = sample_trajectories(inst, 2)
+        counts = sampled_counts(inst, 2)
         corrupted = inst.decoding.copy()
         corrupted[:6] = 1 - corrupted[:6]
-        res = refine(trajs, corrupted, 2, 0.5, S=inst.S)
+        res = refine(counts, corrupted, 2, 0.5)
         assert misclassification(res.labels, inst.decoding) \
             <= misclassification(corrupted, inst.decoding)
 
     def test_label_permutation_equivariance(self):
         inst = gen_separation_instance(2, T=30, H=800)
-        trajs = sample_trajectories(inst, 3)
+        counts = sampled_counts(inst, 3)
         start = inst.decoding.copy()
         start[:3] = 1 - start[:3]
-        res = refine(trajs, start, 2, 0.5, S=inst.S)
-        swapped = refine(trajs, 1 - start, 2, 0.5, S=inst.S)
+        res = refine(counts, start, 2, 0.5)
+        swapped = refine(counts, 1 - start, 2, 0.5)
         assert np.array_equal(swapped.labels, 1 - res.labels)
 
     def test_iterate_mode_reaches_fixed_point(self):
         inst = gen_separation_instance(2, T=40, H=1_200)
-        trajs = sample_trajectories(inst, 12)
+        counts = sampled_counts(inst, 12)
         start = inst.decoding.copy()
         start[:8] = 1 - start[:8]
-        res = refine(trajs, start, 2, 0.5, S=inst.S, iterate=True)
-        again = refine(trajs, res.labels, 2, 0.5, S=inst.S)
+        res = refine(counts, start, 2, 0.5, iterate=True)
+        again = refine(counts, res.labels, 2, 0.5)
         assert again.changed == 0
 
     def test_smoothed_scores_always_finite(self):
-        trajs = traj_set([[0, 0, 0], [1, 1, 1]])
-        res = refine(trajs, np.array([0, 1]), 2, 0.5, S=2)
+        res = refine(counts_of([[0, 0, 0], [1, 1, 1]], S=2), np.array([0, 1]), 2, 0.5)
         assert np.isfinite(res.loglik).all()
 
     def test_stage2_json_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=10, H=50)
-        trajs = sample_trajectories(inst, 4)
-        res = refine(trajs, inst.decoding, 2, 0.5, S=inst.S)
+        res = refine(sampled_counts(inst, 4), inst.decoding, 2, 0.5)
         save_stage2(res, tmp_path / "s2.json", dump_loglik=True)
         labels, changed, lam = load_stage2(tmp_path / "s2.json")
         assert np.array_equal(labels, res.labels)
@@ -156,15 +157,13 @@ class TestOracleClassify:
     def test_single_source_all_one_label(self):
         models = list(gen_separation_instance(2, T=2, H=2).models)
         inst = single_chain_instance(models[0], T=40, H=300)
-        trajs = sample_trajectories(inst, 5)
-        labels = oracle_classify(trajs, models)
+        labels = oracle_classify(sampled_counts(inst, 5), models)
         assert (labels == 0).all()
 
     def test_identical_models_tie_to_lowest_index(self):
         m = gen_random_ergodic(3, seed=0, floor=0.05)
         inst = single_chain_instance(m, T=10, H=50)
-        trajs = sample_trajectories(inst, 6)
-        labels = oracle_classify(trajs, [m, m])
+        labels = oracle_classify(sampled_counts(inst, 6), [m, m])
         assert (labels == 0).all()
 
     def test_use_initial_term_can_flip(self):
@@ -173,9 +172,9 @@ class TestOracleClassify:
         a = validate_model(P, [0.999, 0.001])
         b = validate_model(P, [0.001, 0.999])
         inst = make_instance([a, b], np.array([0.5, 0.5]), 40, 6)
-        trajs = sample_trajectories(inst, 7)
-        plain = oracle_classify(trajs, [a, b], use_initial=False)
-        with_mu = oracle_classify(trajs, [a, b], use_initial=True)
+        counts = sampled_counts(inst, 7)
+        plain = oracle_classify(counts, [a, b], use_initial=False)
+        with_mu = oracle_classify(counts, [a, b], use_initial=True)
         assert (plain == 0).all()  # identical kernels tie to index 0
         assert misclassification(with_mu, inst.decoding) \
             < misclassification(plain, inst.decoding)
@@ -185,14 +184,19 @@ class TestOracleClassify:
         m_pos = validate_model(P_pos, [0.5, 0.5])
         P_zero = np.array([[0.0, 1.0], [0.5, 0.5]])  # ergodic, one structural zero
         m_zero = validate_model(P_zero, [0.5, 0.5])
-        trajs = traj_set([[0, 0, 1]])  # uses the (0 -> 0) transition
+        counts = counts_of([[0, 0, 1]], S=2)  # uses the (0 -> 0) transition
         with pytest.raises(ZeroProbabilityTransition):
-            oracle_classify(trajs, [m_pos, m_zero])
+            oracle_classify(counts, [m_pos, m_zero])
+
+    def test_model_state_space_must_match_counts(self):
+        m = gen_random_ergodic(3, seed=0, floor=0.05)
+        with pytest.raises(StateSpaceMismatch):
+            oracle_classify(counts_of([[0, 1, 0]], S=2), [m, m])
 
     def test_plugin_consistency_small(self):
         models = random_models(2, 4, seed0=50, floor=0.04)
         inst = make_instance(models, np.array([0.5, 0.5]), 50, 2_000)
-        trajs = sample_trajectories(inst, 8)
-        plug_in = refine(trajs, inst.decoding, 2, 1e-9, S=inst.S)
-        oracle = oracle_classify(trajs, models)
+        counts = sampled_counts(inst, 8)
+        plug_in = refine(counts, inst.decoding, 2, 1e-9)
+        oracle = oracle_classify(counts, models)
         assert (plug_in.labels == oracle).mean() >= 0.98

@@ -31,7 +31,6 @@ from mmclab import (
 from mmclab.errors import InvalidRange, LengthMismatch
 from mmclab.metrics import (
     LOG_E_OVER_2,
-    assignment_misclassification,
     brute_force_misclassification,
     c_eta_explicit,
     necessary_condition_probability_form,
@@ -76,8 +75,7 @@ class TestMisclassification:
             T = int(rng.integers(K, 40))
             f = random_labels(rng, T, K)
             f_hat = random_labels(rng, T, K)
-            assert brute_force_misclassification(f_hat, f) == \
-                assignment_misclassification(f_hat, f)
+            assert brute_force_misclassification(f_hat, f) == misclassification(f_hat, f)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -414,7 +412,7 @@ class TestPredictedErrorRate:
 
     def test_rate_upper_bounds_observed_error(self):
         # one-sided Monte-Carlo check with the explicit analysis constant
-        from mmclab import (build_matrices, refine, sample_trajectories,
+        from mmclab import (build_matrices, count_transitions, refine, sample_trajectories,
                             spectral_cluster, SpectralConfig)
         models = gen_separation_models(2)
         c_eta = c_eta_explicit(3.0)
@@ -423,11 +421,11 @@ class TestPredictedErrorRate:
             inst = make_instance(models, np.array([0.5, 0.5]), 200, H)
             rate = predicted_error_rate(200, H, 1.0, d_pi, c_eta)
             for seed in range(10):
-                trajs = sample_trajectories(inst, seed)
-                _, W_hat = build_matrices(inst, trajs)
+                counts = count_transitions(sample_trajectories(inst, seed).states, inst.S)
+                _, W_hat = build_matrices(inst, counts)
                 cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
                 r1 = spectral_cluster(W_hat, cfg)
-                r2 = refine(trajs, r1.labels, r1.K_hat, 0.5, S=inst.S)
+                r2 = refine(counts, r1.labels, r1.K_hat, 0.5)
                 assert misclassification(r2.labels, inst.decoding) <= rate
 
     def test_doubling_identity(self):

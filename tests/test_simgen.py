@@ -115,9 +115,8 @@ class TestSampling:
         m = gen_random_ergodic(4, seed=8, floor=0.05)
         inst = single_chain_instance(m, T=100, H=10_000)
         trajs = sample_trajectories(inst, 21)
-        from mmclab import batch_counts
-        _, trans = batch_counts(trajs.states, 4)
-        pooled = trans.sum(axis=0).astype(float)
+        from mmclab import count_transitions
+        pooled = count_transitions(trajs.states, 4).transitions.sum(axis=0).astype(float)
         p_hat = pooled / pooled.sum(axis=1, keepdims=True)
         assert np.abs(p_hat - m.P).max() < 0.01
 

@@ -5,6 +5,7 @@ import pytest
 
 from mmclab import (
     build_matrices,
+    count_transitions,
     delta_W_sq,
     estimate_rank,
     gen_separation_instance,
@@ -98,7 +99,7 @@ class TestSpectralCluster:
         # at desk scale 32 R T / log(TH/delta) exceeds T: the peel is forced
         inst = gen_separation_instance(2, T=60, H=2_000)
         trajs = sample_trajectories(inst, 0)
-        _, W_hat = build_matrices(inst, trajs)
+        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         res = spectral_cluster(W_hat, SpectralConfig(delta=0.1, gamma_ps=1.0))
         assert res.K_hat == 1
         assert res.forced_first_cluster
@@ -106,7 +107,7 @@ class TestSpectralCluster:
     def test_permutation_equivariance(self):
         inst = gen_separation_instance(2, T=50, H=3_000)
         trajs = sample_trajectories(inst, 3)
-        _, W_hat = build_matrices(inst, trajs)
+        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
         base = spectral_cluster(W_hat, cfg)
         rng = np.random.default_rng(0)
@@ -119,7 +120,7 @@ class TestSpectralCluster:
     def test_determinism_and_sign_flip_invariance(self):
         inst = gen_separation_instance(1, T=30, H=500)
         trajs = sample_trajectories(inst, 9)
-        _, W_hat = build_matrices(inst, trajs)
+        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
         a = spectral_cluster(W_hat, cfg)
         b = spectral_cluster(W_hat, cfg)
@@ -136,7 +137,7 @@ class TestSpectralCluster:
     def test_every_trajectory_labeled_centers_consistent(self):
         inst = gen_separation_instance(2, T=80, H=2_500)
         trajs = sample_trajectories(inst, 5)
-        _, W_hat = build_matrices(inst, trajs)
+        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         res = spectral_cluster(W_hat, SpectralConfig(delta=0.1, gamma_ps=1.0,
                                                      c_sigma=0.15, c_rho=2.0))
         assert (res.labels >= 0).all() and (res.labels < res.K_hat).all()
@@ -158,7 +159,7 @@ class TestSpectralCluster:
     def test_stage1_json_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=20, H=300)
         trajs = sample_trajectories(inst, 1)
-        _, W_hat = build_matrices(inst, trajs)
+        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
         res = spectral_cluster(W_hat, SpectralConfig(delta=0.1, gamma_ps=1.0,
                                                      c_sigma=0.2, c_rho=2.0))
         save_stage1(res, tmp_path / "s1.json")
@@ -182,7 +183,7 @@ class TestStage1ErrorEnvelope:
         errs = []
         for seed in range(20):
             trajs = sample_trajectories(inst, seed)
-            _, W_hat = build_matrices(inst, trajs)
+            _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
             res = spectral_cluster(W_hat, cfg)
             errs.append(misclassification(res.labels, inst.decoding))
         assert all(e <= envelope for e in errs)
