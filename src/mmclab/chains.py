@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EigenFailure,
+    InvalidRange,
     NotIrreducible,
     NotMixedWithinTMax,
     Periodic,
@@ -185,7 +186,7 @@ def pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.n
     spectrum, so a symmetric eigensolver can be used.
     """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise InvalidRange("k_max must be >= 1")
     d = np.sqrt(pi)
     B = (d[:, None] * P) / d[None, :]
     terms = np.empty(k_max)
@@ -210,7 +211,7 @@ def mixing_time(P: np.ndarray, pi: np.ndarray, threshold: float = 0.25,
                 t_max: int = 100_000) -> int:
     """Smallest t with max_s TV(P^t(s, .), pi) <= threshold."""
     if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
+        raise InvalidRange("threshold must be in (0, 1)")
     Pt = np.array(P, dtype=np.float64)
     for t in range(1, t_max + 1):
         if 0.5 * np.abs(Pt - pi[None, :]).sum(axis=1).max() <= threshold:

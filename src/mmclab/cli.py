@@ -77,9 +77,10 @@ def _build_instance(spec: dict, T: int, H: int, alpha=None, shuffle=False,
                                 shuffle=shuffle, shuffle_seed=shuffle_seed)
 
 
-def _resolve_gamma(args, instance) -> float:
-    if getattr(args, "gamma", None) is not None:
-        return float(args.gamma)
+def _resolve_gamma(gamma, instance) -> float:
+    """The override when given, else the instance's smallest pseudo-spectral gap."""
+    if gamma is not None:
+        return float(gamma)
     if instance is not None:
         return float(min(m.gamma_ps for m in instance.models))
     raise InvalidSpec("supply --gamma or --instance for oracle gamma")
@@ -116,7 +117,7 @@ def cmd_sample(args) -> int:
 def cmd_cluster(args) -> int:
     trajs, S = simgen.load_trajectories(args.trajectories)
     instance = simgen.load_instance(args.instance) if args.instance else None
-    gamma = _resolve_gamma(args, instance)
+    gamma = _resolve_gamma(args.gamma, instance)
     cfg = SpectralConfig(delta=args.delta, gamma_ps=gamma, c_sigma=args.c_sigma,
                          c_rho=args.c_rho)
     res = spectral_cluster(empirical_matrix(count_transitions(trajs.states, S)), cfg)
@@ -187,8 +188,7 @@ def _sweep_point(payload: tuple) -> tuple:
     instance = _build_instance(cfg["instance"], T, H, alpha=cfg.get("alpha"),
                                shuffle=cfg.get("shuffle", False),
                                shuffle_seed=int(cfg.get("shuffle_seed", 0)))
-    gamma = float(cfg["gamma"]) if cfg.get("gamma") is not None \
-        else float(min(m.gamma_ps for m in instance.models))
+    gamma = _resolve_gamma(cfg.get("gamma"), instance)
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     # bind W-hat alone: the truth matrix W is not needed past this line
     W_hat = build_matrices(instance, counts)[1]

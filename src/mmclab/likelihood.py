@@ -10,7 +10,6 @@ style classifier the refinement approximates.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .chains import MarkovModel
 from .embedding import Counts
-from .errors import (EmptyCluster, LengthMismatch, StateSpaceMismatch,
+from .errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
                      ZeroProbabilityTransition)
 
 __all__ = ["TransitionEstimate", "Stage2Result", "pool_estimates",
@@ -36,9 +35,6 @@ class TransitionEstimate:
     """
 
     kernels: np.ndarray         # (K, S, S)
-    visit_counts: np.ndarray    # (K, S) pooled transition-source counts
-    trans_counts: np.ndarray    # (K, S, S) pooled transition counts
-    smoothing: float
     undefined_rows: np.ndarray  # (K, S) bool
 
 
@@ -65,7 +61,7 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
     if labels.shape[0] != counts.T:
         raise LengthMismatch("labels length does not match trajectory count")
     if lam < 0:
-        raise ValueError("smoothing must be nonnegative")
+        raise InvalidRange("smoothing must be nonnegative")
     S = counts.S
     counts_per_cluster = np.bincount(labels, minlength=K)
     if K < 1 or labels.min() < 0 or labels.max() >= K:
@@ -74,58 +70,38 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
         empty = int(np.argmin(counts_per_cluster))
         raise EmptyCluster(f"cluster {empty} has no trajectories")
 
-    trans = np.zeros((K, S, S), dtype=np.float64)
-    np.add.at(trans, labels, counts.transitions.astype(np.float64))
+    # integer sums are exact, so the kernels do not depend on the pooling order
+    trans = np.stack([counts.transitions[labels == k].sum(axis=0) for k in range(K)])
     sources = trans.sum(axis=2)  # (K, S)
 
     denom = sources + lam * S
     undefined = denom == 0.0
-    kernels = np.zeros_like(trans)
+    kernels = np.zeros((K, S, S), dtype=np.float64)
     np.divide(trans + lam, denom[:, :, None], out=kernels, where=~undefined[:, :, None])
-    return TransitionEstimate(kernels=kernels, visit_counts=sources,
-                              trans_counts=trans, smoothing=float(lam),
-                              undefined_rows=undefined)
+    return TransitionEstimate(kernels=kernels, undefined_rows=undefined)
 
 
-def _loglik_from_counts(transitions: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Count-form scores: loglik[t, k] = sum_{s,s'} N_t(s,s') log k(s'|s).
+def trajectory_loglik(counts: Counts, kernels: np.ndarray) -> np.ndarray:
+    """Count-form scores of every trajectory under every kernel, shape (T, K):
+    loglik[t, k] = sum_{s,s'} N_t(s,s') log kernels[k](s'|s).
 
-    Transitions with zero estimated probability score -inf (the caller decides
-    whether that is an error).
+    A trajectory that uses a transition of probability zero under kernel k
+    scores -inf there; the caller decides whether that is an error.
     """
-    T = transitions.shape[0]
     K, S, _ = kernels.shape
     with np.errstate(divide="ignore"):
         logk = np.log(kernels).reshape(K, S * S)
-    counts = transitions.reshape(T, S * S).astype(np.float64)
-    scores = np.empty((T, K))
+    # column-major so BLAS runs its column gemv: the scores' last bits depend on it
+    F = counts.transitions.reshape(counts.T, S * S).astype(np.float64, order="F")
+    scores = np.empty((counts.T, K))
     for k in range(K):
         dead = np.isneginf(logk[k])
-        scores[:, k] = counts[:, ~dead] @ logk[k][~dead]
         if dead.any():
-            scores[counts[:, dead].sum(axis=1) > 0, k] = -np.inf
+            scores[:, k] = F[:, ~dead] @ logk[k][~dead]
+            scores[F[:, dead].any(axis=1), k] = -np.inf
+        else:
+            scores[:, k] = F @ logk[k]
     return scores
-
-
-def trajectory_loglik(traj: Sequence[int], kernel: np.ndarray) -> float:
-    """sum_h log kernel(s_{h+1} | s_h), evaluated in count form.
-
-    The count form repeats each distinct log-probability N(s,s') times and
-    exactly rounds the total with math.fsum, so the result equals the
-    order-dependent sequential sum bit for bit.
-    """
-    traj = np.asarray(traj, dtype=np.int64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    S = kernel.shape[0]
-    used = kernel[traj[:-1], traj[1:]]
-    if np.any(used <= 0.0):
-        raise ZeroProbabilityTransition(
-            "an observed transition has estimated probability 0 (smoothing needed)")
-    pair_idx = traj[:-1] * S + traj[1:]
-    counts = np.bincount(pair_idx, minlength=S * S)
-    with np.errstate(divide="ignore"):
-        logk = np.log(kernel.ravel())
-    return math.fsum(np.repeat(logk[counts > 0], counts[counts > 0]))
 
 
 def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float, *,
@@ -142,7 +118,7 @@ def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float, *,
     scores = None
     for _ in range(rounds):
         est = pool_estimates(counts, labels, K, lam)
-        scores = _loglik_from_counts(counts.transitions, est.kernels)
+        scores = trajectory_loglik(counts, est.kernels)
         if lam == 0.0 and np.any(np.all(np.isneginf(scores), axis=1)):
             raise ZeroProbabilityTransition(
                 "a trajectory has -inf score under every cluster at smoothing 0")
@@ -169,13 +145,10 @@ def oracle_classify(counts: Counts, models: Sequence[MarkovModel],
     """
     if any(m.S != counts.S for m in models):
         raise StateSpaceMismatch(f"every model must have the counts' S={counts.S}")
-    transitions = counts.transitions
-    kernels = np.stack([m.P for m in models])
-    used_any = transitions.sum(axis=0) > 0
-    if np.any((kernels <= 0.0) & used_any[None, :, :]):
+    scores = trajectory_loglik(counts, np.stack([m.P for m in models]))
+    if np.isneginf(scores).any():
         raise ZeroProbabilityTransition(
             "a model assigns probability 0 to an observed transition")
-    scores = _loglik_from_counts(transitions, kernels)
     if use_initial:
         with np.errstate(divide="ignore"):
             logmu = np.log(np.stack([m.mu for m in models]))

@@ -21,6 +21,8 @@ from .chains import MarkovModel, model_from_json, model_to_json, validate_model
 from .errors import (
     DimensionMismatch,
     EmptyClusterAfterRounding,
+    InvalidRange,
+    StateOutOfRange,
     StateSpaceMismatch,
 )
 
@@ -206,7 +208,7 @@ def gen_random_ergodic(S: int, seed: int, floor: float) -> MarkovModel:
     if S < 2:
         raise DimensionMismatch("S must be >= 2")
     if not 0.0 < floor < 1.0 / S:
-        raise ValueError(f"floor must lie in (0, 1/S); got {floor}")
+        raise InvalidRange(f"floor must lie in (0, 1/S); got {floor}")
     rng = np.random.default_rng(seed)
     lam = S * floor
     P = (1.0 - lam) * rng.dirichlet(np.ones(S), size=S) + floor
@@ -279,7 +281,12 @@ def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int) -> None:
     """Binary layout: little-endian u32 header (T, H, S), then T*H u16 states (1-based).
 
     A JSON sidecar ``<path>.json`` records the seed and the instance hash.
+    States must lie in [0, S) with S <= 65535, so that every one fits 1-based.
     """
+    if S > 0xFFFF:
+        raise StateOutOfRange(f"S={S} exceeds the 65535 states a u16 file can hold")
+    if trajs.states.size and (trajs.states.min() < 0 or trajs.states.max() >= S):
+        raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
     path = Path(path)
     states = trajs.states.astype(np.uint16) + 1
     with open(path, "wb") as fh:
@@ -293,8 +300,15 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
     """Read the binary trajectory file; returns (trajectories, S)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        T, H, S = struct.unpack("<III", fh.read(12))
-        states = np.frombuffer(fh.read(2 * T * H), dtype="<u2").reshape(T, H)
+        header = fh.read(12)
+        if len(header) < 12:
+            raise DimensionMismatch(f"{path} is shorter than its 12-byte header")
+        T, H, S = struct.unpack("<III", header)
+        payload = fh.read(2 * T * H)
+    if len(payload) < 2 * T * H:
+        raise DimensionMismatch(f"{path} holds {len(payload)} state bytes; "
+                                f"its header (T={T}, H={H}) needs {2 * T * H}")
+    states = np.frombuffer(payload, dtype="<u2").reshape(T, H)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     states = states.astype(np.int32) - int(sidecar.get("index_base", 1))
     return (TrajectorySet(states=states, seed=int(sidecar["seed"]),

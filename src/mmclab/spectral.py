@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import DataMatrix
-from .errors import EmptyInput, NonpositiveLogArgument, SvdFailure
+from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
            "spectral_cluster", "stage1_to_json", "stage1_from_json", "save_stage1",
@@ -31,24 +31,21 @@ class SpectralConfig:
     ``c_sigma`` and ``c_rho`` default to the analysis constants (8 and 32);
     at desk scale those are extremely conservative (the size guard can exceed
     T, collapsing the output to a single forced cluster), so experiments
-    typically dial them down. ``radius_override``, when set, replaces
-    sigma_thres as the neighborhood radius (the analysis uses a different
-    radius than the algorithm box; both are exposed).
+    typically dial them down.
     """
 
     delta: float
     gamma_ps: float
     c_sigma: float = 8.0
     c_rho: float = 32.0
-    radius_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1); got {self.delta}")
+            raise InvalidRange(f"delta must be in (0,1); got {self.delta}")
         if not 0.0 < self.gamma_ps <= 1.0:
-            raise ValueError(f"gamma_ps must be in (0,1]; got {self.gamma_ps}")
+            raise InvalidRange(f"gamma_ps must be in (0,1]; got {self.gamma_ps}")
         if self.c_sigma < 0 or self.c_rho <= 0:
-            raise ValueError("threshold constants must be positive (c_sigma >= 0)")
+            raise InvalidRange("threshold constants must be positive (c_sigma >= 0)")
 
 
 @dataclass(frozen=True)
@@ -114,11 +111,10 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     X = U[:, :R_hat] * sv[:R_hat]
     del U  # the peel needs only X; free the T x min(T, S^2) factor before the T x T work
 
-    radius = cfg.radius_override if cfg.radius_override is not None else sigma_thres
     sq_norms = (X ** 2).sum(axis=1)
     sq_dists = np.clip(sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T), 0.0, None)
     np.fill_diagonal(sq_dists, 0.0)
-    neighbors = sq_dists <= radius * radius  # Q_t as rows
+    neighbors = sq_dists <= sigma_thres * sigma_thres  # Q_t as rows
 
     guard = cfg.c_rho * R_hat * T / _log_term(T, H, cfg.delta)
     assigned = np.zeros(T, dtype=bool)

@@ -20,3 +20,11 @@ def random_labels(rng, T, K):
     labels = rng.integers(0, K, size=T)
     labels[rng.permutation(T)[:K]] = np.arange(K)
     return labels
+
+
+def reference_counts(traj, S):
+    """Per-trajectory reference: visit and transition bincounts of one row."""
+    traj = np.asarray(traj, dtype=np.int64)
+    visits = np.bincount(traj, minlength=S)
+    transitions = np.bincount(traj[:-1] * S + traj[1:], minlength=S * S).reshape(S, S)
+    return visits, transitions

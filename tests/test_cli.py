@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from mmclab import predicted_error_rate
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
-from mmclab.simgen import load_instance, load_trajectories, save_trajectories
+from mmclab.simgen import load_instance, load_trajectories
 
 
 def strip_walltime(csv_text: str) -> str:
@@ -102,7 +103,9 @@ class TestPipeline:
         trajs, S = load_trajectories(good)
         assert trajs.states.max() == S - 1
         bad = tmp_path / "bad.traj.bin"
-        save_trajectories(trajs, bad, S - 1)
+        raw = good.read_bytes()
+        bad.write_bytes(raw[:8] + struct.pack("<I", S - 1) + raw[12:])  # header S only
+        Path(f"{bad}.json").write_text(Path(f"{good}.json").read_text())
         capsys.readouterr()
         assert main(["cluster", str(bad), "--gamma", "1.0", "--out", str(tmp_path),
                      "--name", "bad"]) == 2
@@ -111,6 +114,16 @@ class TestPipeline:
         assert capsys.readouterr().err.count("state indices must lie in") == 2
         assert not (tmp_path / "bad.stage1.json").exists()
         assert not (tmp_path / "bad.stage2.json").exists()
+
+    def test_truncated_trajectory_file_exits_2(self, tmp_path, instance_file, capsys):
+        main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
+        path = tmp_path / "sample.traj.bin"
+        path.write_bytes(path.read_bytes()[:-1])
+        capsys.readouterr()
+        assert main(["cluster", str(path), "--gamma", "1.0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "state bytes" in err and "needs 300000" in err
+        assert not (tmp_path / "cluster.stage1.json").exists()
 
     def test_gaps_command(self, tmp_path, instance_file, capsys):
         assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 0

@@ -25,15 +25,7 @@ from mmclab.embedding import (
 )
 from mmclab.errors import DimensionMismatch, StateOutOfRange
 from mmclab.simgen import single_chain_instance
-from tests.conftest import random_models
-
-
-def reference_counts(traj, S):
-    """Per-trajectory reference: visit and transition bincounts of one row."""
-    traj = np.asarray(traj, dtype=np.int64)
-    visits = np.bincount(traj, minlength=S)
-    transitions = np.bincount(traj[:-1] * S + traj[1:], minlength=S * S).reshape(S, S)
-    return visits, transitions
+from tests.conftest import random_models, reference_counts
 
 
 def one(traj, S):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmclab import (
     count_transitions,
@@ -19,11 +22,40 @@ from mmclab import (
 from mmclab.errors import EmptyCluster, StateSpaceMismatch, ZeroProbabilityTransition
 from mmclab.likelihood import save_stage2, load_stage2
 from mmclab.simgen import single_chain_instance
-from tests.conftest import random_models
+from tests.conftest import random_labels, random_models, reference_counts
 
 
 def counts_of(states, S):
     return count_transitions(np.asarray(states, dtype=np.int32), S)
+
+
+def reference_loglik(traj, kernel) -> float:
+    """Single-trajectory reference: sum_h log kernel(s_{h+1} | s_h) in count form.
+
+    The count form repeats each distinct log-probability N(s,s') times and
+    exactly rounds the total with math.fsum, so the result equals the
+    sequential fsum bit for bit. A transition of probability 0 gives -inf.
+    """
+    traj = np.asarray(traj, dtype=np.int64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    S = kernel.shape[0]
+    counts = np.bincount(traj[:-1] * S + traj[1:], minlength=S * S)
+    with np.errstate(divide="ignore"):
+        logk = np.log(kernel.ravel())
+    return math.fsum(np.repeat(logk[counts > 0], counts[counts > 0]))
+
+
+@st.composite
+def pooled_cases(draw):
+    """States, labels using every cluster, and a smoothing; at lam = 0 the
+    pooled kernels have zero entries wherever a cluster saw no transition."""
+    S = draw(st.integers(2, 5))
+    K = draw(st.integers(1, 3))
+    T = draw(st.integers(K, 6))
+    states = draw(hnp.arrays(np.int32, (T, draw(st.integers(2, 30))),
+                             elements=st.integers(0, S - 1)))
+    labels = random_labels(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), T, K)
+    return states, S, labels, K, draw(st.sampled_from([0.0, 0.5]))
 
 
 def sampled_counts(inst, seed):
@@ -66,12 +98,27 @@ class TestPoolEstimates:
         with pytest.raises(EmptyCluster):
             pool_estimates(counts, np.array([0, 0]), K=2, lam=0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_cases())
+    def test_equals_pooled_reference_counts(self, case):
+        states, S, labels, K, lam = case
+        pooled = np.zeros((K, S, S))
+        for traj, k in zip(states, labels):
+            pooled[k] += reference_counts(traj, S)[1]
+        denom = pooled.sum(axis=2) + lam * S
+        undefined = denom == 0.0
+        expected = np.zeros_like(pooled)
+        np.divide(pooled + lam, denom[:, :, None], out=expected, where=~undefined[:, :, None])
+        est = pool_estimates(counts_of(states, S), labels, K, lam)
+        assert np.array_equal(est.undefined_rows, undefined)
+        assert np.array_equal(est.kernels, expected)
+
 
 class TestTrajectoryLoglik:
     def test_hand_example(self):
-        kernel = np.full((2, 2), 0.5)
-        val = trajectory_loglik([0, 0, 1], kernel)
-        assert val == pytest.approx(2 * math.log(0.5), abs=1e-15)
+        scores = trajectory_loglik(counts_of([[0, 0, 1]], S=2), np.full((1, 2, 2), 0.5))
+        assert scores.shape == (1, 1)
+        assert scores[0, 0] == pytest.approx(2 * math.log(0.5), abs=1e-15)
 
     def test_count_form_equals_sequential_exactly(self):
         rng = np.random.default_rng(7)
@@ -81,18 +128,37 @@ class TestTrajectoryLoglik:
             traj = rng.integers(0, S, size=int(rng.integers(2, 60)))
             sequential = math.fsum(math.log(kernel[traj[h], traj[h + 1]])
                                    for h in range(len(traj) - 1))
-            assert trajectory_loglik(traj, kernel) == sequential  # exact
+            assert reference_loglik(traj, kernel) == sequential  # exact
 
     def test_monotone_in_used_probabilities(self):
-        traj = [0, 1, 0]
         low = np.array([[0.2, 0.8], [0.3, 0.7]])
         high = np.array([[0.1, 0.9], [0.4, 0.6]])  # larger on both used entries
-        assert trajectory_loglik(traj, high) > trajectory_loglik(traj, low)
+        scores = trajectory_loglik(counts_of([[0, 1, 0]], S=2), np.stack([low, high]))
+        assert scores[0, 1] > scores[0, 0]
 
-    def test_zero_probability_raises(self):
-        kernel = np.array([[1.0, 0.0], [0.5, 0.5]])
-        with pytest.raises(ZeroProbabilityTransition):
-            trajectory_loglik([0, 1], kernel)
+    def test_zero_probability_scores_neg_inf(self):
+        kernel = np.array([[[1.0, 0.0], [0.5, 0.5]]])
+        scores = trajectory_loglik(counts_of([[0, 1], [0, 0]], S=2), kernel)
+        assert scores[0, 0] == -np.inf
+        assert scores[1, 0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_cases())
+    def test_matches_reference(self, case):
+        states, S, labels, K, lam = case
+        counts = counts_of(states, S)
+        kernels = pool_estimates(counts, labels, K, lam).kernels
+        scores = trajectory_loglik(counts, kernels)
+        assert scores.shape == (len(states), K)
+        for t, traj in enumerate(states):
+            for k in range(K):
+                ref = reference_loglik(traj, kernels[k])
+                uses_zero = bool((kernels[k][traj[:-1], traj[1:]] == 0.0).any())
+                assert np.isneginf(ref) == uses_zero
+                if uses_zero:
+                    assert scores[t, k] == -np.inf
+                else:
+                    assert math.isclose(scores[t, k], ref, rel_tol=1e-12)
 
 
 class TestRefine:

@@ -11,12 +11,14 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab.errors import EmptyClusterAfterRounding, StateSpaceMismatch
+from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, StateOutOfRange,
+                          StateSpaceMismatch)
 from mmclab.metrics import eta_params
 from mmclab.simgen import (
     cluster_sizes,
     instance_from_json,
     instance_to_json,
+    TrajectorySet,
     load_trajectories,
     save_trajectories,
     single_chain_instance,
@@ -173,3 +175,31 @@ class TestPersistence:
         save_trajectories(trajs, path, inst.S)
         raw = np.frombuffer(path.read_bytes()[12:], dtype="<u2")
         assert raw.min() >= 1 and raw.max() <= inst.S
+
+    def test_largest_u16_state_space_roundtrips(self, tmp_path):
+        trajs = TrajectorySet(states=np.array([[0, 65534]], dtype=np.int32), seed=0,
+                              instance_id="x")
+        save_trajectories(trajs, tmp_path / "t.traj.bin", 65535)
+        again, S = load_trajectories(tmp_path / "t.traj.bin")
+        assert S == 65535 and np.array_equal(again.states, trajs.states)
+
+    @pytest.mark.parametrize("states, S", [
+        ([[0, 65535]], 65536),  # the u16 file would store state 65535 as 0 and load it as -1
+        ([[0, 3]], 3),          # a state at or above S
+        ([[0, -1]], 3),
+    ])
+    def test_save_rejects_states_the_file_cannot_hold(self, tmp_path, states, S):
+        trajs = TrajectorySet(states=np.array(states, dtype=np.int32), seed=0, instance_id="x")
+        path = tmp_path / "t.traj.bin"
+        with pytest.raises(StateOutOfRange):
+            save_trajectories(trajs, path, S)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("keep", [0, 5, 12, 12 + 2 * 7 * 13 - 1])
+    def test_truncated_file_raises(self, tmp_path, keep):
+        inst = gen_separation_instance(2, T=7, H=13)
+        path = tmp_path / "t.traj.bin"
+        save_trajectories(sample_trajectories(inst, 4), path, inst.S)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DimensionMismatch):
+            load_trajectories(path)

@@ -145,17 +145,6 @@ class TestSpectralCluster:
         for k, c in enumerate(res.centers):
             assert res.labels[c] == k
 
-    def test_radius_override(self):
-        models = random_models(2, 3, seed0=40)
-        decoding = np.repeat([0, 1], 10)
-        W = truth_matrix(models, decoding, H=10 ** 9)
-        cfg = noiseless_config(models, 20, 10 ** 9)
-        huge = SpectralConfig(delta=cfg.delta, gamma_ps=cfg.gamma_ps,
-                              c_sigma=cfg.c_sigma, c_rho=cfg.c_rho,
-                              radius_override=100.0)
-        res = spectral_cluster(W, huge)
-        assert res.K_hat == 1  # everything inside one neighborhood
-
     def test_stage1_json_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=20, H=300)
         trajs = sample_trajectories(inst, 1)
