@@ -50,15 +50,32 @@ __all__ = [
 ]
 
 
+def _row_fault(M: np.ndarray) -> tuple[int, str] | None:
+    """First row of the 2-D M that is not a finite, nonnegative vector summing
+    to 1 within PROB_SUM_TOL, with the reason; None when every row is one."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum; caught as non-finite
+        sums = M.sum(axis=1)
+    nonfinite = ~np.isfinite(M).all(axis=1)
+    negative = (M < 0).any(axis=1)
+    bad = nonfinite | negative | (np.abs(sums - 1.0) > PROB_SUM_TOL)
+    if not bad.any():
+        return None
+    s = int(np.argmax(bad))
+    if nonfinite[s]:
+        return s, "has non-finite entries"
+    if negative[s]:
+        return s, "has negative entries"
+    return s, f"sums to {sums[s]!r}, not 1 within {PROB_SUM_TOL}"
+
+
 def check_prob_vector(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    """Return v as float64 after checking nonnegativity and unit sum (1e-12)."""
+    """Return v as float64 after checking it is finite, nonnegative and sums to 1 (1e-12)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if np.any(v < 0):
-        raise RowNotStochastic(f"{name} has negative entries")
-    if abs(float(v.sum()) - 1.0) > PROB_SUM_TOL:
-        raise RowNotStochastic(f"{name} sums to {v.sum()!r}, not 1 within {PROB_SUM_TOL}")
+    fault = _row_fault(v[None, :])
+    if fault:
+        raise RowNotStochastic(f"{name} {fault[1]}")
     return v
 
 
@@ -67,8 +84,9 @@ def check_stochastic_matrix(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
-    for s in range(P.shape[0]):
-        check_prob_vector(P[s], name=f"row {s}")
+    fault = _row_fault(P)
+    if fault:
+        raise RowNotStochastic(f"row {fault[0]} {fault[1]}")
     return P
 
 
@@ -111,43 +129,18 @@ class AugmentedChain:
         self.stationary_full.setflags(write=False)
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Strong connectivity of the 0/1 adjacency via forward+backward BFS from 0."""
-    S = adj.shape[0]
-    for A in (adj, adj.T):
-        seen = np.zeros(S, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(A[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        if not seen.all():
-            return False
-    return True
-
-
-def _period(adj: np.ndarray) -> int:
-    """Period of a strongly connected graph: gcd of d(u)+1-d(v) over edges."""
-    S = adj.shape[0]
-    dist = np.full(S, -1, dtype=np.int64)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(S):
-        for v in np.flatnonzero(adj[u]):
-            g = math.gcd(g, int(dist[u] + 1 - dist[v]))
-    return abs(g)
+def _depths(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of every state from state 0 in the 0/1 adjacency,
+    -1 where a state is unreachable; one boolean frontier step per level."""
+    depth = np.full(adj.shape[0], -1, dtype=np.int64)
+    frontier = np.zeros(adj.shape[0], dtype=bool)
+    frontier[0] = True
+    level = 0
+    while frontier.any():
+        depth[frontier] = level
+        frontier = adj[frontier].any(axis=0) & (depth < 0)
+        level += 1
+    return depth
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -197,7 +190,7 @@ def pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.n
             ev = np.linalg.eigvalsh(Bk.T @ Bk)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(f"eigensolver failed at k={k}") from exc
-        lam2 = float(np.sort(ev)[-2]) if len(ev) > 1 else 0.0
+        lam2 = float(ev[-2]) if len(ev) > 1 else 0.0  # eigvalsh sorts ascending
         terms[k - 1] = (1.0 - min(lam2, 1.0)) / k
     return terms
 
@@ -220,14 +213,14 @@ def mixing_time(P: np.ndarray, pi: np.ndarray, threshold: float = 0.25,
     raise NotMixedWithinTMax(f"chain did not mix to {threshold} within t_max={t_max}")
 
 
-def validate_model(P: np.ndarray, mu: np.ndarray, *, k_max: int | None = None,
-                   t_max: int = 100_000) -> MarkovModel:
+def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
     """Validate an ergodic chain and cache pi, gamma_ps, and t_mix.
 
-    Ergodicity is checked graph-theoretically (strong connectivity of the
-    positive-transition graph plus gcd-of-cycle-lengths aperiodicity); the
-    pseudo-spectral gap uses k_max = max(10, 2 * t_mix) unless overridden,
-    extending k_max when needed so the sandwich
+    Ergodicity is checked on the positive-transition graph: it is irreducible
+    when every state has a breadth-first depth from state 0 both forwards and
+    backwards, and its period is the gcd of depth(u) + 1 - depth(v) over its
+    edges (u, v). The pseudo-spectral gap starts from k_max = max(10, 2 * t_mix)
+    and extends k_max when needed so the sandwich
     1/2 <= gamma_ps * t_mix <= 1 + 2 log 2 + log(1/pi_min) holds.
     """
     P = check_stochastic_matrix(P)
@@ -237,16 +230,19 @@ def validate_model(P: np.ndarray, mu: np.ndarray, *, k_max: int | None = None,
         raise DimensionMismatch(f"mu has length {mu.shape[0]}, expected {S}")
 
     adj = P > 0.0
-    if not _strongly_connected(adj):
+    depth = _depths(adj)
+    if depth.min() < 0 or _depths(adj.T).min() < 0:
         raise NotIrreducible("positive-transition graph is not strongly connected")
-    if _period(adj) != 1:
-        raise Periodic(f"chain has period {_period(adj)}")
+    u, v = np.nonzero(adj)
+    period = int(np.gcd.reduce(depth[u] + 1 - depth[v]))
+    if period != 1:
+        raise Periodic(f"chain has period {period}")
 
     pi = stationary_distribution(P)
-    t_mix = mixing_time(P, pi, 0.25, t_max)
-    k = k_max if k_max is not None else max(10, 2 * t_mix)
+    t_mix = mixing_time(P, pi)
+    k = max(10, 2 * t_mix)
     gamma = float(pseudo_spectral_gap_terms(P, pi, k).max())
-    # k_max too small shows up as a violated lower sandwich bound; extend.
+    # k too small shows up as a violated lower sandwich bound; extend.
     cap = max(k, 64 * t_mix)
     while gamma * t_mix < 0.5 and k < cap:
         k = min(2 * k, cap)
@@ -273,9 +269,9 @@ def augmented_chain(M: MarkovModel) -> AugmentedChain:
     index[pairs[:, 0], pairs[:, 1]] = np.arange(n)
 
     Pt = np.zeros((n, n))
-    for i, (x, xp) in enumerate(pairs):
-        for yp in np.flatnonzero(mask[xp]):
-            Pt[i, index[xp, yp]] = M.P[xp, yp]
+    i, yp = np.nonzero(mask[pairs[:, 1]])  # pair i = (x, xp) steps to (xp, yp)
+    xp = pairs[i, 1]
+    Pt[i, index[xp, yp]] = M.P[xp, yp]
     mu_t = M.mu[pairs[:, 0]] * M.P[pairs[:, 0], pairs[:, 1]]
     mu_t = mu_t / mu_t.sum() if mu_t.sum() > 0 else np.full(n, 1.0 / n)
 

@@ -63,9 +63,9 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
     if lam < 0:
         raise InvalidRange("smoothing must be nonnegative")
     S = counts.S
-    counts_per_cluster = np.bincount(labels, minlength=K)
     if K < 1 or labels.min() < 0 or labels.max() >= K:
         raise EmptyCluster(f"labels must lie in [0, {K - 1}]")
+    counts_per_cluster = np.bincount(labels, minlength=K)
     if np.any(counts_per_cluster == 0):
         empty = int(np.argmin(counts_per_cluster))
         raise EmptyCluster(f"cluster {empty} has no trajectories")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -353,8 +353,15 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
 
 # --- reports ---------------------------------------------------------------
 
+class _JsonReport:
+    def to_json(self) -> dict:
+        """Every dataclass field in declaration order, arrays as nested lists."""
+        return {f.name: v.tolist() if isinstance(v := getattr(self, f.name), np.ndarray) else v
+                for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(_JsonReport):
     D: float
     D_pi: float
     pairwise_D: np.ndarray
@@ -371,21 +378,6 @@ class GapReport:
     pi_min: float
     v_min: float
     gamma_ps_min: float
-
-    def to_json(self) -> dict:
-        return {
-            "D": self.D, "D_pi": self.D_pi,
-            "pairwise_D": self.pairwise_D.tolist(),
-            "pairwise_D_pi": self.pairwise_D_pi.tolist(),
-            "delta_W_sq": self.delta_W_sq,
-            "alpha": self.alpha, "Delta_sq": self.Delta_sq,
-            "witness_states": self.witness_states.tolist(),
-            "eta_mu": self.eta_mu, "eta_pi": self.eta_pi, "eta_p": self.eta_p,
-            "p_max": self.p_max,
-            "alpha_min_clusters": self.alpha_min_clusters,
-            "pi_min": self.pi_min, "v_min": self.v_min,
-            "gamma_ps_min": self.gamma_ps_min,
-        }
 
 
 def gap_report(instance: MixtureInstance) -> GapReport:
@@ -408,23 +400,13 @@ def gap_report(instance: MixtureInstance) -> GapReport:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_JsonReport):
     necessary_holds: bool
     lhs_4HD: float
     rhs_eq2: float
     min_H_necessary: int | None
     asymptotic_ratio: float
     predicted_error_rate: float | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "necessary_holds": self.necessary_holds,
-            "lhs_4HD": self.lhs_4HD,
-            "rhs_eq2": self.rhs_eq2,
-            "min_H_necessary": self.min_H_necessary,
-            "asymptotic_ratio": self.asymptotic_ratio,
-            "predicted_error_rate": self.predicted_error_rate,
-        }
 
 
 def necessary_condition_probability_form(eps: float, delta: float, T: int, H: int,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse.csgraph import connected_components
 
 from mmclab import (
     augmented_chain,
@@ -20,12 +22,55 @@ from mmclab.errors import (
     DimensionMismatch,
     NotIrreducible,
     NotMixedWithinTMax,
+    NumericalError,
     Periodic,
     RowNotStochastic,
     SingularSystem,
 )
 
 P2 = np.array([[0.9, 0.1], [0.2, 0.8]])
+
+
+@st.composite
+def adjacencies(draw):
+    """Random 0/1 adjacency with 1 <= S <= 8 states and no empty row.
+
+    With more than one layer, edges are kept only from layer c to layer c + 1
+    (mod the layer count), so that periodic graphs are common; states are
+    then permuted."""
+    S = draw(st.integers(min_value=1, max_value=8))
+    layers = draw(st.just(1) | st.integers(min_value=1, max_value=S))
+    layer = np.arange(S) % layers
+    nxt = (layer + 1) % layers
+    adj = draw(hnp.arrays(bool, (S, S))) & (layer[None, :] == nxt[:, None])
+    empty = np.flatnonzero(~adj.any(axis=1))
+    adj[empty, nxt[empty]] = True  # state nxt[u] is in layer nxt[u]
+    perm = np.array(draw(st.permutations(range(S))), dtype=np.int64)
+    return adj[np.ix_(perm, perm)]
+
+
+def return_time_gcd(adj: np.ndarray) -> int:
+    """gcd of the return times n <= 3 S^2 to state 0, from boolean matrix powers."""
+    S = adj.shape[0]
+    A = adj.astype(np.int64)
+    reach, g = np.eye(S, dtype=np.int64), 0
+    for n in range(1, 3 * S * S + 1):
+        reach = (reach @ A > 0).astype(np.int64)
+        if reach[0, 0]:
+            g = math.gcd(g, n)
+    return g
+
+
+def reference_doublet_kernel(P: np.ndarray) -> np.ndarray:
+    """The doublet kernel filled pair by pair over the support of P."""
+    mask = P > 0.0
+    pairs = np.argwhere(mask)
+    index = {(int(x), int(xp)): i for i, (x, xp) in enumerate(pairs)}
+    Pt = np.zeros((len(pairs), len(pairs)))
+    for i, (x, xp) in enumerate(pairs):
+        for yp in np.flatnonzero(mask[xp]):
+            Pt[i, index[int(xp), int(yp)]] = P[xp, yp]
+    return Pt
 
 
 class TestValidateModel:
@@ -55,6 +100,40 @@ class TestValidateModel:
             validate_model([[0.9, 0.2], [0.2, 0.8]], [0.5, 0.5])
         with pytest.raises(RowNotStochastic):
             validate_model([[1.1, -0.1], [0.2, 0.8]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_P_rejected(self, bad):
+        P = P2.copy()
+        P[1] = [bad, 0.8]
+        with pytest.raises(RowNotStochastic, match="row 1 has non-finite entries"):
+            validate_model(P, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, bad):
+        with pytest.raises(RowNotStochastic, match="mu has non-finite entries"):
+            validate_model(P2, [bad, 1.0])
+
+    def test_three_cycle_period_in_message(self):
+        with pytest.raises(Periodic, match="period 3"):
+            validate_model(np.roll(np.eye(3), 1, axis=1), np.ones(3) / 3)
+
+    @given(adjacencies())
+    @settings(max_examples=300, deadline=None)
+    def test_ergodicity_verdicts_match_graph_references(self, adj):
+        P = adj / adj.sum(axis=1, keepdims=True)
+        mu = np.full(adj.shape[0], 1.0 / adj.shape[0])
+        n_components, _ = connected_components(adj, directed=True, connection="strong")
+        if n_components > 1:
+            with pytest.raises(NotIrreducible):
+                validate_model(P, mu)
+        elif (period := return_time_gcd(adj)) > 1:
+            with pytest.raises(Periodic, match=f"period {period}$"):
+                validate_model(P, mu)
+        else:
+            try:
+                validate_model(P, mu)
+            except NumericalError:
+                pass
 
     def test_sandwich_on_random_models(self):
         for i in range(30):
@@ -178,6 +257,14 @@ class TestAugmentedChain:
         assert aug.support_mask.sum() == 6
         assert aug.model.S == 6
         assert aug.stationary_full[(~aug.support_mask).ravel()].sum() == 0.0
+
+    @pytest.mark.parametrize("P", [
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        [[0.0, 0.7, 0.0, 0.3], [0.2, 0.0, 0.8, 0.0], [0.0, 0.0, 0.1, 0.9], [1.0, 0.0, 0.0, 0.0]],
+    ])
+    def test_doublet_kernel_equals_pairwise_reference(self, P):
+        m = validate_model(np.array(P), np.ones(len(P)) / len(P))
+        assert np.array_equal(augmented_chain(m).model.P, reference_doublet_kernel(m.P))
 
     def test_doublet_gap_equals_shifted_base_terms(self, two_state):
         # spectrum((Pt*)^k Pt^k) = spectrum((P*)^{k-1} P^{k-1}) + zeros, so the

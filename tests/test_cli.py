@@ -59,6 +59,16 @@ class TestGenerate:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("model", [
+        {"S": 2, "P": [[0.9, 0.1], [math.nan, 0.8]], "mu": [0.5, 0.5]},
+        {"S": 2, "P": [[0.9, 0.1], [0.2, 0.8]], "mu": [math.nan, 0.5]},
+    ], ids=["P", "mu"])
+    def test_non_finite_inline_model_exits_2(self, tmp_path, capsys, model):
+        spec = json.dumps({"type": "inline", "models": [model], "T": 10, "H": 10})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 2
+        assert "has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
 
 class TestPipeline:
     @pytest.fixture
@@ -114,6 +124,19 @@ class TestPipeline:
         assert capsys.readouterr().err.count("state indices must lie in") == 2
         assert not (tmp_path / "bad.stage1.json").exists()
         assert not (tmp_path / "bad.stage2.json").exists()
+
+    def test_stage1_label_out_of_range_exits_2(self, tmp_path, instance_file, capsys):
+        main(["sample", str(instance_file), "--seed", "4", "--out", str(tmp_path)])
+        traj = tmp_path / "sample.traj.bin"
+        assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "cluster.stage1.json"
+        doc = json.loads(path.read_text())
+        doc["labels"][0] = 0  # stored labels are 1-based
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["refine", str(traj), str(path), "--out", str(tmp_path)]) == 2
+        assert f"labels must lie in [0, {doc['K_hat'] - 1}]" in capsys.readouterr().err
+        assert not (tmp_path / "refine.stage2.json").exists()
 
     def test_truncated_trajectory_file_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])

@@ -98,6 +98,12 @@ class TestPoolEstimates:
         with pytest.raises(EmptyCluster):
             pool_estimates(counts, np.array([0, 0]), K=2, lam=0.5)
 
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
+    def test_label_out_of_range_raises(self, labels):
+        counts = counts_of([[0, 1], [1, 0]], S=2)
+        with pytest.raises(EmptyCluster, match=r"labels must lie in \[0, 1\]"):
+            pool_estimates(counts, np.array(labels), K=2, lam=0.5)
+
     @settings(max_examples=200, deadline=None)
     @given(pooled_cases())
     def test_equals_pooled_reference_counts(self, case):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -451,3 +452,10 @@ class TestGapReport:
         doc = rep.to_json()
         assert doc["eta_p"] == pytest.approx(3.0)
         assert len(doc["pairwise_D"]) == 2
+
+    def test_json_keys_are_the_fields_in_order(self):
+        gaps = gap_report(gen_separation_instance(2, T=20, H=100))
+        bounds = lower_bound_check(0.01, 0.1, 100, 50, 0.05, 0.5, predicted=0.2)
+        for rep in (gaps, bounds):
+            names = [f.name for f in dataclasses.fields(rep)]
+            assert list(rep.to_json()) == names
