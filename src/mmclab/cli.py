@@ -23,7 +23,7 @@ import numpy as np
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidSpec, MMCLabError, NumericalError
-from .likelihood import oracle_classify, refine, save_stage2, stage2_from_json
+from .likelihood import oracle_classify, refine, save_stage2
 from .metrics import (
     divergence_D,
     divergence_D_pi,
@@ -160,10 +160,9 @@ def cmd_gaps(args) -> int:
     out = Path(args.out) / (args.name + ".gaps.json")
     out.write_text(json.dumps(doc, indent=2))
     width = max(len(k) for k in doc)
-    for key in ("D", "D_pi", "delta_W_sq", "alpha", "Delta_sq", "eta_mu", "eta_pi",
-                "eta_p", "p_max", "alpha_min_clusters", "pi_min", "v_min",
-                "gamma_ps_min"):
-        print(f"{key:<{width}}  {doc[key]:.10g}")
+    for key, value in doc.items():
+        if not isinstance(value, list):
+            print(f"{key:<{width}}  {value:.10g}")
     print(f"wrote {out}")
     return 0
 
@@ -238,10 +237,6 @@ def run_sweep(cfg: dict, jobs: int = 1) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
-    if args.gamma is not None:
-        cfg["gamma"] = args.gamma
-    if args.oracle_gamma:
-        cfg["gamma"] = None
     text = run_sweep(cfg, jobs=args.jobs)
     out = Path(args.out) / (args.name + ".sweep.csv")
     out.write_text(text)
@@ -357,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="multi-seed sweep writing one CSV row per run")
     p.add_argument("config", help="sweep config JSON")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--oracle-gamma", action="store_true")
     common(p, "run")
     p.set_defaults(func=cmd_sweep)
 

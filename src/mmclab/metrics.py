@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .chains import MarkovModel, pi_min as chains_pi_min
+from .chains import MarkovModel, pi_min as chains_pi_min, v_min as chains_v_min
 from .embedding import embed_model
-from .errors import InvalidRange, LengthMismatch
+from .errors import InvalidRange, LengthMismatch, StateSpaceMismatch
 from .simgen import MixtureInstance
 
 __all__ = [
@@ -96,6 +96,20 @@ def misclassification(f_hat: np.ndarray, f: np.ndarray, T: int | None = None) ->
 
 
 # --- divergences between probability vectors ------------------------------
+# The *_rows helpers reduce the last axis and broadcast over the others.
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log(p / q), 0.0).sum(axis=-1)
+
+
+def _l2_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return ((p - q) ** 2).sum(axis=-1)
+
+
+def _hellinger_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return 0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1)
+
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """sum p log(p/q) with 0 log(0/q) = 0 and p>0, q=0 -> +inf."""
@@ -103,10 +117,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise LengthMismatch(f"shape mismatch {p.shape} vs {q.shape}")
-    pos = p > 0.0
-    if np.any(q[pos] == 0.0):
-        return math.inf
-    return float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+    return float(_kl_rows(p, q))
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -116,15 +127,33 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
     """Squared Hellinger distance (1/2) sum (sqrt(p) - sqrt(q))^2."""
-    return float(0.5 * ((np.sqrt(np.asarray(p, float)) - np.sqrt(np.asarray(q, float))) ** 2).sum())
+    return float(_hellinger_rows(np.asarray(p, float), np.asarray(q, float)))
 
 
 def squared_l2(p: np.ndarray, q: np.ndarray) -> float:
     """sum (p - q)^2 (the L2 quantity of the KL sandwich)."""
-    return float(((np.asarray(p, float) - np.asarray(q, float)) ** 2).sum())
+    return float(_l2_rows(np.asarray(p, float), np.asarray(q, float)))
 
 
 # --- instance-level divergences and gaps ----------------------------------
+# P is stacked as (K, S, S), mu and pi as (K, S); entry [k, k', s] of a
+# (K, K, S) row table compares row s of model k with row s of model k'.
+
+def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (P, mu, pi) of two or more models on one state space."""
+    models = tuple(models)
+    if len(models) < 2:
+        raise InvalidRange("need at least two models")
+    if len({m.S for m in models}) > 1:
+        raise StateSpaceMismatch("all models must share the same state space")
+    return (np.stack([m.P for m in models]), np.stack([m.mu for m in models]),
+            np.stack([m.pi for m in models]))
+
+
+def _off_min(pair: np.ndarray) -> float:
+    """Minimum over ordered pairs k != k'."""
+    return float(pair[~np.eye(len(pair), dtype=bool)].min())
+
 
 def visitation_weights(model: MarkovModel, H: int) -> np.ndarray:
     """Average state-visitation over steps 1..H-1 starting from mu, exactly."""
@@ -138,45 +167,32 @@ def visitation_weights(model: MarkovModel, H: int) -> np.ndarray:
     return total / (H - 1)
 
 
-def _pairwise_weighted_kl(models: tuple[MarkovModel, ...],
-                          weights: list[np.ndarray]) -> np.ndarray:
-    K = len(models)
-    out = np.zeros((K, K))
-    for k in range(K):
-        for kp in range(K):
-            if k == kp:
-                continue
-            out[k, kp] = sum(
-                float(weights[k][s]) * kl_divergence(models[k].P[s], models[kp].P[s])
-                for s in range(models[k].S) if weights[k][s] > 0.0)
-    return out
+def _pairwise_weighted_kl(kl: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(K, K) sums over s of weights[k, s] * kl[k, k', s]; weight-0 states add nothing."""
+    w = weights[:, None, :]
+    with np.errstate(invalid="ignore"):
+        terms = np.where(w > 0.0, w * kl, 0.0)
+    # add the states one after another: a sum along the contiguous last axis
+    # would go pairwise from 8 terms on and change the last bits
+    return np.ascontiguousarray(np.moveaxis(terms, -1, 0)).sum(axis=0)
 
 
 def divergence_D(instance: MixtureInstance) -> tuple[float, np.ndarray]:
     """Horizon-dependent divergence: initial-distribution KL over (H-1) plus
     visitation-weighted transition KLs; min over ordered pairs k != k'."""
-    models = instance.models
-    H = instance.H
-    weights = [visitation_weights(m, H) for m in models]
-    pair = _pairwise_weighted_kl(models, weights)
-    K = len(models)
-    for k in range(K):
-        for kp in range(K):
-            if k != kp:
-                pair[k, kp] += kl_divergence(models[k].mu, models[kp].mu) / (H - 1)
-    off = pair[~np.eye(K, dtype=bool)]
-    return float(off.min()), pair
+    P, mu, _ = _stack(instance.models)
+    weights = np.stack([visitation_weights(m, instance.H) for m in instance.models])
+    pair = _pairwise_weighted_kl(_kl_rows(P[:, None], P[None]), weights)
+    pair += _kl_rows(mu[:, None], mu[None]) / (instance.H - 1)
+    return _off_min(pair), pair
 
 
 def divergence_D_pi(models: list[MarkovModel] | tuple[MarkovModel, ...]
                     ) -> tuple[float, np.ndarray]:
     """Stationary-weighted version; min over ordered pairs k != k'."""
-    models = tuple(models)
-    if len(models) < 2:
-        raise InvalidRange("need at least two models")
-    pair = _pairwise_weighted_kl(models, [m.pi for m in models])
-    off = pair[~np.eye(len(models), dtype=bool)]
-    return float(off.min()), pair
+    P, _, pi = _stack(models)
+    pair = _pairwise_weighted_kl(_kl_rows(P[:, None], P[None]), pi)
+    return _off_min(pair), pair
 
 
 def delta_W_sq(models: list[MarkovModel] | tuple[MarkovModel, ...]) -> float:
@@ -184,9 +200,20 @@ def delta_W_sq(models: list[MarkovModel] | tuple[MarkovModel, ...]) -> float:
     models = tuple(models)
     if len(models) < 2:
         raise InvalidRange("need at least two models")
-    rows = [embed_model(m) for m in models]
-    return float(min(((rows[k] - rows[kp]) ** 2).sum()
-                     for k in range(len(models)) for kp in range(k + 1, len(models))))
+    E = np.stack([embed_model(m) for m in models])
+    return float(_l2_rows(E[:, None], E[None])[np.triu_indices(len(E), 1)].min())
+
+
+def _witness(pi: np.ndarray, sep: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """witness_state_gap from pi and the (K, K, S) table of row l2 separations."""
+    floor = np.minimum(pi[:, None], pi[None])
+    prod = floor * sep
+    witness = prod.argmax(axis=-1)  # argmax takes the lowest state on ties
+    np.fill_diagonal(witness, -1)
+    k, kp = np.triu_indices(len(pi), 1)
+    s = witness[k, kp]
+    j = int(np.argmin(prod[k, kp, s]))  # the first worst pair in (k, k') order
+    return float(floor[k[j], kp[j], s[j]]), float(sep[k[j], kp[j], s[j]]), witness
 
 
 def witness_state_gap(models: list[MarkovModel] | tuple[MarkovModel, ...]
@@ -199,23 +226,16 @@ def witness_state_gap(models: list[MarkovModel] | tuple[MarkovModel, ...]
     Delta^2) come from the globally worst pair. witness_states[k, k'] holds
     the maximizing state per pair (-1 on the diagonal).
     """
-    models = tuple(models)
-    K = len(models)
-    if K < 2:
-        raise InvalidRange("need at least two models")
-    witness = -np.ones((K, K), dtype=np.int64)
-    worst = None  # (product, alpha, Delta_sq)
-    for k in range(K):
-        for kp in range(k + 1, K):
-            floor = np.minimum(models[k].pi, models[kp].pi)
-            sep = ((models[k].P - models[kp].P) ** 2).sum(axis=1)
-            prod = floor * sep
-            s_star = int(np.argmax(prod))
-            witness[k, kp] = witness[kp, k] = s_star
-            cand = (float(prod[s_star]), float(floor[s_star]), float(sep[s_star]))
-            if worst is None or cand[0] < worst[0]:
-                worst = cand
-    return worst[1], worst[2], witness
+    P, _, pi = _stack(models)
+    return _witness(pi, _l2_rows(P[:, None], P[None]))
+
+
+def _max_ratio(x: np.ndarray) -> float:
+    """max(1, x[a] / x[b]) over ordered pairs (a, b) and entries; 0/0 is skipped
+    and a positive entry over zero gives +inf."""
+    num, den = x[:, None], x[None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(num / den, where=(num != 0.0) | (den != 0.0), initial=1.0))
 
 
 def eta_params(models: list[MarkovModel] | tuple[MarkovModel, ...]
@@ -225,30 +245,13 @@ def eta_params(models: list[MarkovModel] | tuple[MarkovModel, ...]
     A positive numerator over a zero denominator gives +inf; 0/0 ratios are
     skipped.
     """
-    models = tuple(models)
-    if len(models) < 2:
-        raise InvalidRange("need at least two models")
-
-    def max_ratio(num: np.ndarray, den: np.ndarray) -> float:
-        num, den = num.ravel(), den.ravel()
-        both_zero = (num == 0.0) & (den == 0.0)
-        num, den = num[~both_zero], den[~both_zero]
-        if np.any((num > 0.0) & (den == 0.0)):
-            return math.inf
-        return float((num / den).max()) if num.size else 1.0
-
-    e_mu = e_pi = e_p = 1.0
-    for a in models:
-        for b in models:
-            e_mu = max(e_mu, max_ratio(a.mu, b.mu))
-            e_pi = max(e_pi, max_ratio(a.pi, b.pi))
-            e_p = max(e_p, max_ratio(a.P, b.P))
-    return e_mu, e_pi, e_p
+    P, mu, pi = _stack(models)
+    return _max_ratio(mu), _max_ratio(pi), _max_ratio(P)
 
 
 def p_max(models: list[MarkovModel] | tuple[MarkovModel, ...]) -> float:
     """max over models and (s, s') of the transition probability."""
-    return float(max(m.P.max() for m in models))
+    return float(np.max([m.P for m in models]))
 
 
 # --- gap inequalities ------------------------------------------------------
@@ -263,6 +266,18 @@ class InequalityCheck:
     slack: float
     lhs: float
     rhs: float
+
+
+def _worst_row(slack: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float]:
+    """(slack, lhs, rhs) of the first row in (k, k', s) order with the smallest
+    slack below +inf, skipping k = k' and NaN (inf - inf) rows; (inf, 0, 0)
+    when no row qualifies."""
+    off = ~np.eye(len(slack), dtype=bool)[:, :, None]
+    cand = np.where(off & (slack < math.inf), slack, math.inf)
+    i = np.unravel_index(np.argmin(cand), cand.shape)
+    if cand[i] == math.inf:
+        return math.inf, 0.0, 0.0
+    return float(slack[i]), float(lhs[i]), float(rhs[i])
 
 
 def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
@@ -280,36 +295,27 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
     inequality pass vacuously with slack +inf.
     """
     models = tuple(models)
-    K = len(models)
-    d_pi, pair_dpi = divergence_D_pi(models)
+    P, _, pi = _stack(models)
+    kl = _kl_rows(P[:, None], P[None])
+    l2 = _l2_rows(P[:, None], P[None])
+    pair_dpi = _pairwise_weighted_kl(kl, pi)
+    d_pi = _off_min(pair_dpi)
     dW2 = delta_W_sq(models)
-    alpha, delta_sq, _ = witness_state_gap(models)
-    _, eta_pi_val, _ = eta_params(models)
-    pmax = p_max(models)
+    alpha, delta_sq, _ = _witness(pi, l2)
+    eta_pi_val = _max_ratio(pi)
+    pmax = float(P.max())
     tol = 1e-12
 
     # (i) KL sandwich per conditional row, worst slack over (k, k', s)
-    lo_slack = hi_slack = math.inf
-    worst_lo = worst_hi = (0.0, 0.0)
-    for k in range(K):
-        for kp in range(K):
-            if k == kp:
-                continue
-            for s in range(models[k].S):
-                p, q = models[k].P[s], models[kp].P[s]
-                l2 = squared_l2(p, q)
-                kl = kl_divergence(p, q)
-                lower = LOG_E_OVER_2 / max(p.max(), q.max()) * l2
-                upper = math.inf if q.min() == 0.0 else l2 / q.min()
-                if kl - lower < lo_slack:
-                    lo_slack, worst_lo = kl - lower, (lower, kl)
-                if upper - kl < hi_slack:
-                    hi_slack, worst_hi = upper - kl, (kl, upper)
+    row_max, row_min = P.max(axis=-1), P.min(axis=-1)
+    lower = LOG_E_OVER_2 / np.maximum(row_max[:, None], row_max[None]) * l2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(row_min[None] == 0.0, math.inf, l2 / row_min[None])
+        lo_slack, lo_lhs, lo_rhs = _worst_row(kl - lower, lower, kl)
+        hi_slack, hi_lhs, hi_rhs = _worst_row(upper - kl, kl, upper)
     checks = [
-        InequalityCheck("kl_sandwich_lower", lo_slack >= -tol, lo_slack,
-                        worst_lo[0], worst_lo[1]),
-        InequalityCheck("kl_sandwich_upper", hi_slack >= -tol, hi_slack,
-                        worst_hi[0], worst_hi[1]),
+        InequalityCheck("kl_sandwich_lower", lo_slack >= -tol, lo_slack, lo_lhs, lo_rhs),
+        InequalityCheck("kl_sandwich_upper", hi_slack >= -tol, hi_slack, hi_lhs, hi_rhs),
     ]
 
     # (ii) p_max D_pi >= log(e/2) alpha Delta^2
@@ -318,13 +324,8 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
                                   d_pi - rhs, d_pi, rhs))
 
     # (iii) Delta_W^2 <= min over ordered pairs of the Hellinger-form bound
-    bound = math.inf
-    for k in range(K):
-        for kp in range(K):
-            if k == kp:
-                continue
-            h2 = hellinger_sq(models[k].pi, models[kp].pi)
-            bound = min(bound, (2.0 * pmax / LOG_E_OVER_2) * pair_dpi[k, kp] + 4.0 * h2)
+    h2 = _hellinger_rows(pi[:, None], pi[None])
+    bound = _off_min((2.0 * pmax / LOG_E_OVER_2) * pair_dpi + 4.0 * h2)
     checks.append(InequalityCheck("deltaW_upper_hellinger", dW2 <= bound + tol,
                                   bound - dW2, dW2, bound))
 
@@ -382,8 +383,6 @@ class GapReport(_JsonReport):
 
 def gap_report(instance: MixtureInstance) -> GapReport:
     """Every divergence, gap, and regularity parameter of an instance."""
-    from .chains import v_min as chains_v_min
-
     models = instance.models
     D, pair_D = divergence_D(instance)
     d_pi, pair_dpi = divergence_D_pi(models)

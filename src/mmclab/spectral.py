@@ -112,9 +112,10 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     del U  # the peel needs only X; free the T x min(T, S^2) factor before the T x T work
 
     sq_norms = (X ** 2).sum(axis=1)
-    sq_dists = np.clip(sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T), 0.0, None)
-    np.fill_diagonal(sq_dists, 0.0)
-    neighbors = sq_dists <= sigma_thres * sigma_thres  # Q_t as rows
+    # Q_t as rows; no clip at 0 is needed, since sigma_thres^2 >= 0 already
+    # admits every negative rounding of a squared distance
+    neighbors = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T) <= sigma_thres * sigma_thres
+    np.fill_diagonal(neighbors, True)
 
     guard = cfg.c_rho * R_hat * T / _log_term(T, H, cfg.delta)
     assigned = np.zeros(T, dtype=bool)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -8,6 +9,7 @@ import pytest
 
 from mmclab import predicted_error_rate
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
+from mmclab.metrics import GapReport
 from mmclab.simgen import load_instance, load_trajectories
 
 
@@ -152,7 +154,10 @@ class TestPipeline:
         assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "gaps.gaps.json").read_text())
         assert doc["D_pi"] == pytest.approx(math.log(3) / 2, abs=1e-12)
-        assert "delta_W_sq" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        scalars = [f.name for f in dataclasses.fields(GapReport) if f.type != "np.ndarray"]
+        assert [line.split()[0] for line in lines[:-1]] == scalars
+        assert lines[-1].startswith("wrote ")
 
     def test_bounds_command(self, tmp_path):
         out = tmp_path / "b.json"

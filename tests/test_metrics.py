@@ -32,12 +32,156 @@ from mmclab import (
 from mmclab.errors import InvalidRange, LengthMismatch
 from mmclab.metrics import (
     LOG_E_OVER_2,
+    InequalityCheck,
     brute_force_misclassification,
     c_eta_explicit,
     necessary_condition_probability_form,
     visitation_weights,
 )
 from tests.conftest import random_labels, random_models
+
+
+# --- loop references for the stacked-array divergences and gap checks -------
+
+def reference_kl(p, q):
+    """Scalar KL over the positive entries of p, summed after masking."""
+    pos = p > 0.0
+    if np.any(q[pos] == 0.0):
+        return math.inf
+    return float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+
+
+def reference_pairwise_weighted_kl(models, weights):
+    """sum over s with weights[k][s] > 0 of weights[k][s] KL(P_k(s) || P_k'(s)),
+    one ordered pair and one state at a time."""
+    K = len(models)
+    out = np.zeros((K, K))
+    for k in range(K):
+        for kp in range(K):
+            if k != kp:
+                out[k, kp] = sum(float(weights[k][s]) * reference_kl(models[k].P[s], models[kp].P[s])
+                                 for s in range(models[k].S) if weights[k][s] > 0.0)
+    return out
+
+
+def reference_divergence_D(instance):
+    models, H = instance.models, instance.H
+    pair = reference_pairwise_weighted_kl(models, [visitation_weights(m, H) for m in models])
+    for k, kp in itertools.permutations(range(len(models)), 2):
+        pair[k, kp] += reference_kl(models[k].mu, models[kp].mu) / (H - 1)
+    return pair
+
+
+def reference_witness(models):
+    """Per pair k < k', the state maximizing min(pi) * ||row difference||^2;
+    (alpha, Delta^2) of the first pair with the smallest product."""
+    K = len(models)
+    witness = -np.ones((K, K), dtype=np.int64)
+    worst = None
+    for k in range(K):
+        for kp in range(k + 1, K):
+            floor = np.minimum(models[k].pi, models[kp].pi)
+            sep = ((models[k].P - models[kp].P) ** 2).sum(axis=1)
+            prod = floor * sep
+            s_star = int(np.argmax(prod))
+            witness[k, kp] = witness[kp, k] = s_star
+            cand = (float(prod[s_star]), float(floor[s_star]), float(sep[s_star]))
+            if worst is None or cand[0] < worst[0]:
+                worst = cand
+    return worst[1], worst[2], witness
+
+
+def reference_eta(models):
+    def max_ratio(num, den):
+        num, den = num.ravel(), den.ravel()
+        both_zero = (num == 0.0) & (den == 0.0)
+        num, den = num[~both_zero], den[~both_zero]
+        if np.any((num > 0.0) & (den == 0.0)):
+            return math.inf
+        return float((num / den).max()) if num.size else 1.0
+
+    e_mu = e_pi = e_p = 1.0
+    for a in models:
+        for b in models:
+            e_mu = max(e_mu, max_ratio(a.mu, b.mu))
+            e_pi = max(e_pi, max_ratio(a.pi, b.pi))
+            e_p = max(e_p, max_ratio(a.P, b.P))
+    return e_mu, e_pi, e_p
+
+
+def reference_sandwich(models):
+    """Worst (slack, lhs, rhs) of the lower and upper KL sandwich over the rows
+    (k, k', s), k != k', in that order; (inf, 0, 0) when no slack is finite."""
+    lo_slack = hi_slack = math.inf
+    worst_lo = worst_hi = (0.0, 0.0)
+    for k, kp in itertools.permutations(range(len(models)), 2):
+        for s in range(models[k].S):
+            p, q = models[k].P[s], models[kp].P[s]
+            l2 = squared_l2(p, q)
+            kl = reference_kl(p, q)
+            lower = LOG_E_OVER_2 / max(p.max(), q.max()) * l2
+            upper = math.inf if q.min() == 0.0 else l2 / q.min()
+            if kl - lower < lo_slack:
+                lo_slack, worst_lo = kl - lower, (lower, kl)
+            if upper - kl < hi_slack:
+                hi_slack, worst_hi = upper - kl, (kl, upper)
+    return (lo_slack, *worst_lo), (hi_slack, *worst_hi)
+
+
+def reference_gap_checks(models):
+    """(name, holds, slack, lhs, rhs) of checks (i)-(iv) from the loop references."""
+    tol = 1e-12
+    pair_dpi = reference_pairwise_weighted_kl(models, [m.pi for m in models])
+    d_pi = float(pair_dpi[~np.eye(len(models), dtype=bool)].min())
+    alpha, delta_sq, _ = reference_witness(models)
+    pmax = p_max(models)
+    dW2 = delta_W_sq(models)
+    lo, hi = reference_sandwich(models)
+    rows = [("kl_sandwich_lower", lo[0] >= -tol, *lo), ("kl_sandwich_upper", hi[0] >= -tol, *hi)]
+    rhs = LOG_E_OVER_2 * alpha * delta_sq / pmax
+    rows.append(("dpi_vs_witness", d_pi >= rhs - tol, d_pi - rhs, d_pi, rhs))
+    bound = min((2.0 * pmax / LOG_E_OVER_2) * pair_dpi[k, kp]
+                + 4.0 * hellinger_sq(models[k].pi, models[kp].pi)
+                for k, kp in itertools.permutations(range(len(models)), 2))
+    rows.append(("deltaW_upper_hellinger", dW2 <= bound + tol, bound - dW2, dW2, bound))
+    eta_pi = reference_eta(models)[1]
+    r = math.sqrt(eta_pi)
+    penalty = math.inf if math.isinf(eta_pi) else max((r - 1.0) ** 2, (1.0 - 1.0 / r) ** 2)
+    rhs_iv = 0.5 * alpha * delta_sq - penalty
+    rows.append(("deltaW_lower_witness", dW2 >= rhs_iv - tol, dW2 - rhs_iv, dW2, rhs_iv))
+    return rows
+
+
+def random_ergodic_set(rng, K, S, zeros):
+    """K validated chains on S states; with ``zeros``, about half of each
+    kernel's entries and some of mu are zero, while a self-loop and a cycle
+    through every state keep each chain ergodic."""
+    models = []
+    for _ in range(K):
+        P = rng.dirichlet(np.ones(S), size=S)
+        mu = rng.dirichlet(np.ones(S))
+        if zeros:
+            keep = rng.random((S, S)) < 0.5
+            keep[np.arange(S), np.arange(S)] = True
+            keep[np.arange(S), (np.arange(S) + 1) % S] = True
+            P = P * keep / (P * keep).sum(axis=1, keepdims=True)
+            mu = np.where(rng.random(S) < 0.6, mu, 0.0)
+            mu = mu / mu.sum() if mu.sum() > 0.0 else np.eye(S)[0]
+        models.append(validate_model(P, mu))
+    return models
+
+
+def assert_same(got, ref, exact, scale=None):
+    """Byte-equal when ``exact``; otherwise +inf in the same places and finite
+    entries within 1e-14 of ``scale`` (by default the reference itself)."""
+    got, ref = np.asarray(got, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    if exact:
+        assert got.tobytes() == ref.tobytes()
+        return
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    fin = np.isfinite(ref)
+    scale = np.abs(ref) if scale is None else np.broadcast_to(scale, ref.shape)
+    assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-14 * scale[fin])
 
 
 class TestMisclassification:
@@ -345,6 +489,58 @@ class TestGapInequalities:
         models = gen_separation_models(1)
         with pytest.raises(InvalidRange):
             check_gap_inequalities(models, M_rho=(2.0, 1.5))
+
+
+class TestStackedAgainstLoopReferences:
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 4),
+           st.integers(2, 12), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_references(self, seed, K, S, zeros):
+        # Sums along a row that holds zeros may regroup once a row has 8 or
+        # more entries, so only those cases are compared to a tolerance.
+        rng = np.random.default_rng(seed)
+        models = random_ergodic_set(rng, K, S, zeros)
+        exact = not zeros or S < 8
+        inst = make_instance(models, np.ones(K) / K, 4 * K, int(rng.integers(2, 60)))
+        D, pair = divergence_D(inst)
+        ref = reference_divergence_D(inst)
+        assert_same(pair, ref, exact)
+        assert_same(D, ref[~np.eye(K, dtype=bool)].min(), exact)
+        d_pi, pair_pi = divergence_D_pi(models)
+        ref = reference_pairwise_weighted_kl(models, [m.pi for m in models])
+        assert_same(pair_pi, ref, exact)
+        assert_same(d_pi, ref[~np.eye(K, dtype=bool)].min(), exact)
+        alpha, delta_sq, witness = witness_state_gap(models)
+        r_alpha, r_delta_sq, r_witness = reference_witness(models)
+        assert (alpha, delta_sq) == (r_alpha, r_delta_sq)
+        assert witness.dtype == r_witness.dtype and np.array_equal(witness, r_witness)
+        assert eta_params(models) == reference_eta(models)
+        checks = check_gap_inequalities(models)
+        assert [c.name for c in checks] == [r[0] for r in reference_gap_checks(models)]
+        for chk, (_, holds, slack, lhs, rhs) in zip(checks, reference_gap_checks(models)):
+            assert chk.holds == holds, chk
+            assert_same([chk.lhs, chk.rhs], [lhs, rhs], exact)
+            assert_same(chk.slack, slack, exact, scale=max(abs(lhs), abs(rhs)))
+
+    @pytest.mark.parametrize("other, finite_lower", [
+        ([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]], True),   # same support
+        ([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], False),  # KL = +inf per row
+    ])
+    def test_sandwich_sentinel_when_no_slack_is_finite(self, other, finite_lower):
+        # every row of both chains holds a zero, so L2 / min q is +inf on every
+        # row and no upper slack is finite; the check reports (inf, 0.0, 0.0)
+        a = validate_model([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], np.ones(3) / 3)
+        b = validate_model(other, np.ones(3) / 3)
+        checks = {c.name: c for c in check_gap_inequalities([a, b])}
+        assert checks["kl_sandwich_upper"] == InequalityCheck(
+            "kl_sandwich_upper", True, math.inf, 0.0, 0.0)
+        lower = checks["kl_sandwich_lower"]
+        assert math.isfinite(lower.slack) == finite_lower
+        if not finite_lower:
+            assert (lower.holds, lower.slack, lower.lhs, lower.rhs) == (True, math.inf, 0.0, 0.0)
+        ref_lo, ref_hi = reference_sandwich([a, b])
+        assert (lower.slack, lower.lhs, lower.rhs) == ref_lo
+        assert (math.inf, 0.0, 0.0) == ref_hi
 
 
 class TestLowerBound:
