@@ -11,7 +11,6 @@ from .chains import (
     pseudo_spectral_gap,
     pseudo_spectral_gap_terms,
     stationary_distribution,
-    time_reversal,
     v_min,
     validate_model,
 )
@@ -22,7 +21,6 @@ from .embedding import (
     count_transitions,
     embed_model,
     empirical_matrix,
-    two_inf_distance,
 )
 from .likelihood import (
     Stage2Result,
@@ -49,13 +47,11 @@ from .metrics import (
     p_max,
     squared_l2,
     predicted_error_rate,
-    tv_distance,
 )
 from .simgen import (
     MixtureInstance,
     TrajectorySet,
     gen_random_ergodic,
-    gen_separation_instance,
     gen_separation_models,
     make_instance,
     sample_trajectories,

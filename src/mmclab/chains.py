@@ -38,7 +38,6 @@ __all__ = [
     "check_prob_vector",
     "check_stochastic_matrix",
     "stationary_distribution",
-    "time_reversal",
     "pseudo_spectral_gap",
     "pseudo_spectral_gap_terms",
     "mixing_time",
@@ -111,20 +110,17 @@ class MarkovModel:
 class AugmentedChain:
     """Doublet chain on state pairs (s, s'), restricted to its support.
 
-    ``model`` is the chain on the ``n`` support pairs (pairs with positive
-    base transition probability); impossible pairs are retained in
-    ``support_mask`` / ``stationary_full`` with zero mass so the full S^2
+    ``model`` is the chain on the support pairs (pairs with positive base
+    transition probability) in row-major order; impossible pairs are retained
+    in ``support_mask`` / ``stationary_full`` with zero mass so the full S^2
     indexing stays available.
     """
 
     model: MarkovModel
-    pairs: np.ndarray            # (n, 2) int, support pairs in row-major order
     support_mask: np.ndarray     # (S, S) bool
     stationary_full: np.ndarray  # (S*S,) with zeros at impossible pairs
-    base_S: int
 
     def __post_init__(self):
-        self.pairs.setflags(write=False)
         self.support_mask.setflags(write=False)
         self.stationary_full.setflags(write=False)
 
@@ -166,11 +162,6 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
-def time_reversal(M: MarkovModel) -> np.ndarray:
-    """Time reversal P*(s, s') = pi(s') P(s', s) / pi(s); row stochastic."""
-    return (M.pi[:, None] * M.P).T / M.pi[:, None]
-
-
 def pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
     """(1/k)(1 - lambda_2((P*)^k P^k)) for k = 1..k_max.
 
@@ -195,9 +186,9 @@ def pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.n
     return terms
 
 
-def pseudo_spectral_gap(M: MarkovModel, k_max: int) -> float:
+def pseudo_spectral_gap(P: np.ndarray, pi: np.ndarray, k_max: int) -> float:
     """max over k in [1, k_max] of (1/k) * spectral gap of (P*)^k P^k."""
-    return float(pseudo_spectral_gap_terms(M.P, M.pi, k_max).max())
+    return float(pseudo_spectral_gap_terms(P, pi, k_max).max())
 
 
 def mixing_time(P: np.ndarray, pi: np.ndarray, threshold: float = 0.25,
@@ -241,12 +232,12 @@ def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
     pi = stationary_distribution(P)
     t_mix = mixing_time(P, pi)
     k = max(10, 2 * t_mix)
-    gamma = float(pseudo_spectral_gap_terms(P, pi, k).max())
+    gamma = pseudo_spectral_gap(P, pi, k)
     # k too small shows up as a violated lower sandwich bound; extend.
     cap = max(k, 64 * t_mix)
     while gamma * t_mix < 0.5 and k < cap:
         k = min(2 * k, cap)
-        gamma = float(pseudo_spectral_gap_terms(P, pi, k).max())
+        gamma = pseudo_spectral_gap(P, pi, k)
     upper = 1.0 + 2.0 * math.log(2.0) + math.log(1.0 / float(pi.min()))
     if not (0.5 <= gamma * t_mix <= upper + 1e-9):
         raise EigenFailure(
@@ -278,8 +269,7 @@ def augmented_chain(M: MarkovModel) -> AugmentedChain:
     model = validate_model(Pt, mu_t)
     stationary_full = np.zeros(S * S)
     stationary_full[pairs[:, 0] * S + pairs[:, 1]] = model.pi
-    return AugmentedChain(model=model, pairs=pairs, support_mask=mask,
-                          stationary_full=stationary_full, base_S=S)
+    return AugmentedChain(model=model, support_mask=mask, stationary_full=stationary_full)
 
 
 def pi_min(models: Sequence[MarkovModel]) -> float:

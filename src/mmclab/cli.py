@@ -192,8 +192,8 @@ def _sweep_point(payload: tuple) -> tuple:
     # bind W-hat alone: the truth matrix W is not needed past this line
     W_hat = build_matrices(instance, counts)[1]
     spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma,
-                              c_sigma=float(cfg.get("c_sigma", 8.0)),
-                              c_rho=float(cfg.get("c_rho", 32.0)))
+                              c_sigma=float(cfg.get("c_sigma", SpectralConfig.c_sigma)),
+                              c_rho=float(cfg.get("c_rho", SpectralConfig.c_rho)))
     stage1 = spectral_cluster(W_hat, spec_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models,
@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", default=None, help="instance file for oracle gamma")
     p.add_argument("--gamma", type=float, default=None, help="override gamma_ps")
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--c-sigma", dest="c_sigma", type=float, default=8.0)
-    p.add_argument("--c-rho", dest="c_rho", type=float, default=32.0)
+    p.add_argument("--c-sigma", dest="c_sigma", type=float, default=SpectralConfig.c_sigma)
+    p.add_argument("--c-rho", dest="c_rho", type=float, default=SpectralConfig.c_rho)
     common(p, "cluster")
     p.set_defaults(func=cmd_cluster)
 

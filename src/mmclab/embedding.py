@@ -8,9 +8,7 @@ trajectories gives the data matrices the spectral stage decomposes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,11 +23,6 @@ __all__ = [
     "embed_model",
     "empirical_matrix",
     "build_matrices",
-    "two_inf_distance",
-    "pi_from_embedding",
-    "kernel_from_embedding",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -64,7 +57,6 @@ class DataMatrix:
     """T x S^2 row-stack of embeddings, plus the horizon it was built at."""
 
     values: np.ndarray  # (T, S*S) float64
-    kind: str           # "truth" or "empirical"
     S: int
     H: int
 
@@ -113,8 +105,7 @@ def empirical_matrix(counts: Counts) -> DataMatrix:
     denom = np.sqrt(counts.H * counts.visits.astype(np.float64))[:, :, None]
     out = np.zeros(counts.transitions.shape, dtype=np.float64)
     np.divide(counts.transitions, denom, out=out, where=denom > 0)
-    return DataMatrix(values=out.reshape(counts.T, -1), kind="empirical",
-                      S=counts.S, H=counts.H)
+    return DataMatrix(values=out.reshape(counts.T, -1), S=counts.S, H=counts.H)
 
 
 def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatrix, DataMatrix]:
@@ -122,44 +113,6 @@ def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatri
     if counts.T != instance.T or counts.H != instance.H or counts.S != instance.S:
         raise DimensionMismatch("trajectory counts do not match the instance shape")
     model_rows = np.stack([embed_model(m) for m in instance.models])
-    W = DataMatrix(values=model_rows[instance.decoding].copy(), kind="truth",
-                   S=instance.S, H=instance.H)
+    W = DataMatrix(values=model_rows[instance.decoding].copy(), S=instance.S, H=instance.H)
     return W, empirical_matrix(counts)
 
-
-def two_inf_distance(A: DataMatrix | np.ndarray, B: DataMatrix | np.ndarray) -> float:
-    """2->infinity distance: max over rows of the l2 row difference."""
-    a = A.values if isinstance(A, DataMatrix) else np.asarray(A, dtype=np.float64)
-    b = B.values if isinstance(B, DataMatrix) else np.asarray(B, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum(axis=1)).max())
-
-
-def pi_from_embedding(L: np.ndarray, S: int) -> np.ndarray:
-    """Recover pi from a model embedding: summing row s over s' gives
-    sqrt(pi(s)) (rows of P sum to one), so pi(s) is the squared row sum."""
-    return L.reshape(S, S).sum(axis=1) ** 2
-
-
-def kernel_from_embedding(L: np.ndarray, S: int) -> np.ndarray:
-    """Recover P(s,s') = L(s,s') / sqrt(pi(s)) from a model embedding."""
-    root_pi = L.reshape(S, S).sum(axis=1)
-    return L.reshape(S, S) / root_pi[:, None]
-
-
-def save_matrix(mat: DataMatrix, path: str | Path) -> None:
-    """Dense row-major f64 binary with a JSON shape sidecar."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(mat.values.astype("<f8").tobytes(order="C"))
-    sidecar = {"T": mat.T, "cols": mat.values.shape[1], "kind": mat.kind,
-               "S": mat.S, "H": mat.H}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_matrix(path: str | Path) -> DataMatrix:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    values = np.fromfile(path, dtype="<f8").reshape(meta["T"], meta["cols"])
-    return DataMatrix(values=values, kind=meta["kind"], S=int(meta["S"]), H=int(meta["H"]))

@@ -22,8 +22,7 @@ from .errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMisma
                      ZeroProbabilityTransition)
 
 __all__ = ["TransitionEstimate", "Stage2Result", "pool_estimates",
-           "trajectory_loglik", "refine", "oracle_classify",
-           "stage2_to_json", "stage2_from_json", "save_stage2", "load_stage2"]
+           "trajectory_loglik", "refine", "oracle_classify", "save_stage2"]
 
 
 @dataclass(frozen=True)
@@ -104,35 +103,25 @@ def trajectory_loglik(counts: Counts, kernels: np.ndarray) -> np.ndarray:
     return scores
 
 
-def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float, *,
-           iterate: bool = False, max_rounds: int = 50) -> Stage2Result:
-    """One pooling + reassignment pass (``iterate`` loops to a fixed point).
+def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float) -> Stage2Result:
+    """One pooling + reassignment pass.
 
     Ties keep the incumbent label when it attains the maximum, else break to
     the lowest index, so the pass is deterministic and a likelihood-optimal
     labeling is a fixed point.
     """
-    labels = np.asarray(labels_f0, dtype=np.int64).copy()
-    rounds = max_rounds if iterate else 1
-    total_changed = 0
-    scores = None
-    for _ in range(rounds):
-        est = pool_estimates(counts, labels, K, lam)
-        scores = trajectory_loglik(counts, est.kernels)
-        if lam == 0.0 and np.any(np.all(np.isneginf(scores), axis=1)):
-            raise ZeroProbabilityTransition(
-                "a trajectory has -inf score under every cluster at smoothing 0")
-        best = scores.max(axis=1)
-        new_labels = np.argmax(scores, axis=1).astype(np.int64)
-        keep = scores[np.arange(len(labels)), labels] == best
-        new_labels[keep] = labels[keep]
-        changed = int((new_labels != labels).sum())
-        total_changed += changed
-        labels = new_labels
-        if changed == 0:
-            break
-    return Stage2Result(labels=labels, loglik=scores, changed=total_changed,
-                        smoothing=float(lam))
+    labels = np.asarray(labels_f0, dtype=np.int64)
+    est = pool_estimates(counts, labels, K, lam)
+    scores = trajectory_loglik(counts, est.kernels)
+    if lam == 0.0 and np.any(np.all(np.isneginf(scores), axis=1)):
+        raise ZeroProbabilityTransition(
+            "a trajectory has -inf score under every cluster at smoothing 0")
+    best = scores.max(axis=1)
+    new_labels = np.argmax(scores, axis=1).astype(np.int64)
+    keep = scores[np.arange(len(labels)), labels] == best
+    new_labels[keep] = labels[keep]
+    return Stage2Result(labels=new_labels, loglik=scores,
+                        changed=int((new_labels != labels).sum()), smoothing=float(lam))
 
 
 def oracle_classify(counts: Counts, models: Sequence[MarkovModel],
@@ -156,25 +145,13 @@ def oracle_classify(counts: Counts, models: Sequence[MarkovModel],
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def stage2_to_json(res: Stage2Result) -> dict:
-    """JSON document; labels are 1-based on disk. The loglik matrix is dumped
-    separately as binary when requested."""
-    return {"labels": (res.labels + 1).tolist(), "changed": res.changed,
-            "lambda": res.smoothing}
-
-
-def stage2_from_json(doc: dict) -> tuple[np.ndarray, int, float]:
-    return (np.asarray(doc["labels"], dtype=np.int64) - 1, int(doc["changed"]),
-            float(doc["lambda"]))
-
-
 def save_stage2(res: Stage2Result, path: str | Path, *, dump_loglik: bool = False) -> None:
+    """JSON document with 1-based labels; with ``dump_loglik`` the (T, K) scores
+    also go to ``<path>.loglik`` as row-major little-endian f64."""
     path = Path(path)
-    path.write_text(json.dumps(stage2_to_json(res), indent=2))
+    doc = {"labels": (res.labels + 1).tolist(), "changed": res.changed,
+           "lambda": res.smoothing}
+    path.write_text(json.dumps(doc, indent=2))
     if dump_loglik:
         with open(path.with_suffix(path.suffix + ".loglik"), "wb") as fh:
             fh.write(res.loglik.astype("<f8").tobytes(order="C"))
-
-
-def load_stage2(path: str | Path) -> tuple[np.ndarray, int, float]:
-    return stage2_from_json(json.loads(Path(path).read_text()))

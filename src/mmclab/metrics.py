@@ -7,7 +7,6 @@ min/comparison arithmetic rather than raising.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -21,9 +20,7 @@ from .simgen import MixtureInstance
 
 __all__ = [
     "misclassification",
-    "brute_force_misclassification",
     "kl_divergence",
-    "tv_distance",
     "hellinger_sq",
     "squared_l2",
     "visitation_weights",
@@ -39,7 +36,6 @@ __all__ = [
     "gap_report",
     "BoundReport",
     "lower_bound_check",
-    "necessary_condition_probability_form",
     "predicted_error_rate",
     "c_eta_explicit",
 ]
@@ -47,50 +43,27 @@ __all__ = [
 
 # --- misclassification metric -------------------------------------------
 
-def _confusion(f_hat: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
-    C = np.zeros((K, K), dtype=np.int64)
-    np.add.at(C, (f_hat, f), 1)
-    return C
-
-
-def _prepare_labels(f_hat: np.ndarray, f: np.ndarray, T: int | None) -> tuple[np.ndarray, np.ndarray, int]:
-    f_hat = np.asarray(f_hat, dtype=np.int64)
-    f = np.asarray(f, dtype=np.int64)
-    if f_hat.shape != f.shape or f_hat.ndim != 1:
-        raise LengthMismatch(f"label shapes differ: {f_hat.shape} vs {f.shape}")
-    if T is not None and T != f.shape[0]:
-        raise LengthMismatch(f"T={T} does not match label length {f.shape[0]}")
-    if f.shape[0] and (f_hat.min() < 0 or f.min() < 0):
-        raise LengthMismatch("labels must be nonnegative")
-    K = int(max(f_hat.max(), f.max())) + 1 if f.shape[0] else 1
-    return f_hat, f, K
-
-
-def brute_force_misclassification(f_hat: np.ndarray, f: np.ndarray,
-                                  T: int | None = None) -> int:
-    """E_T by explicit enumeration of all K! relabelings sigma, maximizing
-    sum_b C[sigma(b), b]; the reference :func:`misclassification` is tested
-    against."""
-    f_hat, f, K = _prepare_labels(f_hat, f, T)
-    if f.shape[0] == 0:
-        return 0
-    C = _confusion(f_hat, f, K)
-    return f.shape[0] - max(sum(int(C[sigma[b], b]) for b in range(K))
-                            for sigma in itertools.permutations(range(K)))
-
-
 def misclassification(f_hat: np.ndarray, f: np.ndarray, T: int | None = None) -> int:
     """E_T: misclassified count minimized over relabelings of the clusters.
 
     Label vectors may use different numbers of clusters; the smaller label set
     is padded with empty clusters before the permutation minimization, which
     is solved exactly as an optimal assignment (Hungarian) on the confusion
-    matrix; ``brute_force_misclassification`` is the K! reference.
+    matrix.
     """
-    f_hat, f, K = _prepare_labels(f_hat, f, T)
+    f_hat = np.asarray(f_hat, dtype=np.int64)
+    f = np.asarray(f, dtype=np.int64)
+    if f_hat.shape != f.shape or f_hat.ndim != 1:
+        raise LengthMismatch(f"label shapes differ: {f_hat.shape} vs {f.shape}")
+    if T is not None and T != f.shape[0]:
+        raise LengthMismatch(f"T={T} does not match label length {f.shape[0]}")
     if f.shape[0] == 0:
         return 0
-    C = _confusion(f_hat, f, K)
+    if f_hat.min() < 0 or f.min() < 0:
+        raise LengthMismatch("labels must be nonnegative")
+    K = int(max(f_hat.max(), f.max())) + 1
+    C = np.zeros((K, K), dtype=np.int64)
+    np.add.at(C, (f_hat, f), 1)
     row, col = linear_sum_assignment(-C)
     return f.shape[0] - int(C[row, col].sum())
 
@@ -118,11 +91,6 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise LengthMismatch(f"shape mismatch {p.shape} vs {q.shape}")
     return float(_kl_rows(p, q))
-
-
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation (1/2) sum |p - q|."""
-    return float(0.5 * np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
 
 
 def hellinger_sq(p: np.ndarray, q: np.ndarray) -> float:
@@ -406,17 +374,6 @@ class BoundReport(_JsonReport):
     min_H_necessary: int | None
     asymptotic_ratio: float
     predicted_error_rate: float | None = None
-
-
-def necessary_condition_probability_form(eps: float, delta: float, T: int, H: int,
-                                         D: float, alpha_min: float) -> bool:
-    """delta >= (1/2)(alpha_min/(16 e eps))^{eps T} exp(-4 eps T (H-1) D),
-    evaluated in log space (independent arithmetic path from the rearranged
-    form; the two must agree on pass/fail)."""
-    c = eps * T
-    log_rhs = -math.log(2.0) + c * math.log(alpha_min / (16.0 * math.e * eps)) \
-        - 4.0 * c * (H - 1) * D
-    return math.log(delta) >= log_rhs
 
 
 def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,

@@ -21,6 +21,7 @@ from .chains import MarkovModel, model_from_json, model_to_json, validate_model
 from .errors import (
     DimensionMismatch,
     EmptyClusterAfterRounding,
+    InputError,
     InvalidRange,
     StateOutOfRange,
     StateSpaceMismatch,
@@ -31,11 +32,9 @@ __all__ = [
     "TrajectorySet",
     "make_instance",
     "cluster_sizes",
-    "single_chain_instance",
     "sample_trajectories",
     "gen_random_ergodic",
     "gen_separation_models",
-    "gen_separation_instance",
     "instance_to_json",
     "instance_from_json",
     "save_instance",
@@ -188,17 +187,6 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
                          instance_id=instance.instance_id())
 
 
-def single_chain_instance(model: MarkovModel, T: int, H: int) -> MixtureInstance:
-    """K = 1 diagnostic instance (all trajectories from one chain).
-
-    Clustering is vacuous here; the instance exists for concentration and
-    estimation experiments where every row of the data matrix targets the
-    same embedding.
-    """
-    return MixtureInstance(models=(model,), decoding=np.zeros(T, dtype=np.int64),
-                           T=T, H=H)
-
-
 def gen_random_ergodic(S: int, seed: int, floor: float) -> MarkovModel:
     """Random ergodic chain: Dirichlet rows mixed toward uniform so entries >= floor.
 
@@ -236,13 +224,6 @@ def gen_separation_models(S_prime: int) -> tuple[MarkovModel, MarkovModel]:
     m1 = validate_model(np.tile(row1, (S, 1)), row1)
     m2 = validate_model(np.tile(row2, (S, 1)), row2)
     return m1, m2
-
-
-def gen_separation_instance(S_prime: int, T: int = 2, H: int = 2,
-                            alpha: Sequence[float] = (0.5, 0.5)) -> MixtureInstance:
-    """Two-cluster instance built from :func:`gen_separation_models`."""
-    m1, m2 = gen_separation_models(S_prime)
-    return make_instance([m1, m2], np.asarray(alpha), T, H)
 
 
 # --- persistence ---------------------------------------------------------
@@ -297,7 +278,8 @@ def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int) -> None:
 
 
 def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
-    """Read the binary trajectory file; returns (trajectories, S)."""
+    """Read the binary trajectory file and its ``<path>.json`` sidecar;
+    returns (trajectories, S)."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -309,7 +291,12 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
         raise DimensionMismatch(f"{path} holds {len(payload)} state bytes; "
                                 f"its header (T={T}, H={H}) needs {2 * T * H}")
     states = np.frombuffer(payload, dtype="<u2").reshape(T, H)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except FileNotFoundError as exc:
+        raise InputError(f"{sidecar_path} is missing: it holds the seed and index base "
+                         f"of {path}") from exc
     states = states.astype(np.int32) - int(sidecar.get("index_base", 1))
     return (TrajectorySet(states=states, seed=int(sidecar["seed"]),
                           instance_id=str(sidecar["instance_id"])), S)

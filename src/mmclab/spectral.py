@@ -20,8 +20,7 @@ from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
-           "spectral_cluster", "stage1_to_json", "stage1_from_json", "save_stage1",
-           "load_stage1"]
+           "spectral_cluster", "save_stage1", "load_stage1"]
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,9 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
                         forced_first_cluster=forced)
 
 
-def stage1_to_json(res: Stage1Result) -> dict:
+def save_stage1(res: Stage1Result, path: str | Path) -> None:
     """JSON document; labels and centers are 1-based on disk."""
-    return {
+    doc = {
         "K_hat": res.K_hat,
         "labels": (res.labels + 1).tolist(),
         "centers": (res.centers + 1).tolist(),
@@ -159,9 +158,11 @@ def stage1_to_json(res: Stage1Result) -> dict:
         "singular_values": res.singular_values.tolist(),
         "forced_first_cluster": res.forced_first_cluster,
     }
+    Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def stage1_from_json(doc: dict) -> Stage1Result:
+def load_stage1(path: str | Path) -> Stage1Result:
+    doc = json.loads(Path(path).read_text())
     return Stage1Result(
         K_hat=int(doc["K_hat"]),
         labels=np.asarray(doc["labels"], dtype=np.int64) - 1,
@@ -171,11 +172,3 @@ def stage1_from_json(doc: dict) -> Stage1Result:
         sigma_thres=float(doc["sigma_thres"]),
         forced_first_cluster=bool(doc["forced_first_cluster"]),
     )
-
-
-def save_stage1(res: Stage1Result, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(stage1_to_json(res), indent=2))
-
-
-def load_stage1(path: str | Path) -> Stage1Result:
-    return stage1_from_json(json.loads(Path(path).read_text()))

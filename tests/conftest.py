@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from mmclab import gen_random_ergodic, validate_model
+from mmclab import gen_random_ergodic, gen_separation_models, make_instance, validate_model
+from mmclab.errors import DimensionMismatch
 
 
 @pytest.fixture
@@ -13,6 +17,11 @@ def two_state():
 def random_models(n, S, seed0=0, floor=None):
     floor = floor if floor is not None else 1.0 / (4 * S)
     return [gen_random_ergodic(S, seed0 + 31 * i, floor) for i in range(n)]
+
+
+def gen_separation_instance(S_prime, T=2, H=2, alpha=(0.5, 0.5)):
+    """Two-cluster instance of the 3:1 separation construction on S = 2 S' states."""
+    return make_instance(gen_separation_models(S_prime), np.asarray(alpha), T, H)
 
 
 def random_labels(rng, T, K):
@@ -28,3 +37,32 @@ def reference_counts(traj, S):
     visits = np.bincount(traj, minlength=S)
     transitions = np.bincount(traj[:-1] * S + traj[1:], minlength=S * S).reshape(S, S)
     return visits, transitions
+
+
+def reference_brute_force_misclassification(f_hat, f):
+    """E_T by explicit enumeration of all K! relabelings sigma, maximizing
+    sum_b C[sigma(b), b] over the confusion matrix C."""
+    f_hat, f = np.asarray(f_hat), np.asarray(f)
+    K = int(max(f_hat.max(), f.max())) + 1
+    C = np.zeros((K, K), dtype=np.int64)
+    np.add.at(C, (f_hat, f), 1)
+    return len(f) - max(sum(int(C[sigma[b], b]) for b in range(K))
+                        for sigma in itertools.permutations(range(K)))
+
+
+def reference_necessary_condition(eps, delta, T, H, D, alpha_min):
+    """delta >= (1/2)(alpha_min/(16 e eps))^{eps T} exp(-4 eps T (H-1) D),
+    evaluated in log space (an arithmetic path independent of the rearranged
+    form in ``lower_bound_check``; the two must agree on pass/fail)."""
+    c = eps * T
+    log_rhs = -math.log(2.0) + c * math.log(alpha_min / (16.0 * math.e * eps)) \
+        - 4.0 * c * (H - 1) * D
+    return math.log(delta) >= log_rhs
+
+
+def reference_two_inf_distance(a, b):
+    """2->infinity distance: max over rows of the l2 row difference."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    return float(np.sqrt(((a - b) ** 2).sum(axis=1)).max())

@@ -33,17 +33,16 @@ from mmclab import (
     sample_trajectories,
     spectral_cluster,
     SpectralConfig,
-    two_inf_distance,
 )
 from mmclab.cli import run_sweep
 from mmclab.embedding import DataMatrix, embed_model
-from mmclab.metrics import (
-    brute_force_misclassification,
-    necessary_condition_probability_form,
-)
-from mmclab.simgen import single_chain_instance
 from mmclab.spectral import sigma_threshold
-from tests.conftest import random_labels
+from tests.conftest import (
+    random_labels,
+    reference_brute_force_misclassification,
+    reference_necessary_condition,
+    reference_two_inf_distance,
+)
 
 
 def report(tag: str, ok: bool, detail: str = "") -> None:
@@ -146,7 +145,7 @@ class TestCriterion4MetricAndOracle:
             T = int(rng.integers(K, 60))
             f = random_labels(rng, T, K)
             f_hat = random_labels(rng, T, K)
-            if brute_force_misclassification(f_hat, f) != misclassification(f_hat, f):
+            if reference_brute_force_misclassification(f_hat, f) != misclassification(f_hat, f):
                 bad += 1
         report("AC4/assignment", bad == 0, f"({bad} disagreements over 200 cases)")
         assert bad == 0
@@ -168,7 +167,8 @@ class TestCriterion4MetricAndOracle:
         for i in range(100):
             mm = gen_random_ergodic(2 + i % 5, 60_000 + i, 0.04)
             k = max(12, 2 * mm.t_mix)
-            direct = pseudo_spectral_gap(augmented_chain(mm).model, k_max=k + 1)
+            aug = augmented_chain(mm).model
+            direct = pseudo_spectral_gap(aug.P, aug.pi, k_max=k + 1)
             terms = pseudo_spectral_gap_terms(mm.P, mm.pi, k)
             gammas = terms * np.arange(1, k + 1)
             shifted = float((gammas / (np.arange(1, k + 1) + 1)).max())
@@ -189,7 +189,7 @@ class TestCriterion5NoiselessRecovery:
             models = [gen_random_ergodic(S, 9_000 + 41 * i + j, 0.02) for j in range(K)]
             inst = make_instance(models, np.full(K, 1.0 / K), T, H)
             rows = np.stack([embed_model(mm) for mm in models])
-            W = DataMatrix(values=rows[inst.decoding].copy(), kind="truth", S=S, H=H)
+            W = DataMatrix(values=rows[inst.decoding].copy(), S=S, H=H)
             gamma = min(mm.gamma_ps for mm in models)
             base = math.sqrt(T * S / (gamma * H) * math.log(T * H / 0.1))
             target = math.sqrt(delta_W_sq(models)) / 4
@@ -284,7 +284,7 @@ class TestCriterion8LowerBoundConsistency:
             D = float(rng.uniform(0.0, 0.5))
             alpha = float(rng.uniform(0.001, 1.0))
             rep = lower_bound_check(eps, delta, T, H, D, alpha)
-            if rep.necessary_holds != necessary_condition_probability_form(
+            if rep.necessary_holds != reference_necessary_condition(
                     eps, delta, T, H, D, alpha):
                 disagreements += 1
         report("AC8/forms", disagreements == 0,
@@ -320,10 +320,10 @@ class TestCriterion9ConcentrationEnvelope:
             bound = 8 * math.sqrt(4 / (H * model.gamma_ps) * math.log(T * H / delta))
             hits = 0
             for seed in range(100):
-                inst = single_chain_instance(model, T, H)
+                inst = make_instance([model, model], [0.5, 0.5], T, H)
                 trajs = sample_trajectories(inst, seed)
                 W, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
-                hits += int(two_inf_distance(W, W_hat) <= bound)
+                hits += int(reference_two_inf_distance(W.values, W_hat.values) <= bound)
             ok &= hits >= 95
             details.append(f"H={H}: {hits}/100")
         report("AC9", ok, "(" + ", ".join(details) + ")")

@@ -17,9 +17,10 @@ from mmclab import (
     pseudo_spectral_gap_terms,
     validate_model,
 )
-from mmclab.chains import mixing_time, stationary_distribution, time_reversal
+from mmclab.chains import mixing_time, stationary_distribution
 from mmclab.errors import (
     DimensionMismatch,
+    EigenFailure,
     NotIrreducible,
     NotMixedWithinTMax,
     NumericalError,
@@ -29,6 +30,11 @@ from mmclab.errors import (
 )
 
 P2 = np.array([[0.9, 0.1], [0.2, 0.8]])
+
+
+def reference_time_reversal(M):
+    """Time reversal P*(s, s') = pi(s') P(s', s) / pi(s); row stochastic."""
+    return (M.pi[:, None] * M.P).T / M.pi[:, None]
 
 
 @st.composite
@@ -141,6 +147,14 @@ class TestValidateModel:
             upper = 1 + 2 * math.log(2) + math.log(1 / m.pi.min())
             assert 0.5 <= m.gamma_ps * m.t_mix <= upper
 
+    def test_eigensolver_failure_raises_eigen_failure(self, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        with pytest.raises(EigenFailure, match="eigensolver failed at k=1"):
+            validate_model(P2, [0.5, 0.5])
+
     def test_json_roundtrip_recomputes_derived(self, two_state):
         doc = model_to_json(two_state)
         again = model_from_json(doc)
@@ -165,18 +179,18 @@ class TestStationary:
 
 class TestTimeReversal:
     def test_two_state_reversible(self, two_state):
-        assert np.allclose(time_reversal(two_state), two_state.P, atol=1e-12)
+        assert np.allclose(reference_time_reversal(two_state), two_state.P, atol=1e-12)
 
     def test_doubly_stochastic_symmetric(self):
         P = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
         m = validate_model(P, np.ones(3) / 3)
-        assert np.allclose(time_reversal(m), P.T, atol=1e-12)
+        assert np.allclose(reference_time_reversal(m), P.T, atol=1e-12)
 
     def test_detailed_balance_identity_cycle_biased(self):
         # non-reversible 3-state chain biased around the cycle
         P = np.array([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]])
         m = validate_model(P, np.ones(3) / 3)
-        P_star = time_reversal(m)
+        P_star = reference_time_reversal(m)
         assert not np.allclose(P_star, P)  # genuinely non-reversible
         lhs = m.pi[:, None] * P
         rhs = (m.pi[:, None] * P_star).T
@@ -187,23 +201,24 @@ class TestTimeReversal:
     @settings(max_examples=25, deadline=None)
     def test_involution(self, seed):
         m = gen_random_ergodic(4, seed=seed, floor=0.03)
-        P_star = time_reversal(m)
+        P_star = reference_time_reversal(m)
         m_star = validate_model(P_star, m.mu)
-        assert np.allclose(time_reversal(m_star), m.P, atol=1e-12)
+        assert np.allclose(reference_time_reversal(m_star), m.P, atol=1e-12)
 
 
 class TestPseudoSpectralGap:
     def test_two_state_value(self, two_state):
         # reversible chain: (P*)P = P^2, lambda_2 = 0.7^2, gap term 0.51 at k=1
-        assert pseudo_spectral_gap(two_state, k_max=10) == pytest.approx(0.51, abs=1e-12)
+        gap = pseudo_spectral_gap(two_state.P, two_state.pi, k_max=10)
+        assert gap == pytest.approx(0.51, abs=1e-12)
 
     def test_uniform_chain(self):
         m = validate_model(np.full((3, 3), 1 / 3), np.ones(3) / 3)
-        assert pseudo_spectral_gap(m, k_max=5) == pytest.approx(1.0, abs=1e-12)
+        assert pseudo_spectral_gap(m.P, m.pi, k_max=5) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_chain_sandwich_crosscheck(self):
         m = gen_random_ergodic(5, seed=3, floor=0.02)
-        gap = pseudo_spectral_gap(m, k_max=max(10, 2 * m.t_mix))
+        gap = pseudo_spectral_gap(m.P, m.pi, k_max=max(10, 2 * m.t_mix))
         upper = 1 + 2 * math.log(2) + math.log(1 / m.pi.min())
         assert 0.5 <= gap * m.t_mix <= upper
 
@@ -211,8 +226,19 @@ class TestPseudoSpectralGap:
     @settings(max_examples=20, deadline=None)
     def test_monotone_in_k_max(self, seed):
         m = gen_random_ergodic(3, seed=seed, floor=0.05)
-        gaps = [pseudo_spectral_gap(m, k_max=k) for k in (1, 3, 6, 12)]
+        gaps = [pseudo_spectral_gap(m.P, m.pi, k_max=k) for k in (1, 3, 6, 12)]
         assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=40, deadline=None)
+    def test_terms_match_direct_nonsymmetric_spectrum(self, seed, k_max):
+        # the symmetric conjugate (B^k)^T B^k against eigvals of (P*)^k P^k itself
+        m = gen_random_ergodic(5, seed=seed, floor=0.02)
+        P_star = reference_time_reversal(m)
+        for k, term in enumerate(pseudo_spectral_gap_terms(m.P, m.pi, k_max), start=1):
+            M = np.linalg.matrix_power(P_star, k) @ np.linalg.matrix_power(m.P, k)
+            lam2 = np.sort(np.linalg.eigvals(M).real)[-2]
+            assert term == pytest.approx((1.0 - lam2) / k, abs=1e-12)
 
 
 class TestMixingTime:
@@ -271,7 +297,7 @@ class TestAugmentedChain:
         # doublet gap is max_j gamma_j / (j + 1) over the base terms
         k_base = 12
         aug = augmented_chain(two_state)
-        direct = pseudo_spectral_gap(aug.model, k_max=k_base + 1)
+        direct = pseudo_spectral_gap(aug.model.P, aug.model.pi, k_max=k_base + 1)
         terms = pseudo_spectral_gap_terms(two_state.P, two_state.pi, k_base)
         gammas = terms * np.arange(1, k_base + 1)
         shifted = (gammas / (np.arange(1, k_base + 1) + 1)).max()
@@ -282,8 +308,8 @@ class TestAugmentedChain:
             m = gen_random_ergodic(2 + i % 4, seed=500 + i, floor=0.05)
             aug = augmented_chain(m)
             k = max(12, 2 * m.t_mix)
-            base = pseudo_spectral_gap(m, k_max=k)
-            dbl = pseudo_spectral_gap(aug.model, k_max=k + 1)
+            base = pseudo_spectral_gap(m.P, m.pi, k_max=k)
+            dbl = pseudo_spectral_gap(aug.model.P, aug.model.pi, k_max=k + 1)
             assert base / 2 - 1e-9 <= dbl <= base + 1e-9
 
     def test_uniform_base_doublet_gap(self):
@@ -292,4 +318,5 @@ class TestAugmentedChain:
         # with an S-fold eigenvalue 1)
         m = validate_model(np.full((2, 2), 0.5), np.ones(2) / 2)
         aug = augmented_chain(m)
-        assert pseudo_spectral_gap(aug.model, k_max=6) == pytest.approx(0.5, abs=1e-10)
+        gap = pseudo_spectral_gap(aug.model.P, aug.model.pi, k_max=6)
+        assert gap == pytest.approx(0.5, abs=1e-10)

@@ -71,6 +71,17 @@ class TestGenerate:
         assert "has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
 
+    def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        spec = json.dumps({"type": "random", "S": 3, "K": 2, "floor": 0.05,
+                           "seed": 1, "T": 10, "H": 10})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 3
+        assert "eigensolver failed" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
 
 class TestPipeline:
     @pytest.fixture
@@ -139,6 +150,15 @@ class TestPipeline:
         assert main(["refine", str(traj), str(path), "--out", str(tmp_path)]) == 2
         assert f"labels must lie in [0, {doc['K_hat'] - 1}]" in capsys.readouterr().err
         assert not (tmp_path / "refine.stage2.json").exists()
+
+    def test_missing_sidecar_exits_2(self, tmp_path, instance_file, capsys):
+        main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
+        path = tmp_path / "sample.traj.bin"
+        Path(f"{path}.json").unlink()
+        capsys.readouterr()
+        assert main(["cluster", str(path), "--gamma", "1.0", "--out", str(tmp_path)]) == 2
+        assert f"{path}.json is missing" in capsys.readouterr().err
+        assert not (tmp_path / "cluster.stage1.json").exists()
 
     def test_truncated_trajectory_file_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])

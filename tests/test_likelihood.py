@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from mmclab import (
     count_transitions,
     gen_random_ergodic,
-    gen_separation_instance,
     make_instance,
     misclassification,
     oracle_classify,
@@ -20,9 +20,8 @@ from mmclab import (
     validate_model,
 )
 from mmclab.errors import EmptyCluster, StateSpaceMismatch, ZeroProbabilityTransition
-from mmclab.likelihood import save_stage2, load_stage2
-from mmclab.simgen import single_chain_instance
-from tests.conftest import random_labels, random_models, reference_counts
+from mmclab.likelihood import save_stage2
+from tests.conftest import gen_separation_instance, random_labels, random_models, reference_counts
 
 
 def counts_of(states, S):
@@ -204,11 +203,15 @@ class TestRefine:
     def test_iterate_mode_reaches_fixed_point(self):
         inst = gen_separation_instance(2, T=40, H=1_200)
         counts = sampled_counts(inst, 12)
-        start = inst.decoding.copy()
-        start[:8] = 1 - start[:8]
-        res = refine(counts, start, 2, 0.5, iterate=True)
-        again = refine(counts, res.labels, 2, 0.5)
-        assert again.changed == 0
+        labels = inst.decoding.copy()
+        labels[:8] = 1 - labels[:8]
+        for _ in range(50):
+            res = refine(counts, labels, 2, 0.5)
+            labels = res.labels
+            if res.changed == 0:
+                break
+        again = refine(counts, labels, 2, 0.5)
+        assert again.changed == 0 and np.array_equal(again.labels, labels)
 
     def test_smoothed_scores_always_finite(self):
         res = refine(counts_of([[0, 0, 0], [1, 1, 1]], S=2), np.array([0, 1]), 2, 0.5)
@@ -218,23 +221,23 @@ class TestRefine:
         inst = gen_separation_instance(1, T=10, H=50)
         res = refine(sampled_counts(inst, 4), inst.decoding, 2, 0.5)
         save_stage2(res, tmp_path / "s2.json", dump_loglik=True)
-        labels, changed, lam = load_stage2(tmp_path / "s2.json")
-        assert np.array_equal(labels, res.labels)
-        assert changed == res.changed and lam == 0.5
+        doc = json.loads((tmp_path / "s2.json").read_text())
+        assert doc["labels"] == (res.labels + 1).tolist()  # 1-based on disk
+        assert doc["changed"] == res.changed and doc["lambda"] == 0.5
         raw = np.fromfile(tmp_path / "s2.json.loglik", dtype="<f8")
-        assert raw.shape[0] == res.loglik.size
+        assert np.array_equal(raw.reshape(res.loglik.shape), res.loglik)
 
 
 class TestOracleClassify:
     def test_single_source_all_one_label(self):
         models = list(gen_separation_instance(2, T=2, H=2).models)
-        inst = single_chain_instance(models[0], T=40, H=300)
+        inst = make_instance([models[0], models[0]], [0.5, 0.5], 40, 300)
         labels = oracle_classify(sampled_counts(inst, 5), models)
         assert (labels == 0).all()
 
     def test_identical_models_tie_to_lowest_index(self):
         m = gen_random_ergodic(3, seed=0, floor=0.05)
-        inst = single_chain_instance(m, T=10, H=50)
+        inst = make_instance([m, m], [0.5, 0.5], 10, 50)
         labels = oracle_classify(sampled_counts(inst, 6), [m, m])
         assert (labels == 0).all()
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,13 @@ from hypothesis import strategies as st
 
 from mmclab import (
     gen_random_ergodic,
-    gen_separation_instance,
     gen_separation_models,
     make_instance,
     sample_trajectories,
     validate_model,
 )
-from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, StateOutOfRange,
-                          StateSpaceMismatch)
+from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
+                          StateOutOfRange, StateSpaceMismatch)
 from mmclab.metrics import eta_params
 from mmclab.simgen import (
     cluster_sizes,
@@ -21,9 +22,8 @@ from mmclab.simgen import (
     TrajectorySet,
     load_trajectories,
     save_trajectories,
-    single_chain_instance,
 )
-from tests.conftest import random_models
+from tests.conftest import gen_separation_instance, random_models
 
 
 class TestClusterSizes:
@@ -108,14 +108,14 @@ class TestSampling:
         eps = 1e-9
         P = np.array([[1 - eps, eps], [1 - eps, eps]])
         m = validate_model(P, [1.0 - eps, eps])
-        inst = single_chain_instance(m, T=50, H=200)
+        inst = make_instance([m, m], [0.5, 0.5], 50, 200)
         trajs = sample_trajectories(inst, 11)
         assert (trajs.states == 0).mean() > 0.999
 
     def test_transition_frequencies_match_kernel(self):
         # law of large numbers at T*H = 1e6: conditional frequencies within 0.01
         m = gen_random_ergodic(4, seed=8, floor=0.05)
-        inst = single_chain_instance(m, T=100, H=10_000)
+        inst = make_instance([m, m], [0.5, 0.5], 100, 10_000)
         trajs = sample_trajectories(inst, 21)
         from mmclab import count_transitions
         pooled = count_transitions(trajs.states, 4).transitions.sum(axis=0).astype(float)
@@ -202,4 +202,13 @@ class TestPersistence:
         save_trajectories(sample_trajectories(inst, 4), path, inst.S)
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DimensionMismatch):
+            load_trajectories(path)
+
+    def test_missing_sidecar_raises_input_error_naming_it(self, tmp_path):
+        inst = gen_separation_instance(1, T=3, H=5)
+        path = tmp_path / "t.traj.bin"
+        save_trajectories(sample_trajectories(inst, 0), path, inst.S)
+        sidecar = tmp_path / "t.traj.bin.json"
+        sidecar.unlink()
+        with pytest.raises(InputError, match=re.escape(str(sidecar))):
             load_trajectories(path)
