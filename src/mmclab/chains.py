@@ -27,6 +27,7 @@ from .errors import (
     RowNotStochastic,
     SingularSystem,
 )
+from .jsondoc import require_keys
 
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -289,6 +290,7 @@ def model_to_json(M: MarkovModel) -> dict:
 
 def model_from_json(doc: dict) -> MarkovModel:
     """Rebuild a model from its JSON document, recomputing derived fields."""
+    require_keys(doc, ("S", "P", "mu"), "model document")
     P = np.asarray(doc["P"], dtype=np.float64)
     mu = np.asarray(doc["mu"], dtype=np.float64)
     if int(doc["S"]) != P.shape[0]:

@@ -23,6 +23,7 @@ import numpy as np
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidSpec, MMCLabError, NumericalError
+from .jsondoc import read_object, require_keys
 from .likelihood import oracle_classify, refine, save_stage2
 from .metrics import (
     divergence_D,
@@ -38,6 +39,8 @@ from .spectral import SpectralConfig, load_stage1, save_stage1, spectral_cluster
 SWEEP_COLUMNS = ["T", "H", "delta", "lambda", "seed", "K_hat", "e_t_stage1",
                  "e_t_stage2", "e_t_oracle", "D", "D_pi", "delta_W_sq",
                  "gamma_ps", "sigma_thres", "R_hat", "wall_time_s"]
+_REPORT_INPUTS = ["T", "H", "delta", "lambda", "e_t_stage1", "e_t_stage2", "e_t_oracle",
+                  "gamma_ps", "D_pi"]
 
 
 def _fmt(x) -> str:
@@ -47,7 +50,7 @@ def _fmt(x) -> str:
 
 
 def _models_from_spec(spec: dict) -> tuple:
-    kind = spec.get("type")
+    kind = require_keys(spec, (), "instance spec").get("type")
     if kind == "separation":
         if "S_prime" not in spec:
             raise InvalidSpec("separation spec needs field 'S_prime'")
@@ -89,10 +92,8 @@ def _resolve_gamma(gamma, instance) -> float:
 # --- subcommand implementations -------------------------------------------
 
 def cmd_generate(args) -> int:
-    spec = json.loads(Path(args.spec).read_text()) if Path(args.spec).exists() \
-        else json.loads(args.spec)
-    if not isinstance(spec, dict):
-        raise InvalidSpec("generator spec must be a JSON object")
+    spec = read_object(args.spec) if Path(args.spec).exists() \
+        else require_keys(json.loads(args.spec), (), "generator spec")
     T = int(spec.get("T", args.T or 0))
     H = int(spec.get("H", args.H or 0))
     if T < 2 or H < 2:
@@ -143,7 +144,7 @@ def cmd_evaluate(args) -> int:
     instance = simgen.load_instance(args.instance)
     results = {}
     for path in args.labels:
-        doc = json.loads(Path(path).read_text())
+        doc = read_object(path, ("labels",))
         labels = np.asarray(doc["labels"], dtype=np.int64) - 1
         results[path] = misclassification(labels, instance.decoding)
     for path, e in results.items():
@@ -236,7 +237,7 @@ def run_sweep(cfg: dict, jobs: int = 1) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = read_object(args.config)
     text = run_sweep(cfg, jobs=args.jobs)
     out = Path(args.out) / (args.name + ".sweep.csv")
     out.write_text(text)
@@ -249,6 +250,9 @@ def cmd_report(args) -> int:
     for path in args.csv:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            missing = [c for c in _REPORT_INPUTS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise InvalidSpec(f"{path} lacks sweep column(s) {missing}")
             rows.extend(reader)
     if not rows:
         raise InvalidSpec("no rows found in the given CSV files")
@@ -367,7 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (InputError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -26,6 +26,7 @@ from .errors import (
     StateOutOfRange,
     StateSpaceMismatch,
 )
+from .jsondoc import read_object
 
 __all__ = [
     "MixtureInstance",
@@ -255,7 +256,7 @@ def save_instance(instance: MixtureInstance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> MixtureInstance:
-    return instance_from_json(json.loads(Path(path).read_text()))
+    return instance_from_json(read_object(path, ("models", "decoding", "T", "H")))
 
 
 def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int) -> None:
@@ -293,7 +294,7 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
     states = np.frombuffer(payload, dtype="<u2").reshape(T, H)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text())
+        sidecar = read_object(sidecar_path, ("seed", "instance_id"))
     except FileNotFoundError as exc:
         raise InputError(f"{sidecar_path} is missing: it holds the seed and index base "
                          f"of {path}") from exc

@@ -1,10 +1,12 @@
-"""Adaptive SVD clustering of the empirical data matrix, without knowing K.
+"""Adaptive spectral clustering of the empirical data matrix, without knowing K.
 
-The stage thresholds the singular spectrum to pick a working rank, builds the
-spectral representation X = U_{1:R} Sigma_{1:R}, and greedily peels maximal
-neighborhoods of squared radius sigma_thres^2 until a carve falls below the
-size guard c_rho * R * T / log(TH/delta). Leftover trajectories attach to the
-nearest carved center.
+The stage takes the singular spectrum of the T x S^2 data matrix from the
+eigendecomposition of its smaller Gram matrix (S^2 x S^2, or T x T when
+T < S^2), thresholds it to pick a working rank, builds the spectral
+representation X = U_{1:R} Sigma_{1:R} (up to the sign of each column), and
+greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
+carve falls below the size guard c_rho * R * T / log(TH/delta). Leftover
+trajectories attach to the nearest carved center.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ import numpy as np
 
 from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
+from .jsondoc import read_object
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
            "spectral_cluster", "save_stage1", "load_stage1"]
+
+_STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma_thres",
+                "forced_first_cluster")
+_ROW_BLOCK = 256  # rows of the neighbour matrix filled per pass, so its float work stays O(T)
 
 
 @dataclass(frozen=True)
@@ -100,20 +107,29 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         raise EmptyInput("empty data matrix")
     S, H = W_hat.S, W_hat.H
 
+    A = W_hat.values
+    gram_of_columns = T >= A.shape[1]
     try:
-        U, sv = np.linalg.svd(W_hat.values, full_matrices=False)[:2]
+        evals, V = np.linalg.eigh(A.T @ A if gram_of_columns else A @ A.T)
     except np.linalg.LinAlgError as exc:
-        raise SvdFailure("SVD of the data matrix did not converge") from exc
+        raise SvdFailure("eigendecomposition of the Gram matrix did not converge") from exc
+    V = V[:, ::-1]  # eigh sorts ascending; the spectrum is read descending
+    sv = np.sqrt(np.clip(evals[::-1], 0.0, None))
 
     sigma_thres = sigma_threshold(T, S, H, cfg)
     R_hat = max(1, estimate_rank(sv, sigma_thres))
-    X = U[:, :R_hat] * sv[:R_hat]
-    del U  # the peel needs only X; free the T x min(T, S^2) factor before the T x T work
+    # U Sigma up to the sign of each column, which no distance below sees
+    X = A @ V[:, :R_hat] if gram_of_columns else V[:, :R_hat] * sv[:R_hat]
+    del V  # free the eigenvectors before the T x T work
 
     sq_norms = (X ** 2).sum(axis=1)
-    # Q_t as rows; no clip at 0 is needed, since sigma_thres^2 >= 0 already
-    # admits every negative rounding of a squared distance
-    neighbors = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T) <= sigma_thres * sigma_thres
+    r2 = sigma_thres * sigma_thres
+    # Q_t as rows, one block at a time; no clip at 0 is needed, since
+    # sigma_thres^2 >= 0 already admits every negative rounding of a squared distance
+    neighbors = np.empty((T, T), dtype=bool)
+    for lo in range(0, T, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        neighbors[rows] = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T) <= r2
     np.fill_diagonal(neighbors, True)
 
     guard = cfg.c_rho * R_hat * T / _log_term(T, H, cfg.delta)
@@ -162,7 +178,7 @@ def save_stage1(res: Stage1Result, path: str | Path) -> None:
 
 
 def load_stage1(path: str | Path) -> Stage1Result:
-    doc = json.loads(Path(path).read_text())
+    doc = read_object(path, _STAGE1_KEYS)
     return Stage1Result(
         K_hat=int(doc["K_hat"]),
         labels=np.asarray(doc["labels"], dtype=np.int64) - 1,

@@ -56,6 +56,13 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "K" in err and "floor" in err
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_non_object_spec_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "spec.json"
+        path.write_text("[1]")
+        assert main([command, str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} must hold a JSON object, not list" in capsys.readouterr().err
+
     def test_unknown_type(self, tmp_path):
         rc = main(["generate", json.dumps({"type": "nope", "T": 10, "H": 10}),
                    "--out", str(tmp_path)])
@@ -70,6 +77,12 @@ class TestGenerate:
         assert main(["generate", spec, "--out", str(tmp_path)]) == 2
         assert "has non-finite entries" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
+
+    def test_inline_model_missing_field_exits_2(self, tmp_path, capsys):
+        spec = json.dumps({"type": "inline", "models": [{"S": 2, "P": [[1.0]]}],
+                           "T": 10, "H": 10})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 2
+        assert "model document lacks key(s) ['mu']" in capsys.readouterr().err
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(_):
@@ -160,6 +173,28 @@ class TestPipeline:
         assert f"{path}.json is missing" in capsys.readouterr().err
         assert not (tmp_path / "cluster.stage1.json").exists()
 
+    @pytest.mark.parametrize("text", ["[1]", "{}"], ids=["list", "empty"])
+    @pytest.mark.parametrize("kind", ["sidecar", "stage1", "instance", "labels"])
+    def test_malformed_json_document_exits_2(self, tmp_path, instance_file, capsys,
+                                             kind, text):
+        main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
+        traj = tmp_path / "sample.traj.bin"
+        assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
+        stage1, out = tmp_path / "cluster.stage1.json", str(tmp_path)
+        bad, argv = {
+            "sidecar": (Path(f"{traj}.json"),
+                        ["cluster", str(traj), "--gamma", "1.0", "--out", out, "--name", "x"]),
+            "stage1": (stage1, ["refine", str(traj), str(stage1), "--out", out]),
+            "instance": (instance_file, ["gaps", str(instance_file), "--out", out]),
+            "labels": (stage1, ["evaluate", "--instance", str(instance_file), str(stage1)]),
+        }[kind]
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert ("must hold a JSON object" if text == "[1]" else "lacks key(s)") in err
+
     def test_truncated_trajectory_file_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
         path = tmp_path / "sample.traj.bin"
@@ -241,6 +276,22 @@ class TestSweep:
         row = dict(zip(SWEEP_COLUMNS, text.strip().splitlines()[1].split(",")))
         assert float(row["gamma_ps"]) == 0.3
 
+    def test_eigensolver_failure_in_stage1_exits_3(self, tmp_path, capsys, monkeypatch):
+        spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
+        main(["generate", spec, "--out", str(tmp_path)])
+        main(["sample", str(tmp_path / "instance.instance.json"), "--seed", "1",
+              "--out", str(tmp_path)])
+
+        def boom(_):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        capsys.readouterr()
+        assert main(["cluster", str(tmp_path / "sample.traj.bin"), "--gamma", "1.0",
+                     "--out", str(tmp_path)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "cluster.stage1.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import mmclab.cli as cli_mod
         from mmclab.errors import SvdFailure
@@ -293,6 +344,13 @@ class TestSweep:
         src = dict(zip(SWEEP_COLUMNS, text.strip().splitlines()[1].split(",")))
         assert float(row["mean_err_stage2"]) == pytest.approx(
             int(src["e_t_stage2"]) / int(src["T"]))
+
+    def test_report_input_without_sweep_columns_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("T,H\n10,20\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "e_t_stage1" in err
 
     def test_empty_report_input(self, tmp_path):
         empty = tmp_path / "empty.csv"

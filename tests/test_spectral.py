@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mmclab import (
     delta_W_sq,
     empirical_matrix,
     estimate_rank,
+    gen_random_ergodic,
     make_instance,
     misclassification,
     sample_trajectories,
@@ -17,9 +20,70 @@ from mmclab import (
     SpectralConfig,
 )
 from mmclab.embedding import DataMatrix, embed_model
-from mmclab.errors import EmptyInput, NonpositiveLogArgument
-from mmclab.spectral import save_stage1, load_stage1
+from mmclab.errors import EmptyInput, NonpositiveLogArgument, SvdFailure
+from mmclab.spectral import Stage1Result, save_stage1, load_stage1
 from tests.conftest import gen_separation_instance, random_models
+
+
+def reference_spectral_cluster(W_hat, cfg):
+    """Stage 1 from a full SVD of W-hat and a dense T x T neighbour matrix.
+
+    Same threshold, rank, peel, tie rules and leftover assignment as
+    ``spectral_cluster``; only the route to the spectrum and to X = U Sigma
+    differs, so the two must agree on every output.
+    """
+    T, S, H = W_hat.T, W_hat.S, W_hat.H
+    U, sv = np.linalg.svd(W_hat.values, full_matrices=False)[:2]
+    sigma_thres = sigma_threshold(T, S, H, cfg)
+    R_hat = max(1, estimate_rank(sv, sigma_thres))
+    X = U[:, :R_hat] * sv[:R_hat]
+    sq_norms = (X ** 2).sum(axis=1)
+    neighbors = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T) <= sigma_thres * sigma_thres
+    np.fill_diagonal(neighbors, True)
+
+    guard = cfg.c_rho * R_hat * T / (math.log(T) + math.log(H) - math.log(cfg.delta))
+    assigned = np.zeros(T, dtype=bool)
+    labels = np.full(T, -1, dtype=np.int64)
+    centers = []
+    forced = False
+    while not assigned.all():
+        gains = (neighbors & ~assigned[None, :]).sum(axis=1)
+        gains[assigned] = -1
+        t_star = int(np.argmax(gains))
+        carve = neighbors[t_star] & ~assigned
+        if gains[t_star] < guard:
+            if not centers:
+                forced = True
+            else:
+                break
+        labels[carve] = len(centers)
+        centers.append(t_star)
+        assigned |= carve
+        if forced:
+            break
+
+    center_arr = np.asarray(centers, dtype=np.int64)
+    leftover = np.flatnonzero(labels < 0)
+    if leftover.size:
+        d = np.sqrt(((X[leftover, None, :] - X[center_arr][None, :, :]) ** 2).sum(axis=2))
+        labels[leftover] = np.argmin(d, axis=1)
+    return Stage1Result(K_hat=len(centers), labels=labels, centers=center_arr,
+                        R_hat=R_hat, singular_values=sv, sigma_thres=sigma_thres,
+                        forced_first_cluster=forced)
+
+
+@functools.lru_cache(maxsize=None)
+def equivalence_case(kind, T):
+    """(W-hat, gamma_ps) of the separation instance (S'=2, H=2000) or of the
+    random S=40, K=8, H=1000 instance of the `wide` benchmark shape, seed 0."""
+    if kind == "separation":
+        inst = gen_separation_instance(2, T=T, H=2_000)
+    else:
+        models = [gen_random_ergodic(40, 7919 * k, 0.005) for k in range(8)]
+        inst = make_instance(models, np.full(8, 1 / 8), T, 1_000)
+    states = sample_trajectories(inst, 0).states
+    gamma = min(m.gamma_ps for m in inst.models)
+    return empirical_matrix(count_transitions(states, inst.S)), gamma
 
 
 def truth_matrix(models, decoding, H):
@@ -142,6 +206,70 @@ class TestSpectralCluster:
         assert len(set(res.centers.tolist())) == res.K_hat
         for k, c in enumerate(res.centers):
             assert res.labels[c] == k
+
+    @pytest.mark.parametrize("hub", [0, 255, 256, 599])
+    def test_every_row_block_is_filled(self, hub):
+        # rank-1 points at +-0.9 sigma_thres and one hub at 0: only the hub's
+        # neighbourhood holds every trajectory, so it must be the one center
+        T, H, delta = 600, 100, 0.1
+        base = math.sqrt(T * 2 / H * math.log(T * H / delta))
+        cfg = SpectralConfig(delta=delta, gamma_ps=1.0, c_sigma=1.0 / base, c_rho=1e-9)
+        x = np.where(np.arange(T) % 2 == 0, 0.9, -0.9) * sigma_threshold(T, 2, H, cfg)
+        x[hub] = 0.0
+        values = np.zeros((T, 4))
+        values[:, 0] = x
+        res = spectral_cluster(DataMatrix(values=values, S=2, H=H), cfg)
+        assert res.K_hat == 1 and res.centers.tolist() == [hub]
+
+    def test_no_T_by_T_float_matrix(self):
+        T = 3_000
+        rng = np.random.default_rng(0)
+        W = DataMatrix(values=rng.random((T, 4)), S=2, H=100)
+        cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.05, c_rho=1e-9)
+        tracemalloc.start()
+        try:
+            spectral_cluster(W, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * T * 8
+
+    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        W = DataMatrix(values=np.eye(4), S=2, H=10)
+        with pytest.raises(SvdFailure, match="did not converge"):
+            spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
+
+    @pytest.mark.parametrize("kind, T, c_sigma, c_rho", [
+        ("separation", 20, 0.15, 2.0),
+        ("separation", 200, 0.15, 2.0),
+        ("separation", 2_000, 0.15, 2.0),
+        ("separation", 200, 8.0, 32.0),
+        ("random", 500, 0.15, 0.2),
+        ("random", 500, 0.02, 0.2),
+        ("random", 2_000, 0.15, 0.2),
+        ("random", 2_000, 0.02, 0.2),
+    ])
+    def test_gram_route_matches_svd_reference(self, kind, T, c_sigma, c_rho):
+        # T = 500 < S^2 = 1600 takes the T x T Gram matrix, every other case
+        # the S^2 x S^2 one; separation at T = 2000 collapses to K_hat = 1, and
+        # the analysis constants force the first carve
+        W_hat, gamma = equivalence_case(kind, T)
+        cfg = SpectralConfig(delta=0.1, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
+        res, ref = spectral_cluster(W_hat, cfg), reference_spectral_cluster(W_hat, cfg)
+        assert (res.K_hat, res.R_hat, res.forced_first_cluster) == \
+            (ref.K_hat, ref.R_hat, ref.forced_first_cluster)
+        assert np.array_equal(res.labels, ref.labels)
+        assert np.array_equal(res.centers, ref.centers)
+        assert res.sigma_thres == ref.sigma_thres
+        sv, ref_sv = res.singular_values, ref.singular_values
+        assert sv.shape == ref_sv.shape
+        assert np.abs(sv - ref_sv).max() <= 1e-12 * ref_sv[0]
+        top = slice(0, ref.R_hat + 1)
+        np.testing.assert_allclose(sv[top], ref_sv[top], rtol=1e-10, atol=0)
 
     def test_stage1_json_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=20, H=300)
