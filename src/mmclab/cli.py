@@ -190,12 +190,12 @@ def _sweep_point(payload: tuple) -> tuple:
                                shuffle_seed=int(cfg.get("shuffle_seed", 0)))
     gamma = _resolve_gamma(cfg.get("gamma"), instance)
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
-    # bind W-hat alone: the truth matrix W is not needed past this line
-    W_hat = build_matrices(instance, counts)[1]
     spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma,
                               c_sigma=float(cfg.get("c_sigma", SpectralConfig.c_sigma)),
                               c_rho=float(cfg.get("c_rho", SpectralConfig.c_rho)))
-    stage1 = spectral_cluster(W_hat, spec_cfg)
+    # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine
+    # and the oracle convert the counts; the truth matrix W is not needed at all
+    stage1 = spectral_cluster(build_matrices(instance, counts)[1], spec_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models,
                              use_initial=bool(cfg.get("use_initial", False)))
@@ -253,7 +253,11 @@ def cmd_report(args) -> int:
             missing = [c for c in _REPORT_INPUTS if c not in (reader.fieldnames or ())]
             if missing:
                 raise InvalidSpec(f"{path} lacks sweep column(s) {missing}")
-            rows.extend(reader)
+            for n, row in enumerate(reader, start=1):
+                # DictReader fills the fields of a short row with None
+                if any(row[c] is None for c in _REPORT_INPUTS):
+                    raise InvalidSpec(f"{path} row {n} has fewer fields than its header")
+                rows.append(row)
     if not rows:
         raise InvalidSpec("no rows found in the given CSV files")
     groups: dict[tuple, list[dict]] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import MarkovModel
-from .errors import DimensionMismatch, StateOutOfRange
+from .errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from .simgen import MixtureInstance
 
 __all__ = [
@@ -25,6 +25,8 @@ __all__ = [
     "build_matrices",
 ]
 
+_TRAJ_BLOCK = 256  # trajectories counted per pass, so the int64 flat index stays O(H)
+
 
 @dataclass(frozen=True)
 class Counts:
@@ -32,11 +34,12 @@ class Counts:
 
     ``visits`` counts occupations over h in [H]; ``transitions`` counts pairs
     (s_h, s_{h+1}) over h in [H-1], so each trajectory's block sums to H-1.
+    Counts are int32: none exceeds H, which ``count_transitions`` bounds.
     """
 
     first: np.ndarray        # (T,) int64 initial states
-    visits: np.ndarray       # (T, S) int64
-    transitions: np.ndarray  # (T, S, S) int64
+    visits: np.ndarray       # (T, S) int32
+    transitions: np.ndarray  # (T, S, S) int32
     H: int
 
     def __post_init__(self):
@@ -73,17 +76,24 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] < 2:
         raise DimensionMismatch("states must be a (T, H) array with H >= 2")
+    T, H = states.shape
+    # a constant trajectory visits one state H times, so H itself must fit in int32
+    if H > np.iinfo(np.int32).max:
+        raise InvalidRange(f"H = {H} exceeds the int32 count range")
     if states.size and (states.min() < 0 or states.max() >= S):
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
-    T, H = states.shape
-    # flat index (t, s, s') of every transition, built in place in one int64 buffer
-    flat = states[:, :-1].astype(np.int64)
-    flat += np.arange(T, dtype=np.int64)[:, None] * S
-    flat *= S
-    flat += states[:, 1:]
-    transitions = np.bincount(flat.ravel(), minlength=T * S * S).reshape(T, S, S)
+    transitions = np.empty((T, S, S), dtype=np.int32)
+    for lo in range(0, T, _TRAJ_BLOCK):
+        block = states[lo:lo + _TRAJ_BLOCK]
+        n = block.shape[0]
+        # flat index (t, s, s') of every transition, built in place in one int64 buffer
+        flat = block[:, :-1].astype(np.int64)
+        flat += np.arange(n, dtype=np.int64)[:, None] * S
+        flat *= S
+        flat += block[:, 1:]
+        transitions[lo:lo + n] = np.bincount(flat.ravel(), minlength=n * S * S).reshape(n, S, S)
     # every visit but the last is the source of one transition
-    visits = transitions.sum(axis=2)
+    visits = transitions.sum(axis=2, dtype=np.int32)
     visits[np.arange(T), states[:, -1]] += 1
     return Counts(first=states[:, 0].astype(np.int64), visits=visits,
                   transitions=transitions, H=H)

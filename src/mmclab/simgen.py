@@ -176,10 +176,12 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
     cdf_flat = P_cdf.reshape(-1, S)  # row f*S + s is the CDF of p^{(f)}(.|s)
     base = f * S
     cur = states[:, 0]
+    U = np.empty((T, min(chunk, H - 1)))  # one buffer of uniforms, refilled per chunk
     h = 1
     while h < H:
         width = min(chunk, H - h)
-        U = np.stack([g.random(width) for g in gens])
+        for t, g in enumerate(gens):
+            g.random(out=U[t, :width])
         for j in range(width):
             cur = (U[:, j, None] > cdf_flat[base + cur]).sum(axis=1)
             states[:, h + j] = cur

@@ -1,10 +1,10 @@
 """Adaptive spectral clustering of the empirical data matrix, without knowing K.
 
 The stage takes the singular spectrum of the T x S^2 data matrix from the
-eigendecomposition of its smaller Gram matrix (S^2 x S^2, or T x T when
-T < S^2), thresholds it to pick a working rank, builds the spectral
-representation X = U_{1:R} Sigma_{1:R} (up to the sign of each column), and
-greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
+eigenvalues of its smaller Gram matrix (S^2 x S^2, or T x T when T < S^2),
+thresholds it to pick a working rank R, builds the spectral representation
+X = U_{1:R} Sigma_{1:R} (up to the sign of each column) from the top R
+eigenvectors alone, and greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
 carve falls below the size guard c_rho * R * T / log(TH/delta). Leftover
 trajectories attach to the nearest carved center.
 """
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
@@ -27,7 +28,8 @@ __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
 
 _STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma_thres",
                 "forced_first_cluster")
-_ROW_BLOCK = 256  # rows of the neighbour matrix filled per pass, so its float work stays O(T)
+_ROW_BLOCK = 256  # rows of the neighbour matrix filled or counted per pass, so that work stays O(T)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,18 @@ def estimate_rank(singular_values: np.ndarray, thresh: float) -> int:
     return int((sv >= thresh).sum())
 
 
+def _unassigned_gains(neighbors: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """|Q_t minus the assigned set| for every unassigned t, and -1 for assigned
+    t (centers come from the unassigned pool), counted one row block at a time."""
+    free = np.packbits(~assigned)  # pad bits stay 0, like the neighbour rows'
+    gains = np.full(assigned.shape[0], -1, dtype=np.int64)
+    candidates = np.flatnonzero(~assigned)
+    for lo in range(0, candidates.size, _ROW_BLOCK):
+        rows = candidates[lo:lo + _ROW_BLOCK]
+        gains[rows] = _POPCOUNT[neighbors[rows] & free].sum(axis=1)
+    return gains
+
+
 def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     """Run the full stage on a T x S^2 data matrix.
 
@@ -109,28 +123,34 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
 
     A = W_hat.values
     gram_of_columns = T >= A.shape[1]
+    G = A.T @ A if gram_of_columns else A @ A.T
+    n = G.shape[0]
+    sigma_thres = sigma_threshold(T, S, H, cfg)
     try:
-        evals, V = np.linalg.eigh(A.T @ A if gram_of_columns else A @ A.T)
+        evals = np.linalg.eigvalsh(G)
+        sv = np.sqrt(np.clip(evals[::-1], 0.0, None))  # descending
+        R_hat = max(1, estimate_rank(sv, sigma_thres))
+        # only the eigenvectors X needs: the top R_hat, which come ascending
+        V = scipy.linalg.eigh(G, subset_by_index=[n - R_hat, n - 1])[1]
     except np.linalg.LinAlgError as exc:
         raise SvdFailure("eigendecomposition of the Gram matrix did not converge") from exc
-    V = V[:, ::-1]  # eigh sorts ascending; the spectrum is read descending
-    sv = np.sqrt(np.clip(evals[::-1], 0.0, None))
-
-    sigma_thres = sigma_threshold(T, S, H, cfg)
-    R_hat = max(1, estimate_rank(sv, sigma_thres))
+    del G
+    V = V[:, ::-1]  # descending like the spectrum; column order sets the distances' rounding
     # U Sigma up to the sign of each column, which no distance below sees
-    X = A @ V[:, :R_hat] if gram_of_columns else V[:, :R_hat] * sv[:R_hat]
-    del V  # free the eigenvectors before the T x T work
+    X = A @ V if gram_of_columns else V * sv[:R_hat]
 
     sq_norms = (X ** 2).sum(axis=1)
     r2 = sigma_thres * sigma_thres
-    # Q_t as rows, one block at a time; no clip at 0 is needed, since
-    # sigma_thres^2 >= 0 already admits every negative rounding of a squared distance
-    neighbors = np.empty((T, T), dtype=bool)
+    # Q_t as bit-packed rows (bit j of row t is set when j is in Q_t), one block
+    # at a time; no clip at 0 is needed, since sigma_thres^2 >= 0 already
+    # admits every negative rounding of a squared distance
+    neighbors = np.empty((T, (T + 7) // 8), dtype=np.uint8)
     for lo in range(0, T, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        neighbors[rows] = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T) <= r2
-    np.fill_diagonal(neighbors, True)
+        block = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T) <= r2
+        own = np.arange(block.shape[0])
+        block[own, lo + own] = True
+        neighbors[rows] = np.packbits(block, axis=1)
 
     guard = cfg.c_rho * R_hat * T / _log_term(T, H, cfg.delta)
     assigned = np.zeros(T, dtype=bool)
@@ -138,10 +158,9 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     centers: list[int] = []
     forced = False
     while not assigned.all():
-        gains = (neighbors & ~assigned[None, :]).sum(axis=1)
-        gains[assigned] = -1  # centers come from the unassigned pool
+        gains = _unassigned_gains(neighbors, assigned)
         t_star = int(np.argmax(gains))
-        carve = neighbors[t_star] & ~assigned
+        carve = np.unpackbits(neighbors[t_star], count=T).view(bool) & ~assigned
         if gains[t_star] < guard:
             if not centers:
                 forced = True  # keep the first carve so a clustering always exists

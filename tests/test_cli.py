@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmclab import predicted_error_rate
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
@@ -276,16 +277,19 @@ class TestSweep:
         row = dict(zip(SWEEP_COLUMNS, text.strip().splitlines()[1].split(",")))
         assert float(row["gamma_ps"]) == 0.3
 
-    def test_eigensolver_failure_in_stage1_exits_3(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("module, name", [(np.linalg, "eigvalsh"), (scipy.linalg, "eigh")],
+                             ids=["eigvalsh", "scipy-eigh"])
+    def test_eigensolver_failure_in_stage1_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                   module, name):
         spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
         main(["generate", spec, "--out", str(tmp_path)])
         main(["sample", str(tmp_path / "instance.instance.json"), "--seed", "1",
               "--out", str(tmp_path)])
 
-        def boom(_):
+        def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(np.linalg, "eigh", boom)
+        monkeypatch.setattr(module, name, boom)
         capsys.readouterr()
         assert main(["cluster", str(tmp_path / "sample.traj.bin"), "--gamma", "1.0",
                      "--out", str(tmp_path)]) == 3
@@ -351,6 +355,13 @@ class TestSweep:
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "e_t_stage1" in err
+
+    def test_report_row_shorter_than_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short_row.csv"
+        path.write_text(",".join(SWEEP_COLUMNS) + "\n10,20\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "row 1" in err
 
     def test_empty_report_input(self, tmp_path):
         empty = tmp_path / "empty.csv"

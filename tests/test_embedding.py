@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab.errors import DimensionMismatch, StateOutOfRange
+from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from tests.conftest import (
     gen_separation_instance,
     random_models,
@@ -84,10 +86,42 @@ class TestCountStats:
         with pytest.raises(DimensionMismatch):
             count_transitions(np.zeros(shape, dtype=np.int32), 2)
 
-    def test_counts_are_read_only_int64(self):
+    def test_counts_are_read_only_int32(self):
         cs = count_transitions(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int32), 2)
+        assert cs.visits.dtype == cs.transitions.dtype == np.int32
         for arr in (cs.first, cs.visits, cs.transitions):
-            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert not arr.flags.writeable
+
+    def test_horizon_beyond_int32_counts_rejected(self):
+        # a zero-stride view: 2^31 + 1 states without allocating them; they are
+        # out of range too, so a range scan run before the guard would raise
+        # StateOutOfRange (after reading every one)
+        states = np.broadcast_to(np.int32(2), (1, 2**31 + 1))
+        with pytest.raises(InvalidRange):
+            count_transitions(states, 2)
+
+    @pytest.mark.parametrize("T", [255, 256, 257, 513])
+    def test_block_edges_match_reference(self, T):
+        # trajectories are counted 256 at a time; these T end a block exactly,
+        # one short of it or one past it
+        S, H = 5, 30
+        states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
+        cs = count_transitions(states, S)
+        for t in range(T):
+            visits, transitions = reference_counts(states[t], S)
+            assert np.array_equal(cs.visits[t], visits)
+            assert np.array_equal(cs.transitions[t], transitions)
+
+    def test_no_whole_int64_flat_index(self):
+        T, H, S = 2_000, 500, 10
+        states = np.random.default_rng(0).integers(0, S, size=(T, H)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            count_transitions(states, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * (H - 1) * 8
 
     @given(state_arrays())
     @settings(max_examples=100, deadline=None)

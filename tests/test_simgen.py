@@ -86,9 +86,13 @@ class TestSampling:
         assert np.array_equal(a.states, b.states)
         assert a.instance_id == b.instance_id
 
-    def test_chunking_does_not_change_streams(self):
-        inst = gen_separation_instance(1, T=6, H=101)
-        a = sample_trajectories(inst, seed=5, chunk=7)
+    @given(chunk=st.integers(1, 120), H=st.integers(2, 101))
+    @settings(max_examples=30, deadline=None)
+    def test_chunking_does_not_change_streams(self, chunk, H):
+        # chunks at, below and past H - 1, so the uniform buffer's last fill is
+        # partial, exact or the only one
+        inst = gen_separation_instance(1, T=6, H=H)
+        a = sample_trajectories(inst, seed=5, chunk=chunk)
         b = sample_trajectories(inst, seed=5, chunk=2048)
         assert np.array_equal(a.states, b.states)
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmclab import (
     build_matrices,
@@ -74,8 +75,13 @@ def reference_spectral_cluster(W_hat, cfg):
 
 @functools.lru_cache(maxsize=None)
 def equivalence_case(kind, T):
-    """(W-hat, gamma_ps) of the separation instance (S'=2, H=2000) or of the
-    random S=40, K=8, H=1000 instance of the `wide` benchmark shape, seed 0."""
+    """(W-hat, gamma_ps) of the separation instance (S'=2, H=2000), of the
+    random S=40, K=8, H=1000 instance of the `wide` benchmark shape, seed 0,
+    or of T uniform points in the unit square (S=2, H=100)."""
+    if kind == "square":
+        values = np.zeros((T, 4))
+        values[:, :2] = np.random.default_rng(0).random((T, 2))
+        return DataMatrix(values=values, S=2, H=100), 1.0
     if kind == "separation":
         inst = gen_separation_instance(2, T=T, H=2_000)
     else:
@@ -207,11 +213,14 @@ class TestSpectralCluster:
         for k, c in enumerate(res.centers):
             assert res.labels[c] == k
 
-    @pytest.mark.parametrize("hub", [0, 255, 256, 599])
-    def test_every_row_block_is_filled(self, hub):
+    @pytest.mark.parametrize("T, hub", [(600, 0), (600, 255), (600, 256), (600, 599),
+                                        (601, 600)],
+                             ids=["0", "255", "256", "599", "T601-600"])
+    def test_every_row_block_is_filled(self, T, hub):
         # rank-1 points at +-0.9 sigma_thres and one hub at 0: only the hub's
-        # neighbourhood holds every trajectory, so it must be the one center
-        T, H, delta = 600, 100, 0.1
+        # neighbourhood holds every trajectory, so it must be the one center;
+        # T = 601 leaves 7 pad bits in each packed neighbour row
+        H, delta = 100, 0.1
         base = math.sqrt(T * 2 / H * math.log(T * H / delta))
         cfg = SpectralConfig(delta=delta, gamma_ps=1.0, c_sigma=1.0 / base, c_rho=1e-9)
         x = np.where(np.arange(T) % 2 == 0, 0.9, -0.9) * sigma_threshold(T, 2, H, cfg)
@@ -221,24 +230,36 @@ class TestSpectralCluster:
         res = spectral_cluster(DataMatrix(values=values, S=2, H=H), cfg)
         assert res.K_hat == 1 and res.centers.tolist() == [hub]
 
-    def test_no_T_by_T_float_matrix(self):
-        T = 3_000
+    @staticmethod
+    def traced_peak(T):
+        """tracemalloc peak of stage 1 on T uniform random rows in S^2 = 4 columns."""
         rng = np.random.default_rng(0)
         W = DataMatrix(values=rng.random((T, 4)), S=2, H=100)
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.05, c_rho=1e-9)
         tracemalloc.start()
         try:
             spectral_cluster(W, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < T * T * 8
 
-    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch):
-        def boom(_):
+    def test_no_T_by_T_float_matrix(self):
+        T = 3_000
+        assert self.traced_peak(T) < T * T * 8
+
+    def test_no_T_by_T_boolean_matrix(self):
+        # the neighbour matrix is bit-packed (T^2 / 8 bytes) and the per-carve
+        # gains are counted in row blocks, so not even one T x T bool array exists
+        T = 12_000
+        assert self.traced_peak(T) < T * T
+
+    @pytest.mark.parametrize("module, name", [(np.linalg, "eigvalsh"), (scipy.linalg, "eigh")],
+                             ids=["eigvalsh", "scipy-eigh"])
+    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name):
+        def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(np.linalg, "eigh", boom)
+        monkeypatch.setattr(module, name, boom)
         W = DataMatrix(values=np.eye(4), S=2, H=10)
         with pytest.raises(SvdFailure, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
@@ -252,11 +273,14 @@ class TestSpectralCluster:
         ("random", 500, 0.02, 0.2),
         ("random", 2_000, 0.15, 0.2),
         ("random", 2_000, 0.02, 0.2),
+        ("square", 601, 0.008, 1e-9),
     ])
     def test_gram_route_matches_svd_reference(self, kind, T, c_sigma, c_rho):
         # T = 500 < S^2 = 1600 takes the T x T Gram matrix, every other case
         # the S^2 x S^2 one; separation at T = 2000 collapses to K_hat = 1, and
-        # the analysis constants force the first carve
+        # the analysis constants force the first carve; the square's radius of
+        # about 0.1 and near-zero guard make dozens of carves, each of which
+        # must count only unassigned neighbours
         W_hat, gamma = equivalence_case(kind, T)
         cfg = SpectralConfig(delta=0.1, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
         res, ref = spectral_cluster(W_hat, cfg), reference_spectral_cluster(W_hat, cfg)
