@@ -123,6 +123,7 @@ def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatri
     if counts.T != instance.T or counts.H != instance.H or counts.S != instance.S:
         raise DimensionMismatch("trajectory counts do not match the instance shape")
     model_rows = np.stack([embed_model(m) for m in instance.models])
-    W = DataMatrix(values=model_rows[instance.decoding].copy(), S=instance.S, H=instance.H)
+    # fancy indexing already returns a new array, so W owns its rows
+    W = DataMatrix(values=model_rows[instance.decoding], S=instance.S, H=instance.H)
     return W, empirical_matrix(counts)
 

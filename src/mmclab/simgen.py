@@ -160,6 +160,15 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
     The walk is vectorized across trajectories (inverse-CDF steps on
     per-trajectory uniforms), which leaves the per-trajectory streams intact:
     trajectory t consumes exactly H uniforms from its own stream.
+
+    Each step finds the count of CDF entries strictly below u by a branchless
+    bisection (Devroye 1986, section III.2). The K*S CDF rows are padded with
+    2.0, above every uniform, to a power-of-two width P, and laid end to end;
+    a trajectory's pointer starts at its row and adds step = P/2, ..., 1
+    wherever u exceeds the entry step - 1 past it. The predicate u > cdf_k
+    holds on a prefix of the row (a cumsum of nonnegatives never decreases,
+    and the forced final 1.0 follows only entries that u < 1 cannot exceed),
+    so the pointer's offset in its row is that count, the next state.
     """
     T, H, S = instance.T, instance.H, instance.S
     f = instance.decoding
@@ -173,18 +182,29 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
     states = np.empty((T, H), dtype=np.int32)
     u0 = np.array([g.random() for g in gens])
     states[:, 0] = (u0[:, None] > mu_cdf[f]).sum(axis=1)
-    cdf_flat = P_cdf.reshape(-1, S)  # row f*S + s is the CDF of p^{(f)}(.|s)
-    base = f * S
-    cur = states[:, 0]
-    U = np.empty((T, min(chunk, H - 1)))  # one buffer of uniforms, refilled per chunk
+    row_len = 1 << (S - 1).bit_length()  # P, the padded row width
+    offset = row_len - 1  # mask of a pointer's offset in its row, i.e. its state
+    rows = np.full((instance.K * S, row_len), 2.0)
+    rows[:, :S] = P_cdf.reshape(-1, S)  # row f*S + s is the CDF of p^{(f)}(.|s)
+    flat = rows.ravel()
+    # pointer (f*S + s_prev)*P + s sits on state s; its next row starts at (f*S + s)*P
+    ptrs = np.arange(flat.size)
+    next_row = (ptrs // (row_len * S) * S + (ptrs & offset)) * row_len
+    steps = [row_len >> k for k in range(1, row_len.bit_length())]  # P/2, ..., 1
+    probes = [(step, flat[step - 1:]) for step in steps]
+    ptr = (f * S + states[:, 0]) * row_len
+    Ut = np.empty((min(chunk, H - 1), T))  # one buffer of uniforms, step-major, refilled per chunk
     h = 1
     while h < H:
         width = min(chunk, H - h)
         for t, g in enumerate(gens):
-            g.random(out=U[t, :width])
+            Ut[:width, t] = g.random(width)
         for j in range(width):
-            cur = (U[:, j, None] > cdf_flat[base + cur]).sum(axis=1)
-            states[:, h + j] = cur
+            u = Ut[j]
+            for step, probe in probes:
+                ptr += (u > probe[ptr]) * step
+            states[:, h + j] = ptr & offset
+            ptr = next_row[ptr]
         h += width
     return TrajectorySet(states=states, seed=int(seed),
                          instance_id=instance.instance_id())

@@ -1,10 +1,12 @@
 """Adaptive spectral clustering of the empirical data matrix, without knowing K.
 
-The stage takes the singular spectrum of the T x S^2 data matrix from the
-eigenvalues of its smaller Gram matrix (S^2 x S^2, or T x T when T < S^2),
-thresholds it to pick a working rank R, builds the spectral representation
-X = U_{1:R} Sigma_{1:R} (up to the sign of each column) from the top R
-eigenvectors alone, and greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
+The stage reduces the smaller Gram matrix of the T x S^2 data matrix (S^2 x
+S^2, or T x T when T < S^2) to tridiagonal form once, in place, and takes
+both the data matrix's singular spectrum (every eigenvalue) and the top R
+eigenvectors from that one reduction. It thresholds the spectrum to pick a
+working rank R, builds the spectral representation X = U_{1:R} Sigma_{1:R}
+(up to the sign of each column) from those R eigenvectors alone, and
+greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
 carve falls below the size guard c_rho * R * T / log(TH/delta). Leftover
 trajectories attach to the nearest carved center.
 """
@@ -108,6 +110,42 @@ def _unassigned_gains(neighbors: np.ndarray, assigned: np.ndarray) -> np.ndarray
     return gains
 
 
+def _tridiagonalize(G: np.ndarray) -> tuple:
+    """Reduce the symmetric C-ordered G to Q^T G Q = tridiag(d, e) in place.
+
+    G.T is the same matrix F-ordered, so LAPACK's dsytrd overwrites G itself;
+    Q = H(1)...H(n-1) is left as Householder vectors below the subdiagonal of
+    the returned (n-1) x (n-1) block, with their scales in tau.
+    """
+    n = G.shape[0]
+    lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])  # blocked; the default is not
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
+    _check_info("dsytrd", info)
+    return d, e, c[1:, :n - 1], tau
+
+
+def _back_transform(reflectors: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Q Z for the Q that ``_tridiagonalize`` left in (reflectors, tau).
+
+    Q fixes the first coordinate, so row 0 of Z stays and dormqr applies
+    H(1)...H(n-1) to the rest.
+    """
+    if Z.shape[0] == 1:
+        return Z
+    reflectors = np.asfortranarray(reflectors)  # one copy for both calls, not one each
+    ormqr = scipy.linalg.lapack.dormqr
+    work, info = ormqr("L", "N", reflectors, tau, Z[1:], -1)[1:]
+    _check_info("dormqr workspace query", info)
+    QZ, _, info = ormqr("L", "N", reflectors, tau, Z[1:], int(work[0]))
+    _check_info("dormqr", info)
+    return np.vstack([Z[:1], QZ])
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} returned info = {info}")
+
+
 def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     """Run the full stage on a T x S^2 data matrix.
 
@@ -123,18 +161,20 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
 
     A = W_hat.values
     gram_of_columns = T >= A.shape[1]
-    G = A.T @ A if gram_of_columns else A @ A.T
-    n = G.shape[0]
     sigma_thres = sigma_threshold(T, S, H, cfg)
     try:
-        evals = np.linalg.eigvalsh(G)
-        sv = np.sqrt(np.clip(evals[::-1], 0.0, None))  # descending
+        # the Gram matrix is reduced once, in place: its memory ends up holding Q
+        d, e, reflectors, tau = _tridiagonalize(A.T @ A if gram_of_columns else A @ A.T)
+        sv = np.sqrt(np.clip(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[::-1],
+                             0.0, None))  # descending
         R_hat = max(1, estimate_rank(sv, sigma_thres))
         # only the eigenvectors X needs: the top R_hat, which come ascending
-        V = scipy.linalg.eigh(G, subset_by_index=[n - R_hat, n - 1])[1]
+        n = d.shape[0]
+        Z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - R_hat, n - 1))[1]
+        V = _back_transform(reflectors, tau, Z)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure("eigendecomposition of the Gram matrix did not converge") from exc
-    del G
+    del reflectors
     V = V[:, ::-1]  # descending like the spectrum; column order sets the distances' rounding
     # U Sigma up to the sign of each column, which no distance below sees
     X = A @ V if gram_of_columns else V * sv[:R_hat]

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmclab import gen_random_ergodic, gen_separation_models, make_instance, validate_model
 from mmclab.errors import DimensionMismatch
+from mmclab.simgen import TrajectorySet
 
 
 @pytest.fixture
@@ -29,6 +31,63 @@ def random_labels(rng, T, K):
     labels = rng.integers(0, K, size=T)
     labels[rng.permutation(T)[:K]] = np.arange(K)
     return labels
+
+
+def _raise_linalg_error(original):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic failure")
+    return boom
+
+
+def _nonzero_info(original):
+    def failed(*args, **kwargs):
+        return (*original(*args, **kwargs)[:-1], 1)  # LAPACK wrappers return info last
+    return failed
+
+
+# each call of stage 1's eigendecomposition made to fail in turn: the solvers
+# raise LinAlgError themselves, the raw LAPACK wrappers report a nonzero info
+STAGE1_EIGEN_FAILURES = pytest.mark.parametrize("module, name, breaker", [
+    (scipy.linalg, "eigvalsh_tridiagonal", _raise_linalg_error),
+    (scipy.linalg, "eigh_tridiagonal", _raise_linalg_error),
+    (scipy.linalg.lapack, "dsytrd", _nonzero_info),
+    (scipy.linalg.lapack, "dormqr", _nonzero_info),
+], ids=["eigvalsh", "scipy-eigh", "dsytrd-info", "dormqr-info"])
+
+
+def reference_sample_trajectories(instance, seed, chunk=2048):
+    """The sampler's original step: count the CDF entries below u by comparing
+    u against the whole row, one (T, S) array per step.
+
+    Same (seed, t) Philox streams, initial draw and chunked uniform buffer as
+    ``sample_trajectories``, so the two must agree state for state.
+    """
+    T, H, S = instance.T, instance.H, instance.S
+    f = instance.decoding
+    mu_cdf = np.cumsum(np.stack([m.mu for m in instance.models]), axis=1)
+    P_cdf = np.cumsum(np.stack([m.P for m in instance.models]), axis=2)
+    mu_cdf[:, -1] = 1.0
+    P_cdf[:, :, -1] = 1.0
+    gens = [np.random.Generator(np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, t],
+                                                              dtype=np.uint64)))
+            for t in range(T)]
+    states = np.empty((T, H), dtype=np.int32)
+    u0 = np.array([g.random() for g in gens])
+    states[:, 0] = (u0[:, None] > mu_cdf[f]).sum(axis=1)
+    cdf_flat = P_cdf.reshape(-1, S)  # row f*S + s is the CDF of p^{(f)}(.|s)
+    base = f * S
+    cur = states[:, 0]
+    U = np.empty((T, min(chunk, H - 1)))
+    h = 1
+    while h < H:
+        width = min(chunk, H - h)
+        for t, g in enumerate(gens):
+            g.random(out=U[t, :width])
+        for j in range(width):
+            cur = (U[:, j, None] > cdf_flat[base + cur]).sum(axis=1)
+            states[:, h + j] = cur
+        h += width
+    return TrajectorySet(states=states, seed=int(seed), instance_id=instance.instance_id())
 
 
 def reference_counts(traj, S):

@@ -12,6 +12,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
+from mmclab import simgen
 from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
                           StateOutOfRange, StateSpaceMismatch)
 from mmclab.metrics import eta_params
@@ -23,7 +24,7 @@ from mmclab.simgen import (
     load_trajectories,
     save_trajectories,
 )
-from tests.conftest import gen_separation_instance, random_models
+from tests.conftest import gen_separation_instance, random_models, reference_sample_trajectories
 
 
 class TestClusterSizes:
@@ -95,6 +96,52 @@ class TestSampling:
         a = sample_trajectories(inst, seed=5, chunk=chunk)
         b = sample_trajectories(inst, seed=5, chunk=2048)
         assert np.array_equal(a.states, b.states)
+
+    @given(S=st.one_of(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
+                       st.integers(1, 70)),
+           K=st.integers(2, 4), T=st.integers(4, 12), H=st.integers(2, 60),
+           chunk=st.integers(1, 70), overshoot=st.booleans(),
+           model_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bisection_matches_reference_sampler(self, S, K, T, H, chunk, overshoot,
+                                                 model_seed, seed):
+        # sparse rows repeat CDF entries; with overshoot, every row whose last
+        # entry is 0 sums to 1 + 5e-13, so its CDF passes 1.0 before the forced
+        # final 1.0; S runs over powers of two and their neighbours, where the
+        # padded row width P changes
+        rng = np.random.default_rng(model_seed)
+        models = []
+        for _ in range(K):
+            keep = rng.random((S, S)) < 0.5
+            keep[np.arange(S), np.arange(S)] = True  # self-loops: aperiodic
+            keep[np.arange(S), (np.arange(S) + 1) % S] = True  # a cycle: irreducible
+            P = rng.random((S, S)) * keep
+            P /= P.sum(axis=1, keepdims=True)
+            if overshoot:
+                P[P[:, -1] == 0.0] *= 1.0 + 5e-13
+            mu = rng.random(S) * (rng.random(S) < 0.5)
+            mu[rng.integers(S)] = 1.0
+            models.append(validate_model(P, mu / mu.sum()))
+        inst = make_instance(models, np.full(K, 1.0 / K), T, H, shuffle=True, shuffle_seed=model_seed)
+        got = sample_trajectories(inst, seed, chunk=chunk).states
+        assert np.array_equal(got, reference_sample_trajectories(inst, seed, chunk=chunk).states)
+
+    @pytest.mark.parametrize("u, expected", [(0.25, [0, 0, 0, 0]), (0.5, [0, 2, 1, 1])])
+    def test_uniform_on_a_cdf_entry_counts_entries_strictly_below(self, monkeypatch, u, expected):
+        # every uniform is u, exactly a CDF entry; row 0's CDF (0.25, 0.25, 0.5, 1)
+        # repeats 0.25, so a u of 0.25 must stay on state 0 and a u of 0.5 go to 2
+        class ConstantStream:
+            def random(self, size=None, out=None):
+                if out is not None:
+                    out[...] = u
+                    return out
+                return u if size is None else np.full(size, u)
+
+        monkeypatch.setattr(simgen, "_trajectory_rngs", lambda seed, T: [ConstantStream()] * T)
+        P = np.array([[0.25, 0.0, 0.25, 0.5]] + [[0.25] * 4] * 3)
+        m = validate_model(P, [0.5, 0.5, 0.0, 0.0])
+        inst = make_instance([m, m], [0.5, 0.5], 2, 4)
+        assert sample_trajectories(inst, 0).states.tolist() == [expected, expected]
 
     def test_different_seeds_differ(self):
         inst = gen_separation_instance(1, T=12, H=40)

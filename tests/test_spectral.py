@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mmclab import (
     build_matrices,
@@ -23,7 +22,7 @@ from mmclab import (
 from mmclab.embedding import DataMatrix, embed_model
 from mmclab.errors import EmptyInput, NonpositiveLogArgument, SvdFailure
 from mmclab.spectral import Stage1Result, save_stage1, load_stage1
-from tests.conftest import gen_separation_instance, random_models
+from tests.conftest import STAGE1_EIGEN_FAILURES, gen_separation_instance, random_models
 
 
 def reference_spectral_cluster(W_hat, cfg):
@@ -164,6 +163,13 @@ class TestSpectralCluster:
         with pytest.raises(EmptyInput):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
+    def test_single_trajectory(self):
+        # T = 1 < S^2 gives a 1 x 1 Gram matrix, whose reduction leaves no reflectors
+        W = DataMatrix(values=np.array([[0.3, 0.4, 0.0, 0.0]]), S=2, H=10)
+        res = spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=1e-3, c_rho=1e-9))
+        assert (res.K_hat, res.R_hat, res.labels.tolist()) == (1, 1, [0])
+        assert res.singular_values.tolist() == pytest.approx([0.5], rel=1e-15)
+
     def test_default_guard_forces_single_cluster_at_desk_scale(self):
         # at desk scale 32 R T / log(TH/delta) exceeds T: the peel is forced
         inst = gen_separation_instance(2, T=60, H=2_000)
@@ -253,13 +259,9 @@ class TestSpectralCluster:
         T = 12_000
         assert self.traced_peak(T) < T * T
 
-    @pytest.mark.parametrize("module, name", [(np.linalg, "eigvalsh"), (scipy.linalg, "eigh")],
-                             ids=["eigvalsh", "scipy-eigh"])
-    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name):
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("synthetic failure")
-
-        monkeypatch.setattr(module, name, boom)
+    @STAGE1_EIGEN_FAILURES
+    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name, breaker):
+        monkeypatch.setattr(module, name, breaker(getattr(module, name)))
         W = DataMatrix(values=np.eye(4), S=2, H=10)
         with pytest.raises(SvdFailure, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
