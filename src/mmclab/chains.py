@@ -27,7 +27,7 @@ from .errors import (
     RowNotStochastic,
     SingularSystem,
 )
-from .jsondoc import require_keys
+from .jsondoc import field, float_array, require_keys
 
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -288,11 +288,12 @@ def model_to_json(M: MarkovModel) -> dict:
     return {"S": M.S, "P": M.P.tolist(), "mu": M.mu.tolist()}
 
 
-def model_from_json(doc: dict) -> MarkovModel:
+def model_from_json(doc: dict, where: str = "model document") -> MarkovModel:
     """Rebuild a model from its JSON document, recomputing derived fields."""
-    require_keys(doc, ("S", "P", "mu"), "model document")
-    P = np.asarray(doc["P"], dtype=np.float64)
-    mu = np.asarray(doc["mu"], dtype=np.float64)
-    if int(doc["S"]) != P.shape[0]:
-        raise DimensionMismatch(f"S={doc['S']} does not match P shape {P.shape}")
+    require_keys(doc, ("S", "P", "mu"), where)
+    P = field(doc, "P", float_array, where)
+    mu = field(doc, "mu", float_array, where)
+    S = field(doc, "S", int, where)
+    if P.ndim != 2 or S != P.shape[0]:
+        raise DimensionMismatch(f"S={S} does not match P shape {P.shape}")
     return validate_model(P, mu)

@@ -23,7 +23,7 @@ import numpy as np
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidSpec, MMCLabError, NumericalError
-from .jsondoc import read_object, require_keys
+from .jsondoc import field, float_list, int_list, int_vector, read_object, require_keys
 from .likelihood import oracle_classify, refine, save_stage2
 from .metrics import (
     divergence_D,
@@ -39,8 +39,8 @@ from .spectral import SpectralConfig, load_stage1, save_stage1, spectral_cluster
 SWEEP_COLUMNS = ["T", "H", "delta", "lambda", "seed", "K_hat", "e_t_stage1",
                  "e_t_stage2", "e_t_oracle", "D", "D_pi", "delta_W_sq",
                  "gamma_ps", "sigma_thres", "R_hat", "wall_time_s"]
-_REPORT_INPUTS = ["T", "H", "delta", "lambda", "e_t_stage1", "e_t_stage2", "e_t_oracle",
-                  "gamma_ps", "D_pi"]
+_REPORT_INPUTS = {"T": int, "H": int, "delta": float, "lambda": float, "e_t_stage1": int,
+                  "e_t_stage2": int, "e_t_oracle": int, "gamma_ps": float, "D_pi": float}
 
 
 def _fmt(x) -> str:
@@ -50,24 +50,20 @@ def _fmt(x) -> str:
 
 
 def _models_from_spec(spec: dict) -> tuple:
-    kind = require_keys(spec, (), "instance spec").get("type")
+    where = "instance spec"
+    kind = require_keys(spec, (), where).get("type")
     if kind == "separation":
-        if "S_prime" not in spec:
-            raise InvalidSpec("separation spec needs field 'S_prime'")
-        return simgen.gen_separation_models(int(spec["S_prime"]))
+        return simgen.gen_separation_models(field(spec, "S_prime", int, where))
     if kind == "random":
         missing = [k for k in ("S", "K", "floor", "seed") if k not in spec]
         if missing:
             raise InvalidSpec(f"random spec missing fields: {missing}")
-        base = int(spec["seed"])
-        return tuple(simgen.gen_random_ergodic(int(spec["S"]), base + 7919 * k,
-                                               float(spec["floor"]))
-                     for k in range(int(spec["K"])))
+        S, K, base = (field(spec, k, int, where) for k in ("S", "K", "seed"))
+        floor = field(spec, "floor", float, where)
+        return tuple(simgen.gen_random_ergodic(S, base + 7919 * k, floor) for k in range(K))
     if kind == "inline":
-        if "models" not in spec:
-            raise InvalidSpec("inline spec needs field 'models'")
         from .chains import model_from_json
-        return tuple(model_from_json(doc) for doc in spec["models"])
+        return tuple(model_from_json(doc) for doc in field(spec, "models", list, where))
     raise InvalidSpec(f"unknown instance spec type: {kind!r}")
 
 
@@ -75,7 +71,8 @@ def _build_instance(spec: dict, T: int, H: int, alpha=None, shuffle=False,
                     shuffle_seed: int = 0) -> simgen.MixtureInstance:
     models = _models_from_spec(spec)
     if alpha is None:
-        alpha = spec.get("alpha") or [1.0 / len(models)] * len(models)
+        alpha = field(spec, "alpha", float_list, "instance spec", None) \
+            or [1.0 / len(models)] * len(models)
     return simgen.make_instance(models, np.asarray(alpha, dtype=np.float64), T, H,
                                 shuffle=shuffle, shuffle_seed=shuffle_seed)
 
@@ -92,14 +89,17 @@ def _resolve_gamma(gamma, instance) -> float:
 # --- subcommand implementations -------------------------------------------
 
 def cmd_generate(args) -> int:
-    spec = read_object(args.spec) if Path(args.spec).exists() \
-        else require_keys(json.loads(args.spec), (), "generator spec")
-    T = int(spec.get("T", args.T or 0))
-    H = int(spec.get("H", args.H or 0))
+    if Path(args.spec).exists():
+        spec, where = read_object(args.spec), args.spec
+    else:
+        where = "generator spec"
+        spec = require_keys(json.loads(args.spec), (), where)
+    T = field(spec, "T", int, where, args.T or 0)
+    H = field(spec, "H", int, where, args.H or 0)
     if T < 2 or H < 2:
         raise InvalidSpec("spec needs T >= 2 and H >= 2 (fields or --T/--H)")
     instance = _build_instance(spec, T, H, shuffle=spec.get("shuffle", False),
-                               shuffle_seed=int(spec.get("shuffle_seed", 0)))
+                               shuffle_seed=field(spec, "shuffle_seed", int, where, 0))
     out = Path(args.out) / (args.name + ".instance.json")
     simgen.save_instance(instance, out)
     print(f"wrote {out} (K={instance.K}, S={instance.S}, T={T}, H={H})")
@@ -144,8 +144,7 @@ def cmd_evaluate(args) -> int:
     instance = simgen.load_instance(args.instance)
     results = {}
     for path in args.labels:
-        doc = read_object(path, ("labels",))
-        labels = np.asarray(doc["labels"], dtype=np.int64) - 1
+        labels = field(read_object(path), "labels", int_vector, path) - 1
         results[path] = misclassification(labels, instance.decoding)
     for path, e in results.items():
         print(f"E_T({path}) = {e} / {instance.T}")
@@ -182,19 +181,21 @@ def cmd_bounds(args) -> int:
 
 
 def _sweep_point(payload: tuple) -> tuple:
-    """Run one (T, H, delta, lambda, seed) point; returns (key, row list)."""
-    cfg, T, H, delta, lam, seed = payload
+    """Run one (T, H, delta, lambda, seed) point; returns (key, row list).
+    ``where`` names the config in the errors of its fields."""
+    cfg, where, T, H, delta, lam, seed = payload
     start = time.perf_counter()
-    instance = _build_instance(cfg["instance"], T, H, alpha=cfg.get("alpha"),
+    instance = _build_instance(cfg["instance"], T, H,
+                               alpha=field(cfg, "alpha", float_list, where, None),
                                shuffle=cfg.get("shuffle", False),
-                               shuffle_seed=int(cfg.get("shuffle_seed", 0)))
-    gamma = _resolve_gamma(cfg.get("gamma"), instance)
+                               shuffle_seed=field(cfg, "shuffle_seed", int, where, 0))
+    gamma = _resolve_gamma(field(cfg, "gamma", float, where, None), instance)
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma,
-                              c_sigma=float(cfg.get("c_sigma", SpectralConfig.c_sigma)),
-                              c_rho=float(cfg.get("c_rho", SpectralConfig.c_rho)))
+                              c_sigma=field(cfg, "c_sigma", float, where, SpectralConfig.c_sigma),
+                              c_rho=field(cfg, "c_rho", float, where, SpectralConfig.c_rho))
     # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine
-    # and the oracle convert the counts; the truth matrix W is not needed at all
+    # builds the counts' float copy; the truth matrix W is not needed at all
     stage1 = spectral_cluster(build_matrices(instance, counts)[1], spec_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models,
@@ -211,18 +212,20 @@ def _sweep_point(payload: tuple) -> tuple:
     return (T, H, delta, lam, seed), row
 
 
-def run_sweep(cfg: dict, jobs: int = 1) -> str:
-    """Execute the cartesian sweep; returns the CSV text (deterministic order)."""
+def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
+    """Execute the cartesian sweep; returns the CSV text (deterministic order).
+    ``where`` names the config in the errors of its fields."""
     for axis in ("T", "H", "delta", "lambda", "seeds"):
         if axis not in cfg or not cfg[axis]:
             raise InvalidSpec(f"sweep config needs a nonempty axis {axis!r}")
-    if len(set(cfg["seeds"])) != len(cfg["seeds"]):
+    Ts, Hs, seeds = (field(cfg, axis, int_list, where) for axis in ("T", "H", "seeds"))
+    deltas, lams = (field(cfg, axis, float_list, where) for axis in ("delta", "lambda"))
+    if len(set(seeds)) != len(seeds):
         raise InvalidSpec("sweep seeds must be distinct")
     if "instance" not in cfg:
         raise InvalidSpec("sweep config needs an 'instance' generator spec")
-    points = [(cfg, int(T), int(H), float(d), float(lam), int(seed))
-              for T in cfg["T"] for H in cfg["H"] for d in cfg["delta"]
-              for lam in cfg["lambda"] for seed in cfg["seeds"]]
+    points = [(cfg, where, T, H, d, lam, seed)
+              for T in Ts for H in Hs for d in deltas for lam in lams for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, points))
@@ -238,7 +241,7 @@ def run_sweep(cfg: dict, jobs: int = 1) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = read_object(args.config)
-    text = run_sweep(cfg, jobs=args.jobs)
+    text = run_sweep(cfg, jobs=args.jobs, where=args.config)
     out = Path(args.out) / (args.name + ".sweep.csv")
     out.write_text(text)
     print(f"wrote {out} ({text.count(chr(10)) - 1} rows)")
@@ -249,20 +252,24 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.csv:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in _REPORT_INPUTS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise InvalidSpec(f"{path} lacks sweep column(s) {missing}")
-            for n, row in enumerate(reader, start=1):
-                # DictReader fills the fields of a short row with None
-                if any(row[c] is None for c in _REPORT_INPUTS):
-                    raise InvalidSpec(f"{path} row {n} has fewer fields than its header")
-                rows.append(row)
+            try:
+                reader = csv.DictReader(fh)
+                missing = [c for c in _REPORT_INPUTS if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise InvalidSpec(f"{path} lacks sweep column(s) {missing}")
+                for n, row in enumerate(reader, start=1):
+                    # DictReader fills the fields of a short row with None
+                    if any(row[c] is None for c in _REPORT_INPUTS):
+                        raise InvalidSpec(f"{path} row {n} has fewer fields than its header")
+                    rows.append({c: field(row, c, kind, f"{path} row {n}")
+                                 for c, kind in _REPORT_INPUTS.items()})
+            except UnicodeDecodeError as exc:
+                raise InvalidSpec(f"{path} is not a text file: {exc}") from exc
     if not rows:
         raise InvalidSpec("no rows found in the given CSV files")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (int(row["T"]), int(row["H"]), float(row["delta"]), float(row["lambda"]))
+        key = (row["T"], row["H"], row["delta"], row["lambda"])
         groups.setdefault(key, []).append(row)
 
     out_cols = ["T", "H", "delta", "lambda", "n_seeds",
@@ -272,13 +279,13 @@ def cmd_report(args) -> int:
     for key in sorted(groups):
         grp = groups[key]
         T = key[0]
-        frac1 = [int(r["e_t_stage1"]) / T for r in grp]
-        frac2 = [int(r["e_t_stage2"]) / T for r in grp]
-        frac_o = [int(r["e_t_oracle"]) / T for r in grp]
+        frac1 = [r["e_t_stage1"] / T for r in grp]
+        frac2 = [r["e_t_stage2"] / T for r in grp]
+        frac_o = [r["e_t_oracle"] / T for r in grp]
         n = len(grp)
         ci = 1.96 * (statistics.pstdev(frac2) / math.sqrt(n)) if n > 1 else 0.0
-        envelope = predicted_error_rate(T, key[1], float(grp[0]["gamma_ps"]),
-                                 float(grp[0]["D_pi"]), args.c_eta)
+        envelope = predicted_error_rate(T, key[1], grp[0]["gamma_ps"], grp[0]["D_pi"],
+                                        args.c_eta)
         lines.append(",".join(_fmt(x) for x in [
             key[0], key[1], key[2], key[3], n,
             statistics.fmean(frac1), statistics.fmean(frac2), statistics.fmean(frac_o),
@@ -375,7 +382,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (InputError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

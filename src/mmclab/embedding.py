@@ -9,6 +9,7 @@ trajectories gives the data matrices the spectral stage decomposes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class Counts:
     ``visits`` counts occupations over h in [H]; ``transitions`` counts pairs
     (s_h, s_{h+1}) over h in [H-1], so each trajectory's block sums to H-1.
     Counts are int32: none exceeds H, which ``count_transitions`` bounds.
+    ``float_transitions`` is their float64 copy for the likelihood scores,
+    made only when first asked for.
     """
 
     first: np.ndarray        # (T,) int64 initial states
@@ -53,6 +56,21 @@ class Counts:
     @property
     def T(self) -> int:
         return self.visits.shape[0]
+
+    @cached_property
+    def float_transitions(self) -> np.ndarray:
+        """The transitions as a read-only (T, S*S) float64 array in column-major
+        order, built on first use and shared by every later caller.
+
+        Filled one block of trajectories at a time, which is about twice as
+        fast as one transposing ``astype(order="F")`` of the whole tensor.
+        """
+        flat = self.transitions.reshape(self.T, -1)
+        out = np.empty(flat.shape, dtype=np.float64, order="F")
+        for lo in range(0, self.T, _TRAJ_BLOCK):
+            out[lo:lo + _TRAJ_BLOCK] = flat[lo:lo + _TRAJ_BLOCK]
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Every JSON file the package reads (instances, trajectory sidecars, stage-1
 results, label files, generator specs, sweep configs) goes through
 ``read_object``, and every object given inline or nested in one through
-``require_keys``. A document of the wrong shape fails with ``InvalidSpec``
-naming the file (or the object) and the missing key, never with a
-``KeyError`` or ``TypeError`` from deep inside a loader.
+``require_keys``, and their fields are converted through ``field``. A
+document of the wrong shape, or a field of the wrong type, fails with
+``InvalidSpec`` naming the file (or the object) and the key, never with a
+``KeyError``, ``TypeError`` or ``ValueError`` from deep inside a loader.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InvalidSpec
+
+_REQUIRED = object()
 
 
 def require_keys(doc, keys, where: str) -> dict:
@@ -30,6 +35,47 @@ def read_object(path: str | Path, keys=()) -> dict:
     """Parse the JSON file at ``path``; it must hold an object with every key in ``keys``."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"{path} is not valid JSON: {exc}") from exc
     return require_keys(doc, keys, str(path))
+
+
+def field(doc: dict, key: str, convert, where: str, default=_REQUIRED):
+    """``convert(doc[key])``; ``default``, unconverted, when a default is given
+    and the key is absent or null. A value that ``convert`` rejects with a
+    ``TypeError`` or ``ValueError`` raises ``InvalidSpec`` naming both."""
+    if default is not _REQUIRED and doc.get(key) is None:
+        return default
+    if key not in doc:
+        raise InvalidSpec(f"{where} lacks key(s) {[key]}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{where}: field {key!r} has the wrong type ({exc})") from exc
+
+
+def int_vector(value) -> np.ndarray:
+    """A JSON list of integers as a 1-D int64 array."""
+    arr = np.asarray(value, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a list of integers, not {type(value).__name__}")
+    return arr
+
+
+def float_array(value) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float64 array."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _sequence(value, kind) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, not {type(value).__name__}")
+    return [kind(x) for x in value]
+
+
+def int_list(value) -> list[int]:
+    return _sequence(value, int)
+
+
+def float_list(value) -> list[float]:
+    return _sequence(value, float)

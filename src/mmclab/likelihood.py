@@ -91,7 +91,7 @@ def trajectory_loglik(counts: Counts, kernels: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logk = np.log(kernels).reshape(K, S * S)
     # column-major so BLAS runs its column gemv: the scores' last bits depend on it
-    F = counts.transitions.reshape(counts.T, S * S).astype(np.float64, order="F")
+    F = counts.float_transitions
     scores = np.empty((counts.T, K))
     for k in range(K):
         dead = np.isneginf(logk[k])

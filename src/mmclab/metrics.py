@@ -40,6 +40,8 @@ __all__ = [
     "c_eta_explicit",
 ]
 
+_ACC_BLOCK = 4096  # fixed-point steps added per np.add.accumulate pass
+
 
 # --- misclassification metric -------------------------------------------
 
@@ -124,14 +126,37 @@ def _off_min(pair: np.ndarray) -> float:
 
 
 def visitation_weights(model: MarkovModel, H: int) -> np.ndarray:
-    """Average state-visitation over steps 1..H-1 starting from mu, exactly."""
+    """Average state-visitation over steps 1..H-1 starting from mu, exactly.
+
+    The recurrence acc <- acc @ P runs until acc @ P reproduces acc bit for
+    bit. Every later step would add that same acc to the running total, so
+    those additions go through np.add.accumulate, which adds one row after
+    another exactly as the loop did. A chain whose iterates never settle
+    (one that ends in a cycle of last-bit values) runs the loop to the end.
+    """
     if H < 2:
         raise InvalidRange("H must be >= 2")
     acc = model.mu.copy()
     total = np.zeros(model.S)
-    for _ in range(H - 1):
+    steps = H - 1
+    while steps:
         total += acc
-        acc = acc @ model.P
+        steps -= 1
+        nxt = acc @ model.P
+        if nxt.tobytes() == acc.tobytes():
+            break
+        acc = nxt
+    if steps:
+        # row 0 holds the running total and rows 1.. the fixed acc
+        rows = np.empty((min(steps, _ACC_BLOCK) + 1, model.S))
+        rows[1:] = acc
+        sums = np.empty_like(rows)
+        while steps:
+            n = min(steps, _ACC_BLOCK)
+            rows[0] = total
+            np.add.accumulate(rows[:n + 1], axis=0, out=sums[:n + 1])
+            total = sums[n].copy()
+            steps -= n
     return total / (H - 1)
 
 

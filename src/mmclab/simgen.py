@@ -26,7 +26,7 @@ from .errors import (
     StateOutOfRange,
     StateSpaceMismatch,
 )
-from .jsondoc import read_object
+from .jsondoc import field, int_vector, read_object, require_keys
 
 __all__ = [
     "MixtureInstance",
@@ -261,11 +261,13 @@ def instance_to_json(instance: MixtureInstance) -> dict:
     }
 
 
-def instance_from_json(doc: dict) -> MixtureInstance:
-    models = tuple(model_from_json(m) for m in doc["models"])
-    decoding = np.asarray(doc["decoding"], dtype=np.int64) - 1
+def instance_from_json(doc: dict, where: str = "instance document") -> MixtureInstance:
+    require_keys(doc, ("models", "decoding", "T", "H"), where)
+    models = tuple(model_from_json(m, f"{where} models[{i}]")
+                   for i, m in enumerate(field(doc, "models", list, where)))
+    decoding = field(doc, "decoding", int_vector, where) - 1
     instance = MixtureInstance(models=models, decoding=decoding,
-                               T=int(doc["T"]), H=int(doc["H"]))
+                               T=field(doc, "T", int, where), H=field(doc, "H", int, where))
     if decoding.shape[0] != instance.T:
         raise DimensionMismatch("decoding length does not match T")
     if decoding.min() < 0 or decoding.max() >= instance.K:
@@ -278,7 +280,7 @@ def save_instance(instance: MixtureInstance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> MixtureInstance:
-    return instance_from_json(read_object(path, ("models", "decoding", "T", "H")))
+    return instance_from_json(read_object(path), str(path))
 
 
 def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int) -> None:
@@ -320,6 +322,7 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
     except FileNotFoundError as exc:
         raise InputError(f"{sidecar_path} is missing: it holds the seed and index base "
                          f"of {path}") from exc
-    states = states.astype(np.int32) - int(sidecar.get("index_base", 1))
-    return (TrajectorySet(states=states, seed=int(sidecar["seed"]),
+    where = str(sidecar_path)
+    states = states.astype(np.int32) - field(sidecar, "index_base", int, where, 1)
+    return (TrajectorySet(states=states, seed=field(sidecar, "seed", int, where),
                           instance_id=str(sidecar["instance_id"])), S)

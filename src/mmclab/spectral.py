@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
-from .jsondoc import read_object
+from .jsondoc import field, float_array, int_vector, read_object
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
            "spectral_cluster", "save_stage1", "load_stage1"]
@@ -115,13 +115,21 @@ def _tridiagonalize(G: np.ndarray) -> tuple:
 
     G.T is the same matrix F-ordered, so LAPACK's dsytrd overwrites G itself;
     Q = H(1)...H(n-1) is left as Householder vectors below the subdiagonal of
-    the returned (n-1) x (n-1) block, with their scales in tau.
+    the (n-1) x (n-1) block c[1:, :n-1], with their scales in tau. That block
+    is moved, still in G's buffer, to a contiguous F-ordered (n-1) x (n-1)
+    array at its start, since dormqr would copy an offset view.
     """
     n = G.shape[0]
     lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])  # blocked; the default is not
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
     _check_info("dsytrd", info)
-    return d, e, c[1:, :n - 1], tau
+    flat = c.reshape(-1, order="F")  # a view: c is F-contiguous
+    m = n - 1
+    # column j moves from [j n + 1, j n + n) down to [j m, j m + m); in increasing
+    # j no column lands on one that has not moved yet
+    for j in range(m):
+        flat[j * m:(j + 1) * m] = flat[j * n + 1:(j + 1) * n]
+    return d, e, flat[:m * m].reshape((m, m), order="F"), tau
 
 
 def _back_transform(reflectors: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -132,7 +140,6 @@ def _back_transform(reflectors: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> n
     """
     if Z.shape[0] == 1:
         return Z
-    reflectors = np.asfortranarray(reflectors)  # one copy for both calls, not one each
     ormqr = scipy.linalg.lapack.dormqr
     work, info = ormqr("L", "N", reflectors, tau, Z[1:], -1)[1:]
     _check_info("dormqr workspace query", info)
@@ -237,13 +244,13 @@ def save_stage1(res: Stage1Result, path: str | Path) -> None:
 
 
 def load_stage1(path: str | Path) -> Stage1Result:
-    doc = read_object(path, _STAGE1_KEYS)
+    doc, where = read_object(path, _STAGE1_KEYS), str(path)
     return Stage1Result(
-        K_hat=int(doc["K_hat"]),
-        labels=np.asarray(doc["labels"], dtype=np.int64) - 1,
-        centers=np.asarray(doc["centers"], dtype=np.int64) - 1,
-        R_hat=int(doc["R_hat"]),
-        singular_values=np.asarray(doc["singular_values"], dtype=np.float64),
-        sigma_thres=float(doc["sigma_thres"]),
+        K_hat=field(doc, "K_hat", int, where),
+        labels=field(doc, "labels", int_vector, where) - 1,
+        centers=field(doc, "centers", int_vector, where) - 1,
+        R_hat=field(doc, "R_hat", int, where),
+        singular_values=field(doc, "singular_values", float_array, where),
+        sigma_thres=field(doc, "sigma_thres", float, where),
         forced_first_cluster=bool(doc["forced_first_cluster"]),
     )

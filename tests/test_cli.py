@@ -66,6 +66,16 @@ class TestGenerate:
         assert main([command, str(path), "--out", str(tmp_path)]) == 2
         assert f"{path} must hold a JSON object, not list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["T", "shuffle_seed", "S"])
+    def test_wrong_type_spec_field_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "spec.json"
+        spec = {"type": "random", "S": 3, "K": 2, "floor": 0.05, "seed": 1, "T": 10, "H": 10}
+        path.write_text(json.dumps(dict(spec, **{key: "x"})))
+        assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
+        where = "instance spec" if key == "S" else str(path)
+        assert f"{where}: field {key!r} has the wrong type" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
     def test_unknown_type(self, tmp_path):
         rc = main(["generate", json.dumps({"type": "nope", "T": 10, "H": 10}),
                    "--out", str(tmp_path)])
@@ -197,6 +207,41 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert ("must hold a JSON object" if text == "[1]" else "lacks key(s)") in err
+
+    @pytest.mark.parametrize("kind, key", [("sidecar", "seed"), ("stage1", "labels"),
+                                           ("instance", "decoding"), ("labels", "labels")])
+    def test_wrong_type_field_exits_2(self, tmp_path, instance_file, capsys, kind, key):
+        main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
+        traj = tmp_path / "sample.traj.bin"
+        assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
+        stage1, out = tmp_path / "cluster.stage1.json", str(tmp_path)
+        bad, argv = {
+            "sidecar": (Path(f"{traj}.json"),
+                        ["cluster", str(traj), "--gamma", "1.0", "--out", out, "--name", "x"]),
+            "stage1": (stage1, ["refine", str(traj), str(stage1), "--out", out]),
+            "instance": (instance_file, ["gaps", str(instance_file), "--out", out]),
+            "labels": (stage1, ["evaluate", "--instance", str(instance_file), str(stage1)]),
+        }[kind]
+        bad.write_text(json.dumps(dict(json.loads(bad.read_text()), **{key: "x"})))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{bad}: field {key!r} has the wrong type" in capsys.readouterr().err
+
+    def test_wrong_type_model_field_names_its_place(self, tmp_path, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["models"][1]["P"] = [["x"]]
+        instance_file.write_text(json.dumps(doc))
+        assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 2
+        assert f"{instance_file} models[1]: field 'P'" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, instance_file,
+                                                       monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("mmclab.cli.gap_report", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["gaps", str(instance_file), "--out", str(tmp_path)])
 
     def test_truncated_trajectory_file_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
@@ -367,6 +412,23 @@ class TestSweep:
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "row 1" in err
+
+    def test_report_wrong_type_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        text = run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1]), jobs=1)
+        header, row = text.strip().splitlines()
+        path.write_text(header + "\n" + ",".join(["x"] + row.split(",")[1:]) + "\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} row 1: field 'T' has the wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("T", ["x"]), ("seeds", 3), ("c_sigma", "x"),
+                                            ("alpha", "x")])
+    def test_sweep_config_wrong_type_field_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, "H": [60], "seeds": [1], key: value}))
+        assert main(["sweep", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
+        assert not (tmp_path / "run.sweep.csv").exists()
 
     def test_empty_report_input(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -123,6 +123,25 @@ class TestCountStats:
             tracemalloc.stop()
         assert peak < T * (H - 1) * 8
 
+    @pytest.mark.parametrize("T", [255, 256, 257, 513])
+    def test_float_transitions_equal_whole_conversion(self, T):
+        # the float copy is filled 256 trajectories at a time, like the counts
+        S, H = 5, 30
+        states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
+        cs = count_transitions(states, S)
+        ref = cs.transitions.reshape(T, -1).astype(np.float64, order="F")
+        got = cs.float_transitions
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert got.flags.f_contiguous and not got.flags.writeable
+        assert cs.float_transitions is got  # built once, then shared
+
+    def test_float_transitions_built_only_on_request(self):
+        inst = gen_separation_instance(2, T=20, H=50)
+        cs = count_transitions(sample_trajectories(inst, 0).states, inst.S)
+        build_matrices(inst, cs)
+        assert "float_transitions" not in cs.__dict__
+
     @given(state_arrays())
     @settings(max_examples=100, deadline=None)
     def test_count_transitions_matches_reference(self, drawn):

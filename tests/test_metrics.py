@@ -29,6 +29,7 @@ from mmclab import (
 )
 from mmclab.errors import InvalidRange, LengthMismatch
 from mmclab.metrics import (
+    _ACC_BLOCK,
     LOG_E_OVER_2,
     InequalityCheck,
     c_eta_explicit,
@@ -44,6 +45,27 @@ from tests.conftest import (
 
 
 # --- loop references for the stacked-array divergences and gap checks -------
+
+def reference_visitation_weights(model, H):
+    """Average visitation over steps 1..H-1: the plain H-1 step recurrence."""
+    acc = model.mu.copy()
+    total = np.zeros(model.S)
+    for _ in range(H - 1):
+        total += acc
+        acc = acc @ model.P
+    return total / (H - 1)
+
+
+def first_fixed_step(model, H):
+    """The first step h < H-1 at which acc @ P reproduces acc bit for bit, or None."""
+    acc = model.mu.copy()
+    for h in range(H - 1):
+        nxt = acc @ model.P
+        if nxt.tobytes() == acc.tobytes():
+            return h
+        acc = nxt
+    return None
+
 
 def reference_kl(p, q):
     """Scalar KL over the positive entries of p, summed after masking."""
@@ -68,7 +90,8 @@ def reference_pairwise_weighted_kl(models, weights):
 
 def reference_divergence_D(instance):
     models, H = instance.models, instance.H
-    pair = reference_pairwise_weighted_kl(models, [visitation_weights(m, H) for m in models])
+    pair = reference_pairwise_weighted_kl(models, [reference_visitation_weights(m, H)
+                                                   for m in models])
     for k, kp in itertools.permutations(range(len(models)), 2):
         pair[k, kp] += reference_kl(models[k].mu, models[kp].mu) / (H - 1)
     return pair
@@ -308,6 +331,7 @@ class TestDivergenceD:
         w = visitation_weights(m, 23)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+
     def test_exhaustive_path_enumeration_oracle(self):
         # independent oracle at H = 6: enumerate all S^H paths of chain A and
         # average the log likelihood ratio over (H - 1)
@@ -374,6 +398,31 @@ class TestDivergenceD:
         inst = make_instance([a, b], np.array([0.5, 0.5]), 4, 25)
         inst_p = make_instance([relabel(a), relabel(b)], np.array([0.5, 0.5]), 4, 25)
         assert divergence_D(inst)[0] == pytest.approx(divergence_D(inst_p)[0], rel=1e-12)
+
+
+class TestVisitationAgainstLoop:
+    """visitation_weights stops the recurrence at an exact fixed point and adds
+    the remaining steps by accumulation; it must equal the plain loop byte for byte."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 12), st.booleans(),
+           st.one_of(st.sampled_from([2, 3]), st.integers(4, 300),
+                     st.integers(_ACC_BLOCK + 1, 3 * _ACC_BLOCK)))
+    @settings(max_examples=120, deadline=None)
+    def test_random_chains_match_loop(self, seed, S, zeros, H):
+        model = random_ergodic_set(np.random.default_rng(seed), 1, S, zeros)[0]
+        assert visitation_weights(model, H).tobytes() == \
+            reference_visitation_weights(model, H).tobytes()
+
+    @pytest.mark.parametrize("S_prime, fixed_at", [(1, 0), (2, 0), (5, None)])
+    @pytest.mark.parametrize("H", [2, 3, 100, _ACC_BLOCK + 1, 2 * _ACC_BLOCK + 7, 20_000])
+    def test_separation_chains_match_loop(self, S_prime, fixed_at, H):
+        # S' = 1, 2 start at their fixed point (mu = pi is a row of P); the
+        # first S' = 5 chain ends in a 2-cycle of last-bit values, so it never
+        # stops early and takes the plain loop all the way
+        model = gen_separation_models(S_prime)[0]
+        assert first_fixed_step(model, H) == fixed_at
+        assert visitation_weights(model, H).tobytes() == \
+            reference_visitation_weights(model, H).tobytes()
 
 
 class TestDivergenceDPi:
