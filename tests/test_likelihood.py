@@ -329,10 +329,11 @@ class TestPipelinePermutation:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_permuting_trajectories_permutes_labels(self, data):
-        # At H >= 600 every drawn instance either separates cleanly in stage 1
-        # or collapses to one cluster. Shorter horizons give neighbourhoods that
-        # overlap, where the lowest-index tie rule of the peel may pick another
-        # center after a permutation, so stage 1 is only equivariant up to that.
+        # Where stage 1 mixes the clusters, its neighbourhoods overlap, and the
+        # peel's lowest-index tie rule may pick another center after a
+        # permutation (H >= 600 makes this rare, not impossible). So stage 1 is
+        # checked where it recovers the decoding or collapses to one cluster,
+        # and refine and the oracle on every draw, from the permuted stage-1 labels.
         if data.draw(st.booleans(), label="separation"):
             models = gen_separation_models(data.draw(st.integers(1, 3), label="S_prime"))
         else:
@@ -357,6 +358,15 @@ class TestPipelinePermutation:
 
         s1, s2, oracle = pipeline(states)
         p1, p2, p_oracle = pipeline(states[perm])
+        assert np.array_equal(p_oracle, oracle[perm])
+        # refine sees stage 1 only through its labels
+        q2 = refine(count_transitions(states[perm], inst.S), s1.labels[perm], s1.K_hat, lam)
+        assert np.array_equal(q2.labels, s2.labels[perm])
+        # BLAS may round a row's dot product differently at another position
+        np.testing.assert_allclose(q2.loglik, s2.loglik[perm], rtol=1e-12)
+        if not (s1.K_hat == 1 or (s1.K_hat == K and
+                                  misclassification(s1.labels, inst.decoding) == 0)):
+            return
         # stage 1 numbers its clusters in carve order, which a permutation may
         # change; sigma maps the permuted run's numbers onto the original's
         assert p1.K_hat == s1.K_hat
@@ -364,6 +374,4 @@ class TestPipelinePermutation:
         sigma[p1.labels] = s1.labels[perm]
         assert np.array_equal(sigma[p1.labels], s1.labels[perm])
         assert np.array_equal(sigma[p2.labels], s2.labels[perm])
-        # BLAS may round a row's dot product differently at another position
         np.testing.assert_allclose(p2.loglik[:, np.argsort(sigma)], s2.loglik[perm], rtol=1e-12)
-        assert np.array_equal(p_oracle, oracle[perm])
