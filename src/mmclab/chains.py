@@ -27,10 +27,12 @@ from .errors import (
     RowNotStochastic,
     SingularSystem,
 )
-from .jsondoc import field, float_array, require_keys
+from .jsondoc import field, float_array, integer, require_keys
 
 PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+MIXING_THRESHOLD = 0.25  # t_mix is the first t with max_s TV(P^t(s, .), pi) at or below it
+MIXING_T_MAX = 100_000  # steps after which mixing_time gives up
 
 __all__ = [
     "MarkovModel",
@@ -192,17 +194,14 @@ def pseudo_spectral_gap(P: np.ndarray, pi: np.ndarray, k_max: int) -> float:
     return float(pseudo_spectral_gap_terms(P, pi, k_max).max())
 
 
-def mixing_time(P: np.ndarray, pi: np.ndarray, threshold: float = 0.25,
-                t_max: int = 100_000) -> int:
-    """Smallest t with max_s TV(P^t(s, .), pi) <= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise InvalidRange("threshold must be in (0, 1)")
+def mixing_time(P: np.ndarray, pi: np.ndarray) -> int:
+    """Smallest t with max_s TV(P^t(s, .), pi) <= MIXING_THRESHOLD."""
     Pt = np.array(P, dtype=np.float64)
-    for t in range(1, t_max + 1):
-        if 0.5 * np.abs(Pt - pi[None, :]).sum(axis=1).max() <= threshold:
+    for t in range(1, MIXING_T_MAX + 1):
+        if 0.5 * np.abs(Pt - pi[None, :]).sum(axis=1).max() <= MIXING_THRESHOLD:
             return t
         Pt = Pt @ P
-    raise NotMixedWithinTMax(f"chain did not mix to {threshold} within t_max={t_max}")
+    raise NotMixedWithinTMax(f"chain did not mix to {MIXING_THRESHOLD} within t_max={MIXING_T_MAX}")
 
 
 def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
@@ -293,7 +292,7 @@ def model_from_json(doc: dict, where: str = "model document") -> MarkovModel:
     require_keys(doc, ("S", "P", "mu"), where)
     P = field(doc, "P", float_array, where)
     mu = field(doc, "mu", float_array, where)
-    S = field(doc, "S", int, where)
+    S = field(doc, "S", integer, where)
     if P.ndim != 2 or S != P.shape[0]:
         raise DimensionMismatch(f"S={S} does not match P shape {P.shape}")
     return validate_model(P, mu)

@@ -23,7 +23,8 @@ import numpy as np
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidSpec, MMCLabError, NumericalError
-from .jsondoc import field, float_list, int_list, int_vector, read_object, require_keys
+from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, read_object,
+                      require_keys)
 from .likelihood import oracle_classify, refine, save_stage2
 from .metrics import (
     divergence_D,
@@ -53,12 +54,12 @@ def _models_from_spec(spec: dict) -> tuple:
     where = "instance spec"
     kind = require_keys(spec, (), where).get("type")
     if kind == "separation":
-        return simgen.gen_separation_models(field(spec, "S_prime", int, where))
+        return simgen.gen_separation_models(field(spec, "S_prime", integer, where))
     if kind == "random":
         missing = [k for k in ("S", "K", "floor", "seed") if k not in spec]
         if missing:
             raise InvalidSpec(f"random spec missing fields: {missing}")
-        S, K, base = (field(spec, k, int, where) for k in ("S", "K", "seed"))
+        S, K, base = (field(spec, k, integer, where) for k in ("S", "K", "seed"))
         floor = field(spec, "floor", float, where)
         return tuple(simgen.gen_random_ergodic(S, base + 7919 * k, floor) for k in range(K))
     if kind == "inline":
@@ -94,12 +95,12 @@ def cmd_generate(args) -> int:
     else:
         where = "generator spec"
         spec = require_keys(json.loads(args.spec), (), where)
-    T = field(spec, "T", int, where, args.T or 0)
-    H = field(spec, "H", int, where, args.H or 0)
+    T = field(spec, "T", integer, where, args.T or 0)
+    H = field(spec, "H", integer, where, args.H or 0)
     if T < 2 or H < 2:
         raise InvalidSpec("spec needs T >= 2 and H >= 2 (fields or --T/--H)")
-    instance = _build_instance(spec, T, H, shuffle=spec.get("shuffle", False),
-                               shuffle_seed=field(spec, "shuffle_seed", int, where, 0))
+    instance = _build_instance(spec, T, H, shuffle=field(spec, "shuffle", boolean, where, False),
+                               shuffle_seed=field(spec, "shuffle_seed", integer, where, 0))
     out = Path(args.out) / (args.name + ".instance.json")
     simgen.save_instance(instance, out)
     print(f"wrote {out} (K={instance.K}, S={instance.S}, T={T}, H={H})")
@@ -187,8 +188,8 @@ def _sweep_point(payload: tuple) -> tuple:
     start = time.perf_counter()
     instance = _build_instance(cfg["instance"], T, H,
                                alpha=field(cfg, "alpha", float_list, where, None),
-                               shuffle=cfg.get("shuffle", False),
-                               shuffle_seed=field(cfg, "shuffle_seed", int, where, 0))
+                               shuffle=field(cfg, "shuffle", boolean, where, False),
+                               shuffle_seed=field(cfg, "shuffle_seed", integer, where, 0))
     gamma = _resolve_gamma(field(cfg, "gamma", float, where, None), instance)
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma,
@@ -199,7 +200,7 @@ def _sweep_point(payload: tuple) -> tuple:
     stage1 = spectral_cluster(build_matrices(instance, counts)[1], spec_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models,
-                             use_initial=bool(cfg.get("use_initial", False)))
+                             use_initial=field(cfg, "use_initial", boolean, where, False))
     D, _ = divergence_D(instance)
     d_pi, _ = divergence_D_pi(instance.models)
     row = [T, H, delta, lam, seed, stage1.K_hat,

@@ -43,23 +43,37 @@ def read_object(path: str | Path, keys=()) -> dict:
 def field(doc: dict, key: str, convert, where: str, default=_REQUIRED):
     """``convert(doc[key])``; ``default``, unconverted, when a default is given
     and the key is absent or null. A value that ``convert`` rejects with a
-    ``TypeError`` or ``ValueError`` raises ``InvalidSpec`` naming both."""
+    ``TypeError``, ``ValueError`` or ``OverflowError`` raises ``InvalidSpec``
+    naming both."""
     if default is not _REQUIRED and doc.get(key) is None:
         return default
     if key not in doc:
         raise InvalidSpec(f"{where} lacks key(s) {[key]}")
     try:
         return convert(doc[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"{where}: field {key!r} has the wrong type ({exc})") from exc
+
+
+def integer(value) -> int:
+    """A JSON integer (a numpy integer, or a float with no fraction such as
+    200.0) as an int; a bool, a string or a fraction is rejected, not truncated."""
+    if isinstance(value, float) and value.is_integer() or \
+            isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"expected an integer, not {value!r}")
+
+
+def boolean(value) -> bool:
+    """A JSON ``true`` or ``false``; no other value is read as a flag."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"expected true or false, not {value!r}")
 
 
 def int_vector(value) -> np.ndarray:
     """A JSON list of integers as a 1-D int64 array."""
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a list of integers, not {type(value).__name__}")
-    return arr
+    return np.array(int_list(value), dtype=np.int64)
 
 
 def float_array(value) -> np.ndarray:
@@ -74,7 +88,7 @@ def _sequence(value, kind) -> list:
 
 
 def int_list(value) -> list[int]:
-    return _sequence(value, int)
+    return _sequence(value, integer)
 
 
 def float_list(value) -> list[float]:

@@ -45,7 +45,7 @@ _ACC_BLOCK = 4096  # fixed-point steps added per np.add.accumulate pass
 
 # --- misclassification metric -------------------------------------------
 
-def misclassification(f_hat: np.ndarray, f: np.ndarray, T: int | None = None) -> int:
+def misclassification(f_hat: np.ndarray, f: np.ndarray) -> int:
     """E_T: misclassified count minimized over relabelings of the clusters.
 
     Label vectors may use different numbers of clusters; the smaller label set
@@ -57,8 +57,6 @@ def misclassification(f_hat: np.ndarray, f: np.ndarray, T: int | None = None) ->
     f = np.asarray(f, dtype=np.int64)
     if f_hat.shape != f.shape or f_hat.ndim != 1:
         raise LengthMismatch(f"label shapes differ: {f_hat.shape} vs {f.shape}")
-    if T is not None and T != f.shape[0]:
-        raise LengthMismatch(f"T={T} does not match label length {f.shape[0]}")
     if f.shape[0] == 0:
         return 0
     if f_hat.min() < 0 or f.min() < 0:

@@ -26,7 +26,7 @@ from .errors import (
     StateOutOfRange,
     StateSpaceMismatch,
 )
-from .jsondoc import field, int_vector, read_object, require_keys
+from .jsondoc import field, int_vector, integer, read_object, require_keys
 
 __all__ = [
     "MixtureInstance",
@@ -43,6 +43,8 @@ __all__ = [
     "save_trajectories",
     "load_trajectories",
 ]
+
+_CHUNK = 2048  # steps of uniforms drawn per refill of the sampler's (chunk, T) buffer
 
 
 @dataclass(frozen=True)
@@ -153,50 +155,47 @@ def _trajectory_rngs(seed: int, T: int) -> list[np.random.Generator]:
             for t in range(T)]
 
 
-def sample_trajectories(instance: MixtureInstance, seed: int,
-                        chunk: int = 2048) -> TrajectorySet:
+def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     """Sample all T trajectories; trajectory t uses the (seed, t) sub-stream.
 
     The walk is vectorized across trajectories (inverse-CDF steps on
     per-trajectory uniforms), which leaves the per-trajectory streams intact:
     trajectory t consumes exactly H uniforms from its own stream.
 
-    Each step finds the count of CDF entries strictly below u by a branchless
-    bisection (Devroye 1986, section III.2). The K*S CDF rows are padded with
-    2.0, above every uniform, to a power-of-two width P, and laid end to end;
-    a trajectory's pointer starts at its row and adds step = P/2, ..., 1
-    wherever u exceeds the entry step - 1 past it. The predicate u > cdf_k
-    holds on a prefix of the row (a cumsum of nonnegatives never decreases,
-    and the forced final 1.0 follows only entries that u < 1 cannot exceed),
-    so the pointer's offset in its row is that count, the next state.
+    Each state, the first included, is the count of CDF entries strictly below
+    u, found by a branchless bisection (Devroye 1986, section III.2). Chain k
+    has S+1 CDF rows: row s is p^{(k)}(.|s) and row S is mu_k, from which the
+    first state is drawn. The K*(S+1) rows are padded with 2.0, above every
+    uniform, to a power-of-two width P, and laid end to end; a trajectory's
+    pointer starts at its row and adds step = P/2, ..., 1 wherever u exceeds
+    the entry step - 1 past it. The predicate u > cdf_k holds on a prefix of
+    the row (a cumsum of nonnegatives never decreases, and the forced final
+    1.0 follows only entries that u < 1 cannot exceed), so the pointer's
+    offset in its row is that count, the next state.
     """
     T, H, S = instance.T, instance.H, instance.S
     f = instance.decoding
-    mu_cdf = np.cumsum(np.stack([m.mu for m in instance.models]), axis=1)
-    P_cdf = np.cumsum(np.stack([m.P for m in instance.models]), axis=2)
+    cdf = np.cumsum(np.stack([np.vstack([m.P, m.mu]) for m in instance.models]), axis=2)
     # uniforms live in [0,1); an exact 1.0 endpoint keeps inverse-CDF indices in range
-    mu_cdf[:, -1] = 1.0
-    P_cdf[:, :, -1] = 1.0
+    cdf[:, :, -1] = 1.0
     gens = _trajectory_rngs(seed, T)
 
-    states = np.empty((T, H), dtype=np.int32)
-    u0 = np.array([g.random() for g in gens])
-    states[:, 0] = (u0[:, None] > mu_cdf[f]).sum(axis=1)
     row_len = 1 << (S - 1).bit_length()  # P, the padded row width
     offset = row_len - 1  # mask of a pointer's offset in its row, i.e. its state
-    rows = np.full((instance.K * S, row_len), 2.0)
-    rows[:, :S] = P_cdf.reshape(-1, S)  # row f*S + s is the CDF of p^{(f)}(.|s)
+    rows = np.full((instance.K * (S + 1), row_len), 2.0)
+    # row f*(S+1) + s is the CDF of p^{(f)}(.|s) for s < S, and row f*(S+1) + S that of mu_f
+    rows[:, :S] = cdf.reshape(-1, S)
     flat = rows.ravel()
-    # pointer (f*S + s_prev)*P + s sits on state s; its next row starts at (f*S + s)*P
+    # pointer (f*(S+1) + r)*P + s sits on state s; its next row starts at (f*(S+1) + s)*P
     ptrs = np.arange(flat.size)
-    next_row = (ptrs // (row_len * S) * S + (ptrs & offset)) * row_len
+    next_row = (ptrs // (row_len * (S + 1)) * (S + 1) + (ptrs & offset)) * row_len
     steps = [row_len >> k for k in range(1, row_len.bit_length())]  # P/2, ..., 1
     probes = [(step, flat[step - 1:]) for step in steps]
-    ptr = (f * S + states[:, 0]) * row_len
-    Ut = np.empty((min(chunk, H - 1), T))  # one buffer of uniforms, step-major, refilled per chunk
-    h = 1
-    while h < H:
-        width = min(chunk, H - h)
+    ptr = (f * (S + 1) + S) * row_len
+    states = np.empty((T, H), dtype=np.int32)
+    Ut = np.empty((min(_CHUNK, H), T))  # one buffer of uniforms, step-major, refilled per chunk
+    for h in range(0, H, _CHUNK):
+        width = min(_CHUNK, H - h)
         for t, g in enumerate(gens):
             Ut[:width, t] = g.random(width)
         for j in range(width):
@@ -205,7 +204,6 @@ def sample_trajectories(instance: MixtureInstance, seed: int,
                 ptr += (u > probe[ptr]) * step
             states[:, h + j] = ptr & offset
             ptr = next_row[ptr]
-        h += width
     return TrajectorySet(states=states, seed=int(seed),
                          instance_id=instance.instance_id())
 
@@ -267,7 +265,8 @@ def instance_from_json(doc: dict, where: str = "instance document") -> MixtureIn
                    for i, m in enumerate(field(doc, "models", list, where)))
     decoding = field(doc, "decoding", int_vector, where) - 1
     instance = MixtureInstance(models=models, decoding=decoding,
-                               T=field(doc, "T", int, where), H=field(doc, "H", int, where))
+                               T=field(doc, "T", integer, where),
+                               H=field(doc, "H", integer, where))
     if decoding.shape[0] != instance.T:
         raise DimensionMismatch("decoding length does not match T")
     if decoding.min() < 0 or decoding.max() >= instance.K:
@@ -323,6 +322,6 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
         raise InputError(f"{sidecar_path} is missing: it holds the seed and index base "
                          f"of {path}") from exc
     where = str(sidecar_path)
-    states = states.astype(np.int32) - field(sidecar, "index_base", int, where, 1)
-    return (TrajectorySet(states=states, seed=field(sidecar, "seed", int, where),
+    states = states.astype(np.int32) - field(sidecar, "index_base", integer, where, 1)
+    return (TrajectorySet(states=states, seed=field(sidecar, "seed", integer, where),
                           instance_id=str(sidecar["instance_id"])), S)

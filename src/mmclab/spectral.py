@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
-from .jsondoc import field, float_array, int_vector, read_object
+from .jsondoc import boolean, field, float_array, int_vector, integer, read_object
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
            "spectral_cluster", "save_stage1", "load_stage1"]
@@ -246,11 +246,11 @@ def save_stage1(res: Stage1Result, path: str | Path) -> None:
 def load_stage1(path: str | Path) -> Stage1Result:
     doc, where = read_object(path, _STAGE1_KEYS), str(path)
     return Stage1Result(
-        K_hat=field(doc, "K_hat", int, where),
+        K_hat=field(doc, "K_hat", integer, where),
         labels=field(doc, "labels", int_vector, where) - 1,
         centers=field(doc, "centers", int_vector, where) - 1,
-        R_hat=field(doc, "R_hat", int, where),
+        R_hat=field(doc, "R_hat", integer, where),
         singular_values=field(doc, "singular_values", float_array, where),
         sigma_thres=field(doc, "sigma_thres", float, where),
-        forced_first_cluster=bool(doc["forced_first_cluster"]),
+        forced_first_cluster=field(doc, "forced_first_cluster", boolean, where),
     )

@@ -59,8 +59,10 @@ def reference_sample_trajectories(instance, seed, chunk=2048):
     """The sampler's original step: count the CDF entries below u by comparing
     u against the whole row, one (T, S) array per step.
 
-    Same (seed, t) Philox streams, initial draw and chunked uniform buffer as
-    ``sample_trajectories``, so the two must agree state for state.
+    Draws the first state by a separate count over mu's CDF, from the first
+    uniform of each (seed, t) Philox stream, and each later state from the next
+    uniforms, refilled ``chunk`` at a time. ``sample_trajectories`` consumes the
+    same streams in the same order, so the two must agree state for state.
     """
     T, H, S = instance.T, instance.H, instance.S
     f = instance.decoding

@@ -17,6 +17,7 @@ from mmclab import (
     pseudo_spectral_gap_terms,
     validate_model,
 )
+from mmclab import chains
 from mmclab.chains import mixing_time, stationary_distribution
 from mmclab.errors import (
     DimensionMismatch,
@@ -257,11 +258,12 @@ class TestMixingTime:
             m1, m2 = gen_separation_models(sp)
             assert m1.t_mix == 1 and m2.t_mix == 1
 
-    def test_not_mixed_within_t_max(self):
+    def test_not_mixed_within_t_max(self, monkeypatch):
         P = np.array([[0.999, 0.001], [0.001, 0.999]])
         pi = stationary_distribution(P)
+        monkeypatch.setattr(chains, "MIXING_T_MAX", 3)
         with pytest.raises(NotMixedWithinTMax):
-            mixing_time(P, pi, threshold=0.25, t_max=3)
+            mixing_time(P, pi)
 
 
 class TestAugmentedChain:

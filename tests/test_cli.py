@@ -66,11 +66,19 @@ class TestGenerate:
         assert main([command, str(path), "--out", str(tmp_path)]) == 2
         assert f"{path} must hold a JSON object, not list" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["T", "shuffle_seed", "S"])
-    def test_wrong_type_spec_field_exits_2(self, tmp_path, capsys, key):
+    # the later cases are integers that must not be truncated and flags that
+    # must not be read by truthiness
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("T", "x", id="T"), pytest.param("shuffle_seed", "x", id="shuffle_seed"),
+        pytest.param("S", "x", id="S"),
+        pytest.param("T", 10.5, id="T-fraction"), pytest.param("S", True, id="S-bool"),
+        pytest.param("shuffle", "false", id="shuffle-string"),
+        pytest.param("shuffle", 1, id="shuffle-int"),
+    ])
+    def test_wrong_type_spec_field_exits_2(self, tmp_path, capsys, key, value):
         path = tmp_path / "spec.json"
         spec = {"type": "random", "S": 3, "K": 2, "floor": 0.05, "seed": 1, "T": 10, "H": 10}
-        path.write_text(json.dumps(dict(spec, **{key: "x"})))
+        path.write_text(json.dumps(dict(spec, **{key: value})))
         assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
         where = "instance spec" if key == "S" else str(path)
         assert f"{where}: field {key!r} has the wrong type" in capsys.readouterr().err
@@ -186,21 +194,27 @@ class TestPipeline:
         assert f"{path}.json is missing" in capsys.readouterr().err
         assert not (tmp_path / "cluster.stage1.json").exists()
 
-    @pytest.mark.parametrize("text", ["[1]", "{}"], ids=["list", "empty"])
-    @pytest.mark.parametrize("kind", ["sidecar", "stage1", "instance", "labels"])
-    def test_malformed_json_document_exits_2(self, tmp_path, instance_file, capsys,
-                                             kind, text):
+    @staticmethod
+    def reader(tmp_path, instance_file, kind) -> tuple[Path, list]:
+        """The JSON document of one kind next to a sampled and clustered run,
+        and the command line that reads it."""
         main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
         traj = tmp_path / "sample.traj.bin"
         assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
         stage1, out = tmp_path / "cluster.stage1.json", str(tmp_path)
-        bad, argv = {
+        return {
             "sidecar": (Path(f"{traj}.json"),
                         ["cluster", str(traj), "--gamma", "1.0", "--out", out, "--name", "x"]),
             "stage1": (stage1, ["refine", str(traj), str(stage1), "--out", out]),
             "instance": (instance_file, ["gaps", str(instance_file), "--out", out]),
             "labels": (stage1, ["evaluate", "--instance", str(instance_file), str(stage1)]),
         }[kind]
+
+    @pytest.mark.parametrize("text", ["[1]", "{}"], ids=["list", "empty"])
+    @pytest.mark.parametrize("kind", ["sidecar", "stage1", "instance", "labels"])
+    def test_malformed_json_document_exits_2(self, tmp_path, instance_file, capsys,
+                                             kind, text):
+        bad, argv = self.reader(tmp_path, instance_file, kind)
         bad.write_text(text)
         capsys.readouterr()
         assert main(argv) == 2
@@ -211,18 +225,24 @@ class TestPipeline:
     @pytest.mark.parametrize("kind, key", [("sidecar", "seed"), ("stage1", "labels"),
                                            ("instance", "decoding"), ("labels", "labels")])
     def test_wrong_type_field_exits_2(self, tmp_path, instance_file, capsys, kind, key):
-        main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
-        traj = tmp_path / "sample.traj.bin"
-        assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
-        stage1, out = tmp_path / "cluster.stage1.json", str(tmp_path)
-        bad, argv = {
-            "sidecar": (Path(f"{traj}.json"),
-                        ["cluster", str(traj), "--gamma", "1.0", "--out", out, "--name", "x"]),
-            "stage1": (stage1, ["refine", str(traj), str(stage1), "--out", out]),
-            "instance": (instance_file, ["gaps", str(instance_file), "--out", out]),
-            "labels": (stage1, ["evaluate", "--instance", str(instance_file), str(stage1)]),
-        }[kind]
-        bad.write_text(json.dumps(dict(json.loads(bad.read_text()), **{key: "x"})))
+        self.assert_field_rejected(tmp_path, instance_file, capsys, kind, key, "x")
+
+    # integers are not truncated and flags are not read by truthiness
+    @pytest.mark.parametrize("kind, key, value", [
+        ("sidecar", "seed", 3.5), ("sidecar", "index_base", True),
+        ("stage1", "labels", [1.5, 2]), ("stage1", "K_hat", 2.5),
+        ("stage1", "forced_first_cluster", "false"), ("stage1", "forced_first_cluster", 0),
+        ("instance", "decoding", [1, 2.5]), ("instance", "T", 59.5),
+        ("labels", "labels", [1.5, 2]), ("labels", "labels", [True, 2]),
+        ("labels", "labels", [2**70]),
+    ])
+    def test_non_integral_or_non_boolean_field_exits_2(self, tmp_path, instance_file, capsys,
+                                                       kind, key, value):
+        self.assert_field_rejected(tmp_path, instance_file, capsys, kind, key, value)
+
+    def assert_field_rejected(self, tmp_path, instance_file, capsys, kind, key, value):
+        bad, argv = self.reader(tmp_path, instance_file, kind)
+        bad.write_text(json.dumps(dict(json.loads(bad.read_text()), **{key: value})))
         capsys.readouterr()
         assert main(argv) == 2
         assert f"{bad}: field {key!r} has the wrong type" in capsys.readouterr().err
@@ -233,6 +253,14 @@ class TestPipeline:
         instance_file.write_text(json.dumps(doc))
         assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 2
         assert f"{instance_file} models[1]: field 'P'" in capsys.readouterr().err
+
+    def test_non_integral_model_size_exits_2(self, tmp_path, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["models"][0]["S"] = 4.5
+        instance_file.write_text(json.dumps(doc))
+        assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 2
+        assert f"{instance_file} models[0]: field 'S' has the wrong type" \
+            in capsys.readouterr().err
 
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, instance_file,
                                                        monkeypatch):
@@ -421,8 +449,15 @@ class TestSweep:
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path} row 1: field 'T' has the wrong type" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("T", ["x"]), ("seeds", 3), ("c_sigma", "x"),
-                                            ("alpha", "x")])
+    # the pytest.param cases are integers that must not be truncated and flags
+    # that must not be read by truthiness
+    @pytest.mark.parametrize("key, value", [
+        ("T", ["x"]), ("seeds", 3), ("c_sigma", "x"), ("alpha", "x"),
+        pytest.param("T", [24.7], id="T-fraction"), pytest.param("seeds", [True], id="seeds-bool"),
+        pytest.param("shuffle_seed", 0.5, id="shuffle_seed-fraction"),
+        pytest.param("shuffle", "false", id="shuffle-string"),
+        pytest.param("use_initial", "false", id="use_initial-string"),
+    ])
     def test_sweep_config_wrong_type_field_exits_2(self, tmp_path, capsys, key, value):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({**SWEEP_CFG, "H": [60], "seeds": [1], key: value}))

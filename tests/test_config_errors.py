@@ -5,7 +5,6 @@ from mmclab import (
     SpectralConfig,
     count_transitions,
     gen_random_ergodic,
-    mixing_time,
     pool_estimates,
     pseudo_spectral_gap_terms,
 )
@@ -17,13 +16,12 @@ PI = np.array([1 / 3, 2 / 3])
 
 @pytest.mark.parametrize("call", [
     lambda: pseudo_spectral_gap_terms(P, PI, 0),
-    lambda: mixing_time(P, PI, threshold=1.0),
     lambda: gen_random_ergodic(3, seed=0, floor=0.5),
     lambda: SpectralConfig(delta=1.0, gamma_ps=0.5),
     lambda: SpectralConfig(delta=0.1, gamma_ps=0.0),
     lambda: SpectralConfig(delta=0.1, gamma_ps=0.5, c_rho=0.0),
     lambda: pool_estimates(count_transitions(np.array([[0, 1, 0]]), 2), np.array([0]), 1, -0.5),
-], ids=["k_max", "mixing_threshold", "floor", "delta", "gamma_ps", "c_rho", "smoothing"])
+], ids=["k_max", "floor", "delta", "gamma_ps", "c_rho", "smoothing"])
 def test_out_of_range_settings_raise_invalid_range(call):
     with pytest.raises(InvalidRange):
         call()

@@ -235,8 +235,6 @@ class TestMisclassification:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             misclassification(np.array([0, 1]), np.array([0, 1, 1]))
-        with pytest.raises(LengthMismatch):
-            misclassification(np.array([0, 1]), np.array([0, 1]), T=3)
 
     def test_brute_equals_assignment(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,11 +91,12 @@ class TestSampling:
     @given(chunk=st.integers(1, 120), H=st.integers(2, 101))
     @settings(max_examples=30, deadline=None)
     def test_chunking_does_not_change_streams(self, chunk, H):
-        # chunks at, below and past H - 1, so the uniform buffer's last fill is
+        # chunks at, below and past H, so the uniform buffer's last fill is
         # partial, exact or the only one
         inst = gen_separation_instance(1, T=6, H=H)
-        a = sample_trajectories(inst, seed=5, chunk=chunk)
-        b = sample_trajectories(inst, seed=5, chunk=2048)
+        with mock.patch.object(simgen, "_CHUNK", chunk):
+            a = sample_trajectories(inst, seed=5)
+        b = sample_trajectories(inst, seed=5)
         assert np.array_equal(a.states, b.states)
 
     @given(S=st.one_of(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
@@ -105,10 +107,10 @@ class TestSampling:
     @settings(max_examples=60, deadline=None)
     def test_bisection_matches_reference_sampler(self, S, K, T, H, chunk, overshoot,
                                                  model_seed, seed):
-        # sparse rows repeat CDF entries; with overshoot, every row whose last
-        # entry is 0 sums to 1 + 5e-13, so its CDF passes 1.0 before the forced
-        # final 1.0; S runs over powers of two and their neighbours, where the
-        # padded row width P changes
+        # sparse rows repeat CDF entries; with overshoot, every row of P whose
+        # last entry is 0, and mu when its last entry is 0, sums to 1 + 5e-13,
+        # so its CDF passes 1.0 before the forced final 1.0; S runs over powers
+        # of two and their neighbours, where the padded row width P changes
         rng = np.random.default_rng(model_seed)
         models = []
         for _ in range(K):
@@ -117,31 +119,46 @@ class TestSampling:
             keep[np.arange(S), (np.arange(S) + 1) % S] = True  # a cycle: irreducible
             P = rng.random((S, S)) * keep
             P /= P.sum(axis=1, keepdims=True)
-            if overshoot:
-                P[P[:, -1] == 0.0] *= 1.0 + 5e-13
             mu = rng.random(S) * (rng.random(S) < 0.5)
             mu[rng.integers(S)] = 1.0
-            models.append(validate_model(P, mu / mu.sum()))
+            mu /= mu.sum()
+            if overshoot:
+                P[P[:, -1] == 0.0] *= 1.0 + 5e-13
+                if mu[-1] == 0.0:
+                    mu *= 1.0 + 5e-13
+            models.append(validate_model(P, mu))
         inst = make_instance(models, np.full(K, 1.0 / K), T, H, shuffle=True, shuffle_seed=model_seed)
-        got = sample_trajectories(inst, seed, chunk=chunk).states
+        with mock.patch.object(simgen, "_CHUNK", chunk):
+            got = sample_trajectories(inst, seed).states
         assert np.array_equal(got, reference_sample_trajectories(inst, seed, chunk=chunk).states)
 
-    @pytest.mark.parametrize("u, expected", [(0.25, [0, 0, 0, 0]), (0.5, [0, 2, 1, 1])])
-    def test_uniform_on_a_cdf_entry_counts_entries_strictly_below(self, monkeypatch, u, expected):
-        # every uniform is u, exactly a CDF entry; row 0's CDF (0.25, 0.25, 0.5, 1)
-        # repeats 0.25, so a u of 0.25 must stay on state 0 and a u of 0.5 go to 2
+    @staticmethod
+    def sample_with_constant_uniforms(monkeypatch, u, mu):
+        """Both trajectories of a 4-state pair whose every uniform is u; row 0's
+        CDF (0.25, 0.25, 0.5, 1) repeats 0.25, the other rows are uniform."""
         class ConstantStream:
-            def random(self, size=None, out=None):
-                if out is not None:
-                    out[...] = u
-                    return out
-                return u if size is None else np.full(size, u)
+            def random(self, size):
+                return np.full(size, u)
 
         monkeypatch.setattr(simgen, "_trajectory_rngs", lambda seed, T: [ConstantStream()] * T)
         P = np.array([[0.25, 0.0, 0.25, 0.5]] + [[0.25] * 4] * 3)
-        m = validate_model(P, [0.5, 0.5, 0.0, 0.0])
-        inst = make_instance([m, m], [0.5, 0.5], 2, 4)
-        assert sample_trajectories(inst, 0).states.tolist() == [expected, expected]
+        m = validate_model(P, mu)
+        return sample_trajectories(make_instance([m, m], [0.5, 0.5], 2, 4), 0).states.tolist()
+
+    @pytest.mark.parametrize("u, expected", [(0.25, [0, 0, 0, 0]), (0.5, [0, 2, 1, 1])])
+    def test_uniform_on_a_cdf_entry_counts_entries_strictly_below(self, monkeypatch, u, expected):
+        # every uniform is u, exactly a CDF entry: a u of 0.25 must stay on
+        # state 0 and a u of 0.5 go to 2
+        got = self.sample_with_constant_uniforms(monkeypatch, u, [0.5, 0.5, 0.0, 0.0])
+        assert got == [expected, expected]
+
+    @pytest.mark.parametrize("u, expected", [(0.25, [0, 0, 0, 0]), (0.5, [2, 1, 1, 1])])
+    def test_first_state_on_a_mu_cdf_entry_counts_entries_strictly_below(self, monkeypatch,
+                                                                         u, expected):
+        # mu's CDF (0.25, 0.25, 0.5, 1) repeats 0.25 too: the first state of a
+        # u of 0.25 is 0 and that of a u of 0.5 is 2
+        got = self.sample_with_constant_uniforms(monkeypatch, u, [0.25, 0.0, 0.25, 0.5])
+        assert got == [expected, expected]
 
     def test_different_seeds_differ(self):
         inst = gen_separation_instance(1, T=12, H=40)
