@@ -117,6 +117,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    # load scipy before the trajectories: imported while they are alive, it raises peak RSS
+    import scipy.linalg, scipy.optimize
     trajs, S = simgen.load_trajectories(args.trajectories)
     instance = simgen.load_instance(args.instance) if args.instance else None
     gamma = _resolve_gamma(args.gamma, instance)
@@ -183,24 +185,22 @@ def cmd_bounds(args) -> int:
 
 def _sweep_point(payload: tuple) -> tuple:
     """Run one (T, H, delta, lambda, seed) point; returns (key, row list).
-    ``where`` names the config in the errors of its fields."""
-    cfg, where, T, H, delta, lam, seed = payload
+    ``settings`` holds the config's per-point fields, read once by ``run_sweep``."""
     start = time.perf_counter()
-    instance = _build_instance(cfg["instance"], T, H,
-                               alpha=field(cfg, "alpha", float_list, where, None),
-                               shuffle=field(cfg, "shuffle", boolean, where, False),
-                               shuffle_seed=field(cfg, "shuffle_seed", integer, where, 0))
-    gamma = _resolve_gamma(field(cfg, "gamma", float, where, None), instance)
+    # load scipy before the point allocates: imported while its arrays are alive, it raises peak RSS
+    import scipy.linalg, scipy.optimize
+    spec, settings, T, H, delta, lam, seed = payload
+    instance = _build_instance(spec, T, H, alpha=settings["alpha"], shuffle=settings["shuffle"],
+                               shuffle_seed=settings["shuffle_seed"])
+    gamma = _resolve_gamma(settings["gamma"], instance)
+    spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma, c_sigma=settings["c_sigma"],
+                              c_rho=settings["c_rho"])
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
-    spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma,
-                              c_sigma=field(cfg, "c_sigma", float, where, SpectralConfig.c_sigma),
-                              c_rho=field(cfg, "c_rho", float, where, SpectralConfig.c_rho))
     # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine
     # builds the counts' float copy; the truth matrix W is not needed at all
     stage1 = spectral_cluster(build_matrices(instance, counts)[1], spec_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
-    oracle = oracle_classify(counts, instance.models,
-                             use_initial=field(cfg, "use_initial", boolean, where, False))
+    oracle = oracle_classify(counts, instance.models, use_initial=settings["use_initial"])
     D, _ = divergence_D(instance)
     d_pi, _ = divergence_D_pi(instance.models)
     row = [T, H, delta, lam, seed, stage1.K_hat,
@@ -215,7 +215,8 @@ def _sweep_point(payload: tuple) -> tuple:
 
 def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     """Execute the cartesian sweep; returns the CSV text (deterministic order).
-    ``where`` names the config in the errors of its fields."""
+    ``where`` names the config in the errors of its fields, which are all read
+    here, before any point runs."""
     for axis in ("T", "H", "delta", "lambda", "seeds"):
         if axis not in cfg or not cfg[axis]:
             raise InvalidSpec(f"sweep config needs a nonempty axis {axis!r}")
@@ -225,7 +226,16 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
         raise InvalidSpec("sweep seeds must be distinct")
     if "instance" not in cfg:
         raise InvalidSpec("sweep config needs an 'instance' generator spec")
-    points = [(cfg, where, T, H, d, lam, seed)
+    settings = {
+        "alpha": field(cfg, "alpha", float_list, where, None),
+        "shuffle": field(cfg, "shuffle", boolean, where, False),
+        "shuffle_seed": field(cfg, "shuffle_seed", integer, where, 0),
+        "gamma": field(cfg, "gamma", float, where, None),
+        "c_sigma": field(cfg, "c_sigma", float, where, SpectralConfig.c_sigma),
+        "c_rho": field(cfg, "c_rho", float, where, SpectralConfig.c_rho),
+        "use_initial": field(cfg, "use_initial", boolean, where, False),
+    }
+    points = [(cfg["instance"], settings, T, H, d, lam, seed)
               for T in Ts for H in Hs for d in deltas for lam in lams for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -2,7 +2,9 @@
 
 Everything here is a pure function of validated models or label vectors. KL
 divergences may be +inf (disjoint supports); infinities propagate through the
-min/comparison arithmetic rather than raising.
+min/comparison arithmetic rather than raising. Only ``misclassification``
+needs scipy (for the optimal assignment), and it imports it when called, so
+the divergences and gap checks run without loading scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .chains import MarkovModel, pi_min as chains_pi_min, v_min as chains_v_min
 from .embedding import embed_model
@@ -53,6 +54,8 @@ def misclassification(f_hat: np.ndarray, f: np.ndarray) -> int:
     is solved exactly as an optimal assignment (Hungarian) on the confusion
     matrix.
     """
+    from scipy.optimize import linear_sum_assignment
+
     f_hat = np.asarray(f_hat, dtype=np.int64)
     f = np.asarray(f, dtype=np.int64)
     if f_hat.shape != f.shape or f_hat.ndim != 1:

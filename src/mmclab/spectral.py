@@ -9,6 +9,12 @@ working rank R, builds the spectral representation X = U_{1:R} Sigma_{1:R}
 greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
 carve falls below the size guard c_rho * R * T / log(TH/delta). Leftover
 trajectories attach to the nearest carved center.
+
+scipy, whose LAPACK wrappers and tridiagonal eigensolvers do the reduction
+and its eigenproblems, is imported by the functions that call it, so
+importing this module does not load it. They look those routines up on
+``scipy.linalg`` at each call rather than caching them, so a routine replaced
+there takes effect at once.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
@@ -119,6 +124,8 @@ def _tridiagonalize(G: np.ndarray) -> tuple:
     is moved, still in G's buffer, to a contiguous F-ordered (n-1) x (n-1)
     array at its start, since dormqr would copy an offset view.
     """
+    import scipy.linalg
+
     n = G.shape[0]
     lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])  # blocked; the default is not
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
@@ -138,6 +145,8 @@ def _back_transform(reflectors: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> n
     Q fixes the first coordinate, so row 0 of Z stays and dormqr applies
     H(1)...H(n-1) to the rest.
     """
+    import scipy.linalg
+
     if Z.shape[0] == 1:
         return Z
     ormqr = scipy.linalg.lapack.dormqr
@@ -161,6 +170,8 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     at the first sub-guard carve thereafter, which is discarded. Candidate
     centers are the unassigned trajectories; ties break to the lowest index.
     """
+    import scipy.linalg
+
     T = W_hat.T
     if T == 0 or W_hat.values.size == 0:
         raise EmptyInput("empty data matrix")

@@ -465,6 +465,24 @@ class TestSweep:
         assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "run.sweep.csv").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("key, value", [("use_initial", "false"), ("gamma", "x"),
+                                            ("c_rho", "x"), ("shuffle_seed", 0.5)])
+    def test_bad_point_field_fails_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                    key, value, jobs):
+        import mmclab.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod.simgen, "sample_trajectories",
+                            lambda *args: calls.append("sample"))
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: calls.append("pool"))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, key: value}))
+        assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
+        assert calls == []
+
     def test_empty_report_input(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(SWEEP_COLUMNS) + "\n")
