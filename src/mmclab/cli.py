@@ -22,7 +22,7 @@ import numpy as np
 
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
-from .errors import InputError, InvalidSpec, MMCLabError, NumericalError
+from .errors import InputError, InvalidRange, InvalidSpec, MMCLabError, NumericalError
 from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, read_object,
                       require_keys)
 from .likelihood import oracle_classify, refine, save_stage2
@@ -37,6 +37,8 @@ from .metrics import (
 )
 from .spectral import SpectralConfig, load_stage1, save_stage1, spectral_cluster
 
+# the five axes first
+SWEEP_KEYS = ("T", "H", "delta", "lambda", "seeds", "instance", "gamma", "c_sigma", "c_rho")
 SWEEP_COLUMNS = ["T", "H", "delta", "lambda", "seed", "K_hat", "e_t_stage1",
                  "e_t_stage2", "e_t_oracle", "D", "D_pi", "delta_W_sq",
                  "gamma_ps", "sigma_thres", "R_hat", "wall_time_s"]
@@ -50,32 +52,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _models_from_spec(spec: dict) -> tuple:
-    where = "instance spec"
+def _models_from_spec(spec: dict, where: str) -> tuple:
     kind = require_keys(spec, (), where).get("type")
     if kind == "separation":
         return simgen.gen_separation_models(field(spec, "S_prime", integer, where))
     if kind == "random":
-        missing = [k for k in ("S", "K", "floor", "seed") if k not in spec]
-        if missing:
-            raise InvalidSpec(f"random spec missing fields: {missing}")
+        require_keys(spec, ("S", "K", "floor", "seed"), where)
         S, K, base = (field(spec, k, integer, where) for k in ("S", "K", "seed"))
         floor = field(spec, "floor", float, where)
         return tuple(simgen.gen_random_ergodic(S, base + 7919 * k, floor) for k in range(K))
     if kind == "inline":
         from .chains import model_from_json
         return tuple(model_from_json(doc) for doc in field(spec, "models", list, where))
-    raise InvalidSpec(f"unknown instance spec type: {kind!r}")
+    raise InvalidSpec(f"{where}: unknown instance spec type {kind!r}")
 
 
-def _build_instance(spec: dict, T: int, H: int, alpha=None, shuffle=False,
-                    shuffle_seed: int = 0) -> simgen.MixtureInstance:
-    models = _models_from_spec(spec)
-    if alpha is None:
-        alpha = field(spec, "alpha", float_list, "instance spec", None) \
-            or [1.0 / len(models)] * len(models)
-    return simgen.make_instance(models, np.asarray(alpha, dtype=np.float64), T, H,
-                                shuffle=shuffle, shuffle_seed=shuffle_seed)
+def _build_instances(spec: dict, where: str, shapes) -> list[simgen.MixtureInstance]:
+    """One instance per (T, H) in ``shapes``, all sharing the spec's models, which
+    are generated and validated once, and its ``alpha``, ``shuffle`` and
+    ``shuffle_seed``. ``where`` names the spec in the errors of its fields."""
+    models = _models_from_spec(spec, where)
+    alpha = field(spec, "alpha", float_list, where, None) or [1.0 / len(models)] * len(models)
+    if len(alpha) != len(models):
+        raise InvalidSpec(f"{where}: field 'alpha' needs {len(models)} entries, one per model")
+    shuffle = field(spec, "shuffle", boolean, where, False)
+    shuffle_seed = field(spec, "shuffle_seed", integer, where, 0)
+    return [simgen.make_instance(models, np.asarray(alpha, dtype=np.float64), T, H,
+                                 shuffle=shuffle, shuffle_seed=shuffle_seed) for T, H in shapes]
 
 
 def _resolve_gamma(gamma, instance) -> float:
@@ -95,12 +98,8 @@ def cmd_generate(args) -> int:
     else:
         where = "generator spec"
         spec = require_keys(json.loads(args.spec), (), where)
-    T = field(spec, "T", integer, where, args.T or 0)
-    H = field(spec, "H", integer, where, args.H or 0)
-    if T < 2 or H < 2:
-        raise InvalidSpec("spec needs T >= 2 and H >= 2 (fields or --T/--H)")
-    instance = _build_instance(spec, T, H, shuffle=field(spec, "shuffle", boolean, where, False),
-                               shuffle_seed=field(spec, "shuffle_seed", integer, where, 0))
+    T, H = (field(spec, k, integer, where) for k in ("T", "H"))
+    instance, = _build_instances(spec, where, [(T, H)])
     out = Path(args.out) / (args.name + ".instance.json")
     simgen.save_instance(instance, out)
     print(f"wrote {out} (K={instance.K}, S={instance.S}, T={T}, H={H})")
@@ -184,59 +183,61 @@ def cmd_bounds(args) -> int:
 
 
 def _sweep_point(payload: tuple) -> tuple:
-    """Run one (T, H, delta, lambda, seed) point; returns (key, row list).
-    ``settings`` holds the config's per-point fields, read once by ``run_sweep``."""
+    """Run one (T, H, delta, lambda, seed) point on the instance and stage-1
+    config that ``run_sweep`` built; returns (key, row list)."""
     start = time.perf_counter()
     # load scipy before the point allocates: imported while its arrays are alive, it raises peak RSS
     import scipy.linalg, scipy.optimize
-    spec, settings, T, H, delta, lam, seed = payload
-    instance = _build_instance(spec, T, H, alpha=settings["alpha"], shuffle=settings["shuffle"],
-                               shuffle_seed=settings["shuffle_seed"])
-    gamma = _resolve_gamma(settings["gamma"], instance)
-    spec_cfg = SpectralConfig(delta=delta, gamma_ps=gamma, c_sigma=settings["c_sigma"],
-                              c_rho=settings["c_rho"])
+    instance, stage1_cfg, lam, seed = payload
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine
     # builds the counts' float copy; the truth matrix W is not needed at all
-    stage1 = spectral_cluster(build_matrices(instance, counts)[1], spec_cfg)
+    stage1 = spectral_cluster(build_matrices(instance, counts)[1], stage1_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
-    oracle = oracle_classify(counts, instance.models, use_initial=settings["use_initial"])
+    oracle = oracle_classify(counts, instance.models)
     D, _ = divergence_D(instance)
     d_pi, _ = divergence_D_pi(instance.models)
-    row = [T, H, delta, lam, seed, stage1.K_hat,
+    key = (instance.T, instance.H, stage1_cfg.delta, lam, seed)
+    row = [*key, stage1.K_hat,
            misclassification(stage1.labels, instance.decoding),
            misclassification(stage2.labels, instance.decoding),
            misclassification(oracle, instance.decoding),
            float(D), float(d_pi), float(delta_W_sq(instance.models)),
-           gamma, float(stage1.sigma_thres), stage1.R_hat,
+           stage1_cfg.gamma_ps, float(stage1.sigma_thres), stage1.R_hat,
            time.perf_counter() - start]
-    return (T, H, delta, lam, seed), row
+    return key, row
 
 
 def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     """Execute the cartesian sweep; returns the CSV text (deterministic order).
-    ``where`` names the config in the errors of its fields, which are all read
-    here, before any point runs."""
-    for axis in ("T", "H", "delta", "lambda", "seeds"):
-        if axis not in cfg or not cfg[axis]:
-            raise InvalidSpec(f"sweep config needs a nonempty axis {axis!r}")
+    The whole config is read and checked here, before any point runs or a
+    pool starts, and ``where`` names it in every error: the models are
+    generated once, and the points share one instance per (T, H) and one
+    stage-1 config per delta."""
+    unknown = sorted(set(cfg) - set(SWEEP_KEYS))
+    if unknown:
+        raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
+    for axis in SWEEP_KEYS[:5]:
+        if not cfg.get(axis):
+            raise InvalidSpec(f"{where} needs a nonempty axis {axis!r}")
     Ts, Hs, seeds = (field(cfg, axis, int_list, where) for axis in ("T", "H", "seeds"))
     deltas, lams = (field(cfg, axis, float_list, where) for axis in ("delta", "lambda"))
     if len(set(seeds)) != len(seeds):
-        raise InvalidSpec("sweep seeds must be distinct")
-    if "instance" not in cfg:
-        raise InvalidSpec("sweep config needs an 'instance' generator spec")
-    settings = {
-        "alpha": field(cfg, "alpha", float_list, where, None),
-        "shuffle": field(cfg, "shuffle", boolean, where, False),
-        "shuffle_seed": field(cfg, "shuffle_seed", integer, where, 0),
-        "gamma": field(cfg, "gamma", float, where, None),
-        "c_sigma": field(cfg, "c_sigma", float, where, SpectralConfig.c_sigma),
-        "c_rho": field(cfg, "c_rho", float, where, SpectralConfig.c_rho),
-        "use_initial": field(cfg, "use_initial", boolean, where, False),
-    }
-    points = [(cfg["instance"], settings, T, H, d, lam, seed)
-              for T in Ts for H in Hs for d in deltas for lam in lams for seed in seeds]
+        raise InvalidSpec(f"{where}: sweep seeds must be distinct")
+    if not all(lam >= 0.0 for lam in lams):
+        raise InvalidRange(f"{where}: lambda must be >= 0; got {lams}")
+    instances = _build_instances(require_keys(cfg, ("instance",), where)["instance"],
+                                 f"{where} instance", [(T, H) for T in Ts for H in Hs])
+    gamma = _resolve_gamma(field(cfg, "gamma", float, where, None), instances[0])
+    c_sigma, c_rho = (field(cfg, k, float, where, getattr(SpectralConfig, k))
+                      for k in ("c_sigma", "c_rho"))
+    try:
+        stage1_cfgs = [SpectralConfig(delta=d, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
+                       for d in deltas]
+    except InvalidRange as exc:
+        raise InvalidRange(f"{where}: {exc}") from exc
+    points = [(instance, stage1_cfg, lam, seed) for instance in instances
+              for stage1_cfg in stage1_cfgs for lam in lams for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, points))
@@ -322,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a mixture instance from a generator spec")
     p.add_argument("spec", help="path to a JSON spec, or an inline JSON string")
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--H", type=int, default=None)
     common(p, "instance")
     p.set_defaults(func=cmd_generate)
 

@@ -59,7 +59,7 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != counts.T:
         raise LengthMismatch("labels length does not match trajectory count")
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidRange("smoothing must be nonnegative")
     S = counts.S
     if K < 1 or labels.min() < 0 or labels.max() >= K:

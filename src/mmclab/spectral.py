@@ -55,12 +55,15 @@ class SpectralConfig:
     c_rho: float = 32.0
 
     def __post_init__(self):
+        # each message names the constant by its sweep-config key (gamma for gamma_ps)
         if not 0.0 < self.delta < 1.0:
             raise InvalidRange(f"delta must be in (0,1); got {self.delta}")
         if not 0.0 < self.gamma_ps <= 1.0:
-            raise InvalidRange(f"gamma_ps must be in (0,1]; got {self.gamma_ps}")
-        if self.c_sigma < 0 or self.c_rho <= 0:
-            raise InvalidRange("threshold constants must be positive (c_sigma >= 0)")
+            raise InvalidRange(f"gamma must be in (0,1]; got {self.gamma_ps}")
+        if not self.c_sigma >= 0.0:
+            raise InvalidRange(f"c_sigma must be >= 0; got {self.c_sigma}")
+        if not self.c_rho > 0.0:
+            raise InvalidRange(f"c_rho must be > 0; got {self.c_rho}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,33 @@ def strip_walltime(csv_text: str) -> str:
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
 
+def with_field(cfg: dict, key: str, value) -> dict:
+    """``cfg`` with ``key`` set; an ``instance.`` key is set in the instance spec."""
+    if key.startswith("instance."):
+        return {**cfg, "instance": {**cfg["instance"], key.split(".", 1)[1]: value}}
+    return {**cfg, key: value}
+
+
+def field_place(path, key: str) -> str:
+    """How an error names the config at ``path`` and the field ``key``."""
+    if key.startswith("instance."):
+        return f"{path} instance: field {key.split('.', 1)[1]!r}"
+    return f"{path}: field {key!r}"
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Records each sampling call and each process pool made; neither runs."""
+    import mmclab.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod.simgen, "sample_trajectories",
+                        lambda *args: calls.append("sample"))
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: calls.append("pool"))
+    return calls
+
+
 SWEEP_CFG = {
     "instance": {"type": "separation", "S_prime": 1},
     "T": [24],
@@ -80,9 +107,15 @@ class TestGenerate:
         spec = {"type": "random", "S": 3, "K": 2, "floor": 0.05, "seed": 1, "T": 10, "H": 10}
         path.write_text(json.dumps(dict(spec, **{key: value})))
         assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
-        where = "instance spec" if key == "S" else str(path)
-        assert f"{where}: field {key!r} has the wrong type" in capsys.readouterr().err
+        assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
+
+    def test_T_and_H_come_from_the_spec(self, tmp_path, capsys):
+        spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 2
+        assert "generator spec lacks key(s) ['H']" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["generate", spec, "--H", "20", "--out", str(tmp_path)])
 
     def test_unknown_type(self, tmp_path):
         rc = main(["generate", json.dumps({"type": "nope", "T": 10, "H": 10}),
@@ -450,38 +483,114 @@ class TestSweep:
         assert f"{path} row 1: field 'T' has the wrong type" in capsys.readouterr().err
 
     # the pytest.param cases are integers that must not be truncated and flags
-    # that must not be read by truthiness
+    # that must not be read by truthiness; alpha, shuffle and shuffle_seed
+    # belong to the instance spec, which errors name as "<config> instance"
     @pytest.mark.parametrize("key, value", [
-        ("T", ["x"]), ("seeds", 3), ("c_sigma", "x"), ("alpha", "x"),
+        ("T", ["x"]), ("seeds", 3), ("c_sigma", "x"),
+        pytest.param("instance.alpha", "x", id="alpha-x"),
         pytest.param("T", [24.7], id="T-fraction"), pytest.param("seeds", [True], id="seeds-bool"),
-        pytest.param("shuffle_seed", 0.5, id="shuffle_seed-fraction"),
-        pytest.param("shuffle", "false", id="shuffle-string"),
-        pytest.param("use_initial", "false", id="use_initial-string"),
+        pytest.param("instance.shuffle_seed", 0.5, id="shuffle_seed-fraction"),
+        pytest.param("instance.shuffle", "false", id="shuffle-string"),
     ])
     def test_sweep_config_wrong_type_field_exits_2(self, tmp_path, capsys, key, value):
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({**SWEEP_CFG, "H": [60], "seeds": [1], key: value}))
+        path.write_text(json.dumps(with_field({**SWEEP_CFG, "H": [60], "seeds": [1]}, key, value)))
         assert main(["sweep", str(path), "--out", str(tmp_path)]) == 2
-        assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
+        assert f"{field_place(path, key)} has the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "run.sweep.csv").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("key, value", [("use_initial", "false"), ("gamma", "x"),
-                                            ("c_rho", "x"), ("shuffle_seed", 0.5)])
-    def test_bad_point_field_fails_before_any_point(self, tmp_path, capsys, monkeypatch,
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "x"), ("c_rho", "x"),
+        pytest.param("instance.shuffle_seed", 0.5, id="shuffle_seed-0.5"),
+    ])
+    def test_bad_point_field_fails_before_any_point(self, tmp_path, capsys, no_work,
                                                     key, value, jobs):
-        import mmclab.cli as cli_mod
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(with_field(SWEEP_CFG, key, value)))
+        assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert f"{field_place(path, key)} has the wrong type" in capsys.readouterr().err
+        assert no_work == []
 
-        calls = []
-        monkeypatch.setattr(cli_mod.simgen, "sample_trajectories",
-                            lambda *args: calls.append("sample"))
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: calls.append("pool"))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("key, value", [
+        ("delta", [0.1, 1.0]), ("gamma", 0.0), ("c_sigma", -0.5), ("c_rho", 0),
+        ("lambda", [0.5, -0.5]), pytest.param("c_sigma", math.nan, id="c_sigma-nan"),
+    ])
+    def test_out_of_range_constant_fails_before_any_point(self, tmp_path, capsys, no_work,
+                                                          key, value, jobs):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({**SWEEP_CFG, key: value}))
         assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
-        assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
-        assert calls == []
+        assert f"{path}: {key} must be" in capsys.readouterr().err
+        assert no_work == []
+
+    # a misspelt constant, and the keys that moved into the instance spec or
+    # went: a key the sweep does not read must not pass silently
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("key, value", [("c_sgima", 0.01), ("use_initial", True),
+                                            ("shuffle", True)])
+    def test_unknown_key_fails_before_any_point(self, tmp_path, capsys, no_work,
+                                                key, value, jobs):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, key: value}))
+        assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert f"{path} has unknown key(s) [{key!r}]" in capsys.readouterr().err
+        assert no_work == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"type": "random", "S": 3, "K": 2}, "instance lacks key(s) ['floor', 'seed']"),
+        ({"type": "separation"}, "instance lacks key(s) ['S_prime']"),
+        ({"type": "nope"}, "instance: unknown instance spec type 'nope'"),
+        ({"type": "separation", "S_prime": 1, "alpha": [1.0]},
+         "instance: field 'alpha' needs 2 entries, one per model"),
+    ], ids=["random-missing", "separation-missing", "unknown-type", "alpha-length"])
+    def test_bad_instance_spec_fails_before_any_point(self, tmp_path, capsys, no_work,
+                                                      spec, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, "instance": spec}))
+        assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert f"{path} {message}" in capsys.readouterr().err
+        assert no_work == []
+
+    def test_shuffled_spec_gives_the_generated_instance(self, tmp_path, monkeypatch):
+        import mmclab.cli as cli_mod
+
+        spec = {"type": "random", "S": 3, "K": 2, "floor": 0.05, "seed": 1,
+                "shuffle": True, "shuffle_seed": 4}
+        assert main(["generate", json.dumps(dict(spec, T=12, H=20)),
+                     "--out", str(tmp_path)]) == 0
+        generated = load_instance(tmp_path / "instance.instance.json")
+        swept = []
+        original = cli_mod.simgen.sample_trajectories
+
+        def capturing(instance, seed):
+            swept.append(instance)
+            return original(instance, seed)
+
+        monkeypatch.setattr(cli_mod.simgen, "sample_trajectories", capturing)
+        run_sweep({**SWEEP_CFG, "instance": spec, "T": [12], "H": [20], "seeds": [1]})
+        assert len(swept) == 1
+        np.testing.assert_array_equal(swept[0].decoding, generated.decoding)
+        assert not np.array_equal(generated.decoding, np.sort(generated.decoding))
+        for got, want in zip(swept[0].models, generated.models):
+            np.testing.assert_array_equal(got.P, want.P)
+            np.testing.assert_array_equal(got.mu, want.mu)
+
+    def test_models_generated_once_per_sweep(self, monkeypatch):
+        import mmclab.cli as cli_mod
+
+        calls = []
+        original = cli_mod.simgen.gen_random_ergodic
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli_mod.simgen, "gen_random_ergodic", counting)
+        spec = {"type": "random", "S": 3, "K": 2, "floor": 0.05, "seed": 1}
+        run_sweep({**SWEEP_CFG, "instance": spec, "T": [12, 16], "H": [20], "seeds": [1, 2]})
+        assert len(calls) == 2  # K, not one set per point
 
     def test_empty_report_input(self, tmp_path):
         empty = tmp_path / "empty.csv"

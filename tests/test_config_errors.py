@@ -20,8 +20,11 @@ PI = np.array([1 / 3, 2 / 3])
     lambda: SpectralConfig(delta=1.0, gamma_ps=0.5),
     lambda: SpectralConfig(delta=0.1, gamma_ps=0.0),
     lambda: SpectralConfig(delta=0.1, gamma_ps=0.5, c_rho=0.0),
+    lambda: SpectralConfig(delta=0.1, gamma_ps=0.5, c_sigma=np.nan),
     lambda: pool_estimates(count_transitions(np.array([[0, 1, 0]]), 2), np.array([0]), 1, -0.5),
-], ids=["k_max", "floor", "delta", "gamma_ps", "c_rho", "smoothing"])
+    lambda: pool_estimates(count_transitions(np.array([[0, 1, 0]]), 2), np.array([0]), 1, np.nan),
+], ids=["k_max", "floor", "delta", "gamma_ps", "c_rho", "c_sigma-nan", "smoothing",
+        "smoothing-nan"])
 def test_out_of_range_settings_raise_invalid_range(call):
     with pytest.raises(InvalidRange):
         call()
