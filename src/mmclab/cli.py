@@ -23,8 +23,8 @@ import numpy as np
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidRange, InvalidSpec, MMCLabError, NumericalError
-from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, read_object,
-                      require_keys)
+from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, number,
+                      read_object, require_keys)
 from .likelihood import oracle_classify, refine, save_stage2
 from .metrics import (
     divergence_D,
@@ -42,6 +42,10 @@ SWEEP_KEYS = ("T", "H", "delta", "lambda", "seeds", "instance", "gamma", "c_sigm
 SWEEP_COLUMNS = ["T", "H", "delta", "lambda", "seed", "K_hat", "e_t_stage1",
                  "e_t_stage2", "e_t_oracle", "D", "D_pi", "delta_W_sq",
                  "gamma_ps", "sigma_thres", "R_hat", "wall_time_s"]
+# the keys of each instance spec type, besides the ones every type takes
+_SPEC_KEYS = {"separation": ("S_prime",), "random": ("S", "K", "floor", "seed"),
+              "inline": ("models",)}
+_SHARED_SPEC_KEYS = ("type", "alpha", "shuffle", "shuffle_seed")
 _REPORT_INPUTS = {"T": int, "H": int, "delta": float, "lambda": float, "e_t_stage1": int,
                   "e_t_stage2": int, "e_t_oracle": int, "gamma_ps": float, "D_pi": float}
 
@@ -54,17 +58,21 @@ def _fmt(x) -> str:
 
 def _models_from_spec(spec: dict, where: str) -> tuple:
     kind = require_keys(spec, (), where).get("type")
+    if kind not in _SPEC_KEYS:
+        raise InvalidSpec(f"{where}: unknown instance spec type {kind!r}")
+    unknown = sorted(set(spec) - set(_SPEC_KEYS[kind]) - set(_SHARED_SPEC_KEYS))
+    if unknown:
+        raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
     if kind == "separation":
         return simgen.gen_separation_models(field(spec, "S_prime", integer, where))
     if kind == "random":
-        require_keys(spec, ("S", "K", "floor", "seed"), where)
+        require_keys(spec, _SPEC_KEYS["random"], where)
         S, K, base = (field(spec, k, integer, where) for k in ("S", "K", "seed"))
-        floor = field(spec, "floor", float, where)
+        floor = field(spec, "floor", number, where)
         return tuple(simgen.gen_random_ergodic(S, base + 7919 * k, floor) for k in range(K))
-    if kind == "inline":
-        from .chains import model_from_json
-        return tuple(model_from_json(doc) for doc in field(spec, "models", list, where))
-    raise InvalidSpec(f"{where}: unknown instance spec type {kind!r}")
+    from .chains import model_from_json
+    return tuple(model_from_json(doc, f"{where} models[{i}]")
+                 for i, doc in enumerate(field(spec, "models", list, where)))
 
 
 def _build_instances(spec: dict, where: str, shapes) -> list[simgen.MixtureInstance]:
@@ -99,7 +107,8 @@ def cmd_generate(args) -> int:
         where = "generator spec"
         spec = require_keys(json.loads(args.spec), (), where)
     T, H = (field(spec, k, integer, where) for k in ("T", "H"))
-    instance, = _build_instances(spec, where, [(T, H)])
+    instance_spec = {k: v for k, v in spec.items() if k not in ("T", "H")}
+    instance, = _build_instances(instance_spec, where, [(T, H)])
     out = Path(args.out) / (args.name + ".instance.json")
     simgen.save_instance(instance, out)
     print(f"wrote {out} (K={instance.K}, S={instance.S}, T={T}, H={H})")
@@ -117,7 +126,7 @@ def cmd_sample(args) -> int:
 
 def cmd_cluster(args) -> int:
     # load scipy before the trajectories: imported while they are alive, it raises peak RSS
-    import scipy.linalg, scipy.optimize
+    import scipy.linalg
     trajs, S = simgen.load_trajectories(args.trajectories)
     instance = simgen.load_instance(args.instance) if args.instance else None
     gamma = _resolve_gamma(args.gamma, instance)
@@ -187,7 +196,7 @@ def _sweep_point(payload: tuple) -> tuple:
     config that ``run_sweep`` built; returns (key, row list)."""
     start = time.perf_counter()
     # load scipy before the point allocates: imported while its arrays are alive, it raises peak RSS
-    import scipy.linalg, scipy.optimize
+    import scipy.linalg
     instance, stage1_cfg, lam, seed = payload
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine
@@ -228,8 +237,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
         raise InvalidRange(f"{where}: lambda must be >= 0; got {lams}")
     instances = _build_instances(require_keys(cfg, ("instance",), where)["instance"],
                                  f"{where} instance", [(T, H) for T in Ts for H in Hs])
-    gamma = _resolve_gamma(field(cfg, "gamma", float, where, None), instances[0])
-    c_sigma, c_rho = (field(cfg, k, float, where, getattr(SpectralConfig, k))
+    gamma = _resolve_gamma(field(cfg, "gamma", number, where, None), instances[0])
+    c_sigma, c_rho = (field(cfg, k, number, where, getattr(SpectralConfig, k))
                       for k in ("c_sigma", "c_rho"))
     try:
         stage1_cfgs = [SpectralConfig(delta=d, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)

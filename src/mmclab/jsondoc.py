@@ -76,9 +76,22 @@ def int_vector(value) -> np.ndarray:
     return np.array(int_list(value), dtype=np.int64)
 
 
+def number(value) -> float:
+    """A JSON number (an integer or a float, or a numpy scalar of either) as a
+    float; a bool, a string or null is rejected, not parsed."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, not {value!r}")
+
+
 def float_array(value) -> np.ndarray:
     """A JSON number or (nested) list of numbers as a float64 array."""
-    return np.asarray(value, dtype=np.float64)
+    return np.asarray(_numbers(value), dtype=np.float64)
+
+
+def _numbers(value):
+    """``value`` with every leaf read by ``number``."""
+    return [_numbers(x) for x in value] if isinstance(value, (list, tuple)) else number(value)
 
 
 def _sequence(value, kind) -> list:
@@ -92,4 +105,4 @@ def int_list(value) -> list[int]:
 
 
 def float_list(value) -> list[float]:
-    return _sequence(value, float)
+    return _sequence(value, number)

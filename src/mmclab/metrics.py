@@ -2,9 +2,9 @@
 
 Everything here is a pure function of validated models or label vectors. KL
 divergences may be +inf (disjoint supports); infinities propagate through the
-min/comparison arithmetic rather than raising. Only ``misclassification``
-needs scipy (for the optimal assignment), and it imports it when called, so
-the divergences and gap checks run without loading scipy.
+min/comparison arithmetic rather than raising. Nothing here needs scipy:
+``misclassification`` solves its optimal assignment itself, exactly, on the
+rectangular confusion matrix.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ _ACC_BLOCK = 4096  # fixed-point steps added per np.add.accumulate pass
 def misclassification(f_hat: np.ndarray, f: np.ndarray) -> int:
     """E_T: misclassified count minimized over relabelings of the clusters.
 
-    Label vectors may use different numbers of clusters; the smaller label set
-    is padded with empty clusters before the permutation minimization, which
-    is solved exactly as an optimal assignment (Hungarian) on the confusion
-    matrix.
+    Label vectors may use different numbers of clusters, and any nonnegative
+    label values. The best relabeling
+    matches each cluster of the smaller label set to a distinct cluster of
+    the larger one, maximizing the trajectories the matched pairs share;
+    every trajectory of an unmatched cluster counts as misclassified, as if
+    the smaller set were padded with empty clusters.
     """
-    from scipy.optimize import linear_sum_assignment
-
     f_hat = np.asarray(f_hat, dtype=np.int64)
     f = np.asarray(f, dtype=np.int64)
     if f_hat.shape != f.shape or f_hat.ndim != 1:
@@ -64,11 +64,58 @@ def misclassification(f_hat: np.ndarray, f: np.ndarray) -> int:
         return 0
     if f_hat.min() < 0 or f.min() < 0:
         raise LengthMismatch("labels must be nonnegative")
-    K = int(max(f_hat.max(), f.max())) + 1
-    C = np.zeros((K, K), dtype=np.int64)
-    np.add.at(C, (f_hat, f), 1)
-    row, col = linear_sum_assignment(-C)
-    return f.shape[0] - int(C[row, col].sum())
+    # number the labels that occur 0, 1, ...: a label value far above T
+    # (one read from a file, say) must not size the confusion matrix
+    f_hat = np.unique(f_hat, return_inverse=True)[1]
+    f = np.unique(f, return_inverse=True)[1]
+    K_hat, K = int(f_hat.max()) + 1, int(f.max()) + 1
+    confusion = np.bincount(f_hat * K + f, minlength=K_hat * K).reshape(K_hat, K)
+    return f.shape[0] - _max_matching_weight(confusion.T if K_hat > K else confusion)
+
+
+def _max_matching_weight(C: np.ndarray) -> int:
+    """Largest sum of C[i, j] over matchings of every row i to a distinct
+    column j, for an (n, m) integer matrix with n <= m.
+
+    The minimum-cost assignment on the costs C.max() - C, by shortest
+    augmenting paths with row and column potentials (Jonker & Volgenant
+    1987; Crouse 2016): each row joins the matching through one Dijkstra
+    search over the columns on the reduced costs, which stay nonnegative,
+    so every value is an exact int64. Column 0 of the cost table is a dummy
+    that the search starts from; rows are 1-based, and row 0 marks a free
+    column.
+    """
+    n, m = C.shape
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[1:, 1:] = C.max() - C
+    unreached = np.iinfo(np.int64).max // 2
+    u = np.zeros(n + 1, dtype=np.int64)        # row potentials
+    v = np.zeros(m + 1, dtype=np.int64)        # column potentials
+    row_of = np.zeros(m + 1, dtype=np.intp)    # row matched to each column, 0 if none
+    came_from = np.zeros(m + 1, dtype=np.intp)  # previous column on the shortest path
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        dist = np.full(m + 1, unreached, dtype=np.int64)
+        done = np.zeros(m + 1, dtype=bool)
+        while row_of[j0]:
+            done[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0] - u[i0] - v
+            closer = ~done & (reduced < dist)
+            dist[closer] = reduced[closer]
+            came_from[closer] = j0
+            j1 = int(np.argmin(np.where(done, unreached, dist)))
+            step = dist[j1]
+            u[row_of[done]] += step
+            v[done] -= step
+            dist[~done] -= step
+            j0 = j1
+        while j0:  # flip the matching along the path back to the dummy column
+            row_of[j0] = row_of[came_from[j0]]
+            j0 = came_from[j0]
+    cols = np.flatnonzero(row_of[1:])
+    return int(C[row_of[1:][cols] - 1, cols].sum())
 
 
 # --- divergences between probability vectors ------------------------------

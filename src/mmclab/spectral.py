@@ -28,7 +28,7 @@ import numpy as np
 
 from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
-from .jsondoc import boolean, field, float_array, int_vector, integer, read_object
+from .jsondoc import boolean, field, float_array, int_vector, integer, number, read_object
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
            "spectral_cluster", "save_stage1", "load_stage1"]
@@ -265,6 +265,6 @@ def load_stage1(path: str | Path) -> Stage1Result:
         centers=field(doc, "centers", int_vector, where) - 1,
         R_hat=field(doc, "R_hat", integer, where),
         singular_values=field(doc, "singular_values", float_array, where),
-        sigma_thres=field(doc, "sigma_thres", float, where),
+        sigma_thres=field(doc, "sigma_thres", number, where),
         forced_first_cluster=field(doc, "forced_first_cluster", boolean, where),
     )

@@ -111,6 +111,19 @@ def reference_brute_force_misclassification(f_hat, f):
                         for sigma in itertools.permutations(range(K)))
 
 
+def reference_misclassification(f_hat, f):
+    """E_T by scipy's optimal assignment on the confusion matrix padded to
+    max(K_hat, K) squared: the smaller label set gains empty clusters."""
+    from scipy.optimize import linear_sum_assignment
+
+    f_hat, f = np.asarray(f_hat, dtype=np.int64), np.asarray(f, dtype=np.int64)
+    K = int(max(f_hat.max(), f.max())) + 1
+    C = np.zeros((K, K), dtype=np.int64)
+    np.add.at(C, (f_hat, f), 1)
+    row, col = linear_sum_assignment(-C)
+    return len(f) - int(C[row, col].sum())
+
+
 def reference_necessary_condition(eps, delta, T, H, D, alpha_min):
     """delta >= (1/2)(alpha_min/(16 e eps))^{eps T} exp(-4 eps T (H-1) D),
     evaluated in log space (an arithmetic path independent of the rearranged

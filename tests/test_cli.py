@@ -101,6 +101,9 @@ class TestGenerate:
         pytest.param("T", 10.5, id="T-fraction"), pytest.param("S", True, id="S-bool"),
         pytest.param("shuffle", "false", id="shuffle-string"),
         pytest.param("shuffle", 1, id="shuffle-int"),
+        pytest.param("floor", "0.05", id="floor-string"),
+        pytest.param("floor", True, id="floor-bool"),
+        pytest.param("alpha", ["0.5", "0.5"], id="alpha-strings"),
     ])
     def test_wrong_type_spec_field_exits_2(self, tmp_path, capsys, key, value):
         path = tmp_path / "spec.json"
@@ -108,6 +111,26 @@ class TestGenerate:
         path.write_text(json.dumps(dict(spec, **{key: value})))
         assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path}: field {key!r} has the wrong type" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("shufle", True), ("S_prime", 2), ("lambda", 0.5)])
+    def test_unknown_spec_key_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "spec.json"
+        spec = {"type": "random", "S": 3, "K": 2, "floor": 0.05, "seed": 1, "T": 10, "H": 10}
+        path.write_text(json.dumps(dict(spec, **{key: value})))
+        assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} has unknown key(s) [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
+    # numbers given as strings, and flags, which numpy would read as 1.0 and 0.0
+    @pytest.mark.parametrize("key, value", [("P", [["0.9", "0.1"], ["0.2", "0.8"]]),
+                                            ("mu", ["0.5", "0.5"]), ("mu", [True, False])])
+    def test_non_numeric_inline_model_entry_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "spec.json"
+        model = {"S": 2, "P": [[0.9, 0.1], [0.2, 0.8]], "mu": [0.5, 0.5], key: value}
+        path.write_text(json.dumps({"type": "inline", "models": [model], "T": 10, "H": 10}))
+        assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} models[0]: field {key!r} has the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
 
     def test_T_and_H_come_from_the_spec(self, tmp_path, capsys):
@@ -136,7 +159,7 @@ class TestGenerate:
         spec = json.dumps({"type": "inline", "models": [{"S": 2, "P": [[1.0]]}],
                            "T": 10, "H": 10})
         assert main(["generate", spec, "--out", str(tmp_path)]) == 2
-        assert "model document lacks key(s) ['mu']" in capsys.readouterr().err
+        assert "generator spec models[0] lacks key(s) ['mu']" in capsys.readouterr().err
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(_):
@@ -279,6 +302,26 @@ class TestPipeline:
         capsys.readouterr()
         assert main(argv) == 2
         assert f"{bad}: field {key!r} has the wrong type" in capsys.readouterr().err
+
+    # numbers given as strings or flags, which float() or numpy would read
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_thres", "0.5"), ("sigma_thres", True), ("sigma_thres", None),
+        ("singular_values", ["1.0"]), ("singular_values", [True]),
+    ])
+    def test_non_numeric_stage1_field_exits_2(self, tmp_path, instance_file, capsys,
+                                              key, value):
+        self.assert_field_rejected(tmp_path, instance_file, capsys, "stage1", key, value)
+
+    @pytest.mark.parametrize("key, value", [("P", "0.25"), ("mu", True)])
+    def test_non_numeric_model_entry_names_its_place(self, tmp_path, instance_file, capsys,
+                                                     key, value):
+        doc = json.loads(instance_file.read_text())
+        model = doc["models"][1]
+        model[key] = [[value] * model["S"]] * model["S"] if key == "P" else [value] * model["S"]
+        instance_file.write_text(json.dumps(doc))
+        assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 2
+        assert f"{instance_file} models[1]: field {key!r} has the wrong type" \
+            in capsys.readouterr().err
 
     def test_wrong_type_model_field_names_its_place(self, tmp_path, instance_file, capsys):
         doc = json.loads(instance_file.read_text())
@@ -491,6 +534,13 @@ class TestSweep:
         pytest.param("T", [24.7], id="T-fraction"), pytest.param("seeds", [True], id="seeds-bool"),
         pytest.param("instance.shuffle_seed", 0.5, id="shuffle_seed-fraction"),
         pytest.param("instance.shuffle", "false", id="shuffle-string"),
+        pytest.param("c_sigma", "0.15", id="c_sigma-numeric-string"),
+        pytest.param("c_rho", True, id="c_rho-bool"),
+        pytest.param("gamma", "0.3", id="gamma-numeric-string"),
+        pytest.param("delta", ["0.1"], id="delta-numeric-string"),
+        pytest.param("lambda", ["0.5"], id="lambda-numeric-string"),
+        pytest.param("lambda", [None], id="lambda-null"),
+        pytest.param("instance.alpha", ["0.5", "0.5"], id="alpha-numeric-strings"),
     ])
     def test_sweep_config_wrong_type_field_exits_2(self, tmp_path, capsys, key, value):
         path = tmp_path / "sweep.json"
@@ -536,6 +586,17 @@ class TestSweep:
         path.write_text(json.dumps({**SWEEP_CFG, key: value}))
         assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
         assert f"{path} has unknown key(s) [{key!r}]" in capsys.readouterr().err
+        assert no_work == []
+
+    # T and H are the sweep's axes, and a misspelt key must not pass silently
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("key, value", [("T", 99), ("H", 20), ("shufle", True)])
+    def test_unknown_instance_key_fails_before_any_point(self, tmp_path, capsys, no_work,
+                                                         key, value, jobs):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(with_field(SWEEP_CFG, f"instance.{key}", value)))
+        assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert f"{path} instance has unknown key(s) [{key!r}]" in capsys.readouterr().err
         assert no_work == []
 
     @pytest.mark.parametrize("spec, message", [

@@ -16,6 +16,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
+from mmclab.embedding import _BLOCK_ELEMENTS
 from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from tests.conftest import (
     gen_separation_instance,
@@ -102,15 +103,31 @@ class TestCountStats:
 
     @pytest.mark.parametrize("T", [255, 256, 257, 513])
     def test_block_edges_match_reference(self, T):
-        # trajectories are counted 256 at a time; these T end a block exactly,
-        # one short of it or one past it
-        S, H = 5, 30
+        # at this H a counting pass takes 256 trajectories; these T end a
+        # block exactly, one short of it or one past it
+        S, H = 5, _BLOCK_ELEMENTS // 256 + 1
         states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
         cs = count_transitions(states, S)
         for t in range(T):
             visits, transitions = reference_counts(states[t], S)
             assert np.array_equal(cs.visits[t], visits)
             assert np.array_equal(cs.transitions[t], transitions)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("budget", ["1", "H-2", "H-1", "H", "3H+1"])
+    def test_counts_do_not_depend_on_the_block_budget(self, monkeypatch, dtype, budget):
+        T, H, S = 7, 40, 5
+        states = np.random.default_rng(1).integers(0, S, size=(T, H)).astype(dtype)
+        budget = {"1": 1, "H-2": H - 2, "H-1": H - 1, "H": H, "3H+1": 3 * H + 1}[budget]
+        monkeypatch.setattr("mmclab.embedding._BLOCK_ELEMENTS", budget)
+        cs = count_transitions(states, S)
+        for t in range(T):
+            visits, transitions = reference_counts(states[t], S)
+            assert np.array_equal(cs.visits[t], visits)
+            assert np.array_equal(cs.transitions[t], transitions)
+        assert np.array_equal(cs.first, states[:, 0])
+        ref = cs.transitions.reshape(T, -1).astype(np.float64, order="F")
+        assert np.array_equal(cs.float_transitions, ref)
 
     def test_no_whole_int64_flat_index(self):
         T, H, S = 2_000, 500, 10
@@ -123,10 +140,27 @@ class TestCountStats:
             tracemalloc.stop()
         assert peak < T * (H - 1) * 8
 
+    # the decay shape, where the whole int64 flat index would take 32 MB and
+    # a pass of 13 trajectories takes 2.1 MB; and one with many states, where
+    # a pass over all T would make a 24 MB int64 bincount, against 8.3 MB for
+    # a pass of 104 (the bincount may take four times the budget)
+    @pytest.mark.parametrize("T, H, S, budgets", [(200, 20_000, 4, 2), (300, 3, 100, 5)])
+    def test_pass_buffers_within_the_budget(self, T, H, S, budgets):
+        states = np.random.default_rng(0).integers(0, S, size=(T, H)).astype(np.int64)
+        tracemalloc.start()
+        try:
+            cs = count_transitions(states, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = cs.first.nbytes + cs.visits.nbytes + cs.transitions.nbytes
+        assert peak - kept < budgets * _BLOCK_ELEMENTS * 8
+
     @pytest.mark.parametrize("T", [255, 256, 257, 513])
     def test_float_transitions_equal_whole_conversion(self, T):
-        # the float copy is filled 256 trajectories at a time, like the counts
-        S, H = 5, 30
+        # at this S the float copy is filled 256 trajectories at a time
+        S, H = 32, 30
+        assert _BLOCK_ELEMENTS // (S * S) == 256
         states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
         cs = count_transitions(states, S)
         ref = cs.transitions.reshape(T, -1).astype(np.float64, order="F")

@@ -1,10 +1,10 @@
 """Which subcommands load scipy, and when.
 
-scipy serves only stage 1's eigensolvers and the optimal assignment of
-``misclassification``, so importing the package and every subcommand that
-needs neither must leave it unloaded. ``sweep`` and ``cluster`` load it before
-they allocate, which keeps their peak RSS. This module's process has scipy
-loaded already (``conftest`` imports it), so each check runs in a fresh
+scipy serves only stage 1's eigensolvers, so importing the package and every
+subcommand that does not cluster must leave it unloaded, and no subcommand
+loads ``scipy.optimize``. ``sweep`` and ``cluster`` load ``scipy.linalg``
+before they allocate, which keeps their peak RSS. This module's process has
+scipy loaded already (``conftest`` imports it), so each check runs in a fresh
 interpreter on the checkout's ``src``.
 """
 
@@ -49,10 +49,15 @@ def test_gap_sweep_imports_load_no_scipy(tmp_path):
     assert scipy_loaded_after(code, tmp_path) == []
 
 
-def test_scipy_free_subcommands_load_no_scipy(tmp_path):
+def write_stage1(tmp_path):
+    """A stage-1 file for the 10 trajectories of the specs below."""
     stage1 = {"K_hat": 2, "labels": [1, 2] * 5, "centers": [1, 2], "R_hat": 1,
               "singular_values": [1.0], "sigma_thres": 0.5, "forced_first_cluster": False}
     (tmp_path / "s.stage1.json").write_text(json.dumps(stage1))
+
+
+def test_scipy_free_subcommands_load_no_scipy(tmp_path):
+    write_stage1(tmp_path)
     row = dict.fromkeys(SWEEP_COLUMNS, "0.5") | {"T": "10", "H": "20", "e_t_stage1": "1",
                                                   "e_t_stage2": "1", "e_t_oracle": "0"}
     (tmp_path / "s.sweep.csv").write_text(",".join(SWEEP_COLUMNS) + "\n"
@@ -62,6 +67,7 @@ def test_scipy_free_subcommands_load_no_scipy(tmp_path):
         spec = '{"type": "separation", "S_prime": 1, "T": 10, "H": 20}'
         commands = [["generate", spec], ["sample", "instance.instance.json", "--seed", "1"],
                     ["refine", "sample.traj.bin", "s.stage1.json"],
+                    ["evaluate", "--instance", "instance.instance.json", "s.stage1.json"],
                     ["gaps", "instance.instance.json"],
                     ["bounds", "--eps", "0.1", "--delta", "0.1", "--T", "10", "--H", "20",
                      "--D", "0.5", "--alpha-min", "0.5"],
@@ -83,7 +89,7 @@ _RECORD_LOAD_ORDER = """
 
     def recording(fn):
         def wrapper(*args, **kwargs):
-            seen.append(all(m in sys.modules for m in ("scipy.linalg", "scipy.optimize")))
+            seen.append("scipy.linalg" in sys.modules)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -109,3 +115,22 @@ def test_cluster_loads_scipy_before_it_reads_trajectories(tmp_path):
                  "--out", str(tmp_path)]) == 0
     argv = ["cluster", "sample.traj.bin", "--gamma", "0.5"]
     assert run_fresh(_RECORD_LOAD_ORDER.format(argv=argv), tmp_path) == [True]
+
+
+def test_clustering_subcommands_load_no_scipy_optimize(tmp_path):
+    write_stage1(tmp_path)
+    cfg = {"instance": {"type": "separation", "S_prime": 1}, "T": [10], "H": [20],
+           "delta": [0.1], "lambda": [0.5], "seeds": [1], "c_sigma": 0.15, "c_rho": 2.0}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    code = """
+        from mmclab.cli import main
+        spec = '{"type": "separation", "S_prime": 1, "T": 10, "H": 20}'
+        commands = [["generate", spec], ["sample", "instance.instance.json", "--seed", "1"],
+                    ["sweep", "sweep.json"], ["cluster", "sample.traj.bin", "--gamma", "0.5"],
+                    ["evaluate", "--instance", "instance.instance.json", "s.stage1.json",
+                     "cluster.stage1.json"]]
+        for argv in commands:
+            assert main(argv) == 0, argv
+    """
+    loaded = scipy_loaded_after(code, tmp_path)
+    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded

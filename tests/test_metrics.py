@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmclab import (
@@ -40,6 +40,7 @@ from tests.conftest import (
     random_labels,
     random_models,
     reference_brute_force_misclassification,
+    reference_misclassification,
     reference_necessary_condition,
 )
 
@@ -232,6 +233,12 @@ class TestMisclassification:
         f_hat = np.array([0, 1, 2, 2])  # three clusters vs two
         assert misclassification(f_hat, f) == 1
 
+    def test_label_values_far_above_T(self):
+        # only the labels that occur size the confusion matrix
+        f_hat = np.array([0, 2**40, 2**40, 7])
+        assert misclassification(f_hat, np.array([1, 0, 0, 0])) == 1
+        assert misclassification(np.array([1, 0, 0, 0]), f_hat) == 1
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             misclassification(np.array([0, 1]), np.array([0, 1, 1]))
@@ -245,6 +252,28 @@ class TestMisclassification:
             f_hat = random_labels(rng, T, K)
             assert reference_brute_force_misclassification(f_hat, f) \
                 == misclassification(f_hat, f)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, K_hat, K, T, seed):
+        rng = np.random.default_rng(seed)
+        f_hat, f = rng.integers(0, K_hat, size=T), rng.integers(0, K, size=T)
+        assert misclassification(f_hat, f) == reference_brute_force_misclassification(f_hat, f)
+
+    # label values drawn from a set with gaps, as a file's labels may be;
+    # either side may hold more clusters
+    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=400, unique=True),
+           st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True),
+           st.integers(1, 800), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(values_hat=[0, 5], values=[3], T=1, swap=False, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_assignment(self, values_hat, values, T, swap, seed):
+        rng = np.random.default_rng(seed)
+        f_hat, f = rng.choice(values_hat, size=T), rng.choice(values, size=T)
+        if swap:
+            f_hat, f = f, f_hat
+        assert misclassification(f_hat, f) == reference_misclassification(f_hat, f)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
