@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     EigenFailure,
     InvalidRange,
+    InvalidSpec,
     NotIrreducible,
     NotMixedWithinTMax,
     Periodic,
@@ -33,6 +34,14 @@ PROB_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 MIXING_THRESHOLD = 0.25  # t_mix is the first t with max_s TV(P^t(s, .), pi) at or below it
 MIXING_T_MAX = 100_000  # steps after which mixing_time gives up
+# B = D^{1/2} P D^{-1/2} is a contraction, so (B^k)^T B^k has its eigenvalues
+# in [0, 1], and rounding takes eigvalsh's lambda_2 about S * 1e-16 below 0 at
+# most: term k of the pseudo-spectral gap is at most (1 + GAP_TERM_MARGIN)/k
+GAP_TERM_MARGIN = 1e-9
+# matrix elements in one stacked eigensolve of the gap terms: 8 MB, and as
+# much again for the products, where all k at once would take
+# 2 k_max S^2 doubles (8 GB at k_max = 200 for a doublet chain of S = 40)
+_BATCH_ELEMENTS = 1 << 20
 
 __all__ = [
     "MarkovModel",
@@ -129,15 +138,17 @@ class AugmentedChain:
 
 
 def _depths(adj: np.ndarray) -> np.ndarray:
-    """Breadth-first depth of every state from state 0 in the 0/1 adjacency,
-    -1 where a state is unreachable; one boolean frontier step per level."""
-    depth = np.full(adj.shape[0], -1, dtype=np.int64)
-    frontier = np.zeros(adj.shape[0], dtype=bool)
-    frontier[0] = True
+    """Breadth-first depth of every state from state 0 in each (S, S) 0/1
+    adjacency of the (n, S, S) stack, -1 where a state is unreachable; all n
+    searches take one boolean frontier step per level together."""
+    n, S, _ = adj.shape
+    depth = np.full((n, S), -1, dtype=np.int64)
+    frontier = np.zeros((n, S), dtype=bool)
+    frontier[:, 0] = True
     level = 0
     while frontier.any():
         depth[frontier] = level
-        frontier = adj[frontier].any(axis=0) & (depth < 0)
+        frontier = (frontier[:, :, None] & adj).any(axis=1) & (depth < 0)
         level += 1
     return depth
 
@@ -162,36 +173,67 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     residual = float(np.max(np.abs(pi @ P - pi)))
     if residual > STATIONARY_TOL or np.any(pi < -STATIONARY_TOL) or abs(pi.sum() - 1.0) > 1e-9:
         raise SingularSystem(f"stationary solve residual {residual:.3e} exceeds {STATIONARY_TOL}")
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def _conjugate(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """B = D^{1/2} P D^{-1/2} with D = diag(pi): (P*)^k P^k is similar to the
+    symmetric (B^k)^T B^k, so its spectrum comes from a symmetric eigensolver."""
+    d = np.sqrt(pi)
+    return (d[:, None] * P) / d[None, :]
+
+
+def _terms(B: np.ndarray, Bk: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gap terms for k = k_lo..k_hi, given Bk = B^(k_lo - 1); returns them
+    with B^k_hi. Each eigensolve takes a stack of (B^k)^T B^k within
+    _BATCH_ELEMENTS, so every k of a chain with S^2 (k_hi - k_lo + 1) up to
+    that budget goes through one call."""
+    terms = np.empty(k_hi - k_lo + 1)
+    stack = np.empty((min(len(terms), max(1, _BATCH_ELEMENTS // B.size)), *B.shape))
+    for lo in range(0, len(terms), len(stack)):
+        n = min(len(stack), len(terms) - lo)
+        for i in range(n):
+            Bk = Bk @ B
+            stack[i] = Bk
+        try:
+            ev = np.linalg.eigvalsh(np.matmul(stack[:n].transpose(0, 2, 1), stack[:n]))
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(f"eigensolver failed at k={k_lo + lo}") from exc
+        # eigvalsh sorts ascending; a 1-state chain has no second eigenvalue
+        lam2 = ev[:, -2] if B.shape[0] > 1 else np.zeros(n)
+        terms[lo:lo + n] = (1.0 - np.minimum(lam2, 1.0)) / np.arange(k_lo + lo, k_lo + lo + n)
+    return terms, Bk
 
 
 def pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
-    """(1/k)(1 - lambda_2((P*)^k P^k)) for k = 1..k_max.
-
-    The non-symmetric (P*)^k P^k is conjugated with diag(pi)^{1/2} into the
-    symmetric (B^k)^T B^k with B = D^{1/2} P D^{-1/2}, which has the same
-    spectrum, so a symmetric eigensolver can be used.
-    """
+    """(1/k)(1 - lambda_2((P*)^k P^k)) for k = 1..k_max, from one eigensolve
+    of the stacked symmetric conjugates (B^k)^T B^k (one per _BATCH_ELEMENTS
+    matrix elements)."""
     if k_max < 1:
         raise InvalidRange("k_max must be >= 1")
-    d = np.sqrt(pi)
-    B = (d[:, None] * P) / d[None, :]
-    terms = np.empty(k_max)
-    Bk = np.eye(P.shape[0])
-    for k in range(1, k_max + 1):
-        Bk = Bk @ B
-        try:
-            ev = np.linalg.eigvalsh(Bk.T @ Bk)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(f"eigensolver failed at k={k}") from exc
-        lam2 = float(ev[-2]) if len(ev) > 1 else 0.0  # eigvalsh sorts ascending
-        terms[k - 1] = (1.0 - min(lam2, 1.0)) / k
-    return terms
+    return _terms(_conjugate(P, pi), np.eye(P.shape[0]), 1, k_max)[0]
 
 
 def pseudo_spectral_gap(P: np.ndarray, pi: np.ndarray, k_max: int) -> float:
-    """max over k in [1, k_max] of (1/k) * spectral gap of (P*)^k P^k."""
-    return float(pseudo_spectral_gap_terms(P, pi, k_max).max())
+    """max over k in [1, k_max] of (1/k) * spectral gap of (P*)^k P^k.
+
+    lambda_2 of the positive semidefinite (B^k)^T B^k is at least minus its
+    rounding error, so term k is at most (1 + GAP_TERM_MARGIN)/k, and no k
+    above (1 + GAP_TERM_MARGIN)/term_1 can beat term 1. Only the k up to that
+    bound (and k_max) are computed, in one eigensolve after term 1's; the
+    result is the maximum over all k_max terms bit for bit. A NaN term 1
+    sets no bound, so a NaN gap stays NaN.
+    """
+    if k_max < 1:
+        raise InvalidRange("k_max must be >= 1")
+    B = _conjugate(P, pi)
+    terms, Bk = _terms(B, np.eye(P.shape[0]), 1, 1)
+    bound = (1.0 + GAP_TERM_MARGIN) / terms[0] if terms[0] > 0.0 else math.inf
+    k_hi = k_max if not bound < k_max else math.floor(bound)
+    if k_hi > 1:
+        terms = np.concatenate([terms, _terms(B, Bk, 2, k_hi)[0]])
+    return float(terms.max())
 
 
 def mixing_time(P: np.ndarray, pi: np.ndarray) -> int:
@@ -210,9 +252,13 @@ def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
     Ergodicity is checked on the positive-transition graph: it is irreducible
     when every state has a breadth-first depth from state 0 both forwards and
     backwards, and its period is the gcd of depth(u) + 1 - depth(v) over its
-    edges (u, v). The pseudo-spectral gap starts from k_max = max(10, 2 * t_mix)
-    and extends k_max when needed so the sandwich
-    1/2 <= gamma_ps * t_mix <= 1 + 2 log 2 + log(1/pi_min) holds.
+    edges (u, v); one stacked search covers the graph and its reverse. The
+    pseudo-spectral gap starts from k_max = max(10, 2 * t_mix) and extends
+    k_max when needed so the sandwich
+    1/2 <= gamma_ps * t_mix <= 1 + 2 log 2 + log(1/pi_min) holds. Each gap
+    eigensolves only the k up to (1 + GAP_TERM_MARGIN)/term_1, since term k
+    is at most (1 + GAP_TERM_MARGIN)/k (see ``pseudo_spectral_gap``): one
+    eigensolve when term 1 exceeds 1/2.
     """
     P = check_stochastic_matrix(P)
     S = P.shape[0]
@@ -221,11 +267,11 @@ def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
         raise DimensionMismatch(f"mu has length {mu.shape[0]}, expected {S}")
 
     adj = P > 0.0
-    depth = _depths(adj)
-    if depth.min() < 0 or _depths(adj.T).min() < 0:
+    depth = _depths(np.stack([adj, adj.T]))
+    if depth.min() < 0:
         raise NotIrreducible("positive-transition graph is not strongly connected")
     u, v = np.nonzero(adj)
-    period = int(np.gcd.reduce(depth[u] + 1 - depth[v]))
+    period = int(np.gcd.reduce(depth[0, u] + 1 - depth[0, v]))
     if period != 1:
         raise Periodic(f"chain has period {period}")
 
@@ -282,14 +328,23 @@ def v_min(models: Sequence[MarkovModel]) -> float:
     return float(min((m.pi * (1.0 - m.pi)).min() for m in models))
 
 
+_MODEL_KEYS = ("S", "P", "mu")
+
+
 def model_to_json(M: MarkovModel) -> dict:
     """JSON document {"S", "P", "mu"}; derived fields are never persisted."""
     return {"S": M.S, "P": M.P.tolist(), "mu": M.mu.tolist()}
 
 
 def model_from_json(doc: dict, where: str = "model document") -> MarkovModel:
-    """Rebuild a model from its JSON document, recomputing derived fields."""
-    require_keys(doc, ("S", "P", "mu"), where)
+    """Rebuild a model from its JSON document, recomputing derived fields.
+
+    The document holds exactly the keys ``S``, ``P`` and ``mu``; any other key
+    (a misspelt ``"Mu"``, a derived ``"pi"``) raises InvalidSpec naming it."""
+    require_keys(doc, _MODEL_KEYS, where)
+    unknown = sorted(set(doc) - set(_MODEL_KEYS))
+    if unknown:
+        raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
     P = field(doc, "P", float_array, where)
     mu = field(doc, "mu", float_array, where)
     S = field(doc, "S", integer, where)

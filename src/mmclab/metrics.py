@@ -236,13 +236,22 @@ def divergence_D_pi(models: list[MarkovModel] | tuple[MarkovModel, ...]
     return _off_min(pair), pair
 
 
+def _upper_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs k < k' of K models in (k, k') order, as np.triu_indices(K, 1)."""
+    return np.nonzero(~np.tri(K, dtype=bool))
+
+
+def _delta_W_sq(E: np.ndarray) -> float:
+    """Minimum pairwise squared l2 distance between the rows of E."""
+    return float(_l2_rows(E[:, None], E[None])[_upper_pairs(len(E))].min())
+
+
 def delta_W_sq(models: list[MarkovModel] | tuple[MarkovModel, ...]) -> float:
     """Minimum pairwise squared l2 distance between model embeddings."""
     models = tuple(models)
     if len(models) < 2:
         raise InvalidRange("need at least two models")
-    E = np.stack([embed_model(m) for m in models])
-    return float(_l2_rows(E[:, None], E[None])[np.triu_indices(len(E), 1)].min())
+    return _delta_W_sq(np.stack([embed_model(m) for m in models]))
 
 
 def _witness(pi: np.ndarray, sep: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -251,7 +260,7 @@ def _witness(pi: np.ndarray, sep: np.ndarray) -> tuple[float, float, np.ndarray]
     prod = floor * sep
     witness = prod.argmax(axis=-1)  # argmax takes the lowest state on ties
     np.fill_diagonal(witness, -1)
-    k, kp = np.triu_indices(len(pi), 1)
+    k, kp = _upper_pairs(len(pi))
     s = witness[k, kp]
     j = int(np.argmin(prod[k, kp, s]))  # the first worst pair in (k, k') order
     return float(floor[k[j], kp[j], s[j]]), float(sep[k[j], kp[j], s[j]]), witness
@@ -341,7 +350,8 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
     l2 = _l2_rows(P[:, None], P[None])
     pair_dpi = _pairwise_weighted_kl(kl, pi)
     d_pi = _off_min(pair_dpi)
-    dW2 = delta_W_sq(models)
+    # the rows embed_model forms for each model, from the stacks
+    dW2 = _delta_W_sq((np.sqrt(pi)[:, :, None] * P).reshape(len(P), -1))
     alpha, delta_sq, _ = _witness(pi, l2)
     eta_pi_val = _max_ratio(pi)
     pmax = float(P.max())

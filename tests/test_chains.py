@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -68,6 +69,80 @@ def return_time_gcd(adj: np.ndarray) -> int:
     return g
 
 
+def reference_depths(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of every state from state 0, -1 if unreachable,
+    by a queue over one adjacency."""
+    depth = np.full(adj.shape[0], -1, dtype=np.int64)
+    depth[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(adj[u]):
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return depth
+
+
+def reference_pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
+    """(1/k)(1 - lambda_2((B^k)^T B^k)) with B = D^{1/2} P D^{-1/2}, by one
+    eigensolve per k."""
+    d = np.sqrt(pi)
+    B = (d[:, None] * P) / d[None, :]
+    terms = np.empty(k_max)
+    Bk = np.eye(P.shape[0])
+    for k in range(1, k_max + 1):
+        Bk = Bk @ B
+        ev = np.linalg.eigvalsh(Bk.T @ Bk)
+        lam2 = float(ev[-2]) if len(ev) > 1 else 0.0  # eigvalsh sorts ascending
+        terms[k - 1] = (1.0 - min(lam2, 1.0)) / k
+    return terms
+
+
+@st.composite
+def gap_chains(draw):
+    """(P, pi) of a floored Dirichlet chain with a floor down to 1/(4000 S), a
+    lazy cycle with escape probability 1e-1 to 1e-4, or a sparse irreducible
+    chain (a cycle plus random edges, periodic at times)."""
+    S = draw(st.integers(min_value=2, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["floored", "lazy_cycle", "sparse"]))
+    cycle = np.roll(np.eye(S), 1, axis=1)
+    if kind == "floored":
+        floor = 1.0 / (4 * S * 10 ** draw(st.floats(min_value=0.0, max_value=3.0)))
+        P = (1.0 - S * floor) * rng.dirichlet(np.ones(S), size=S) + floor
+    elif kind == "lazy_cycle":
+        escape = 10 ** -draw(st.floats(min_value=1.0, max_value=4.0))
+        P = (1.0 - escape) * np.eye(S) + escape * cycle
+    else:
+        edges = (cycle > 0) | (rng.random((S, S)) < 0.2)
+        P = edges * (rng.random((S, S)) + 1e-3)
+    P /= P.sum(axis=1, keepdims=True)
+    return P, stationary_distribution(P)
+
+
+class EigvalshCalls:
+    """np.linalg.eigvalsh wrapped to count its calls and the matrices they
+    took, and to set every eigenvalue of the matrices numbered in ``nan_at``
+    (1-based over all calls) to NaN."""
+
+    def __init__(self, monkeypatch, nan_at=()):
+        self.calls = self.matrices = 0
+        self.nan_at = set(nan_at)
+        self.original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", self)
+
+    def __call__(self, a):
+        ev = self.original(a)
+        self.calls += 1
+        flat = ev.reshape(-1, ev.shape[-1])
+        for i in range(len(flat)):
+            self.matrices += 1
+            if self.matrices in self.nan_at:
+                flat[i] = math.nan
+        return ev
+
+
 def reference_doublet_kernel(P: np.ndarray) -> np.ndarray:
     """The doublet kernel filled pair by pair over the support of P."""
     mask = P > 0.0
@@ -125,6 +200,13 @@ class TestValidateModel:
             validate_model(np.roll(np.eye(3), 1, axis=1), np.ones(3) / 3)
 
     @given(adjacencies())
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_depths_match_per_direction_reference(self, adj):
+        depth = chains._depths(np.stack([adj, adj.T]))
+        assert np.array_equal(depth[0], reference_depths(adj))
+        assert np.array_equal(depth[1], reference_depths(adj.T))
+
+    @given(adjacencies())
     @settings(max_examples=300, deadline=None)
     def test_ergodicity_verdicts_match_graph_references(self, adj):
         P = adj / adj.sum(axis=1, keepdims=True)
@@ -155,6 +237,25 @@ class TestValidateModel:
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
         with pytest.raises(EigenFailure, match="eigensolver failed at k=1"):
             validate_model(P2, [0.5, 0.5])
+
+    def test_floored_chain_takes_one_eigensolve(self, monkeypatch):
+        # term 1 of a floored S = 8 chain is above 1/2, so no k >= 2 can beat
+        # it: one eigensolve, where the k schedule starts at ten
+        P, mu = gen_random_ergodic(8, seed=4, floor=1 / 32).P, np.full(8, 1 / 8)
+        calls = EigvalshCalls(monkeypatch)
+        m = validate_model(P, mu)
+        assert max(10, 2 * m.t_mix) == 10 and m.gamma_ps * 2 > 1
+        assert (calls.calls, calls.matrices) == (1, 1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nan_term_fails_the_sandwich(self, monkeypatch, k):
+        # term 1 = 1 - 0.9^2 leaves k up to 5 to compute, and a NaN term 1
+        # sets no bound; either NaN term must make gamma_ps NaN, which no
+        # sandwich bound holds
+        P = np.array([[0.95, 0.05], [0.05, 0.95]])
+        EigvalshCalls(monkeypatch, nan_at=[k])
+        with pytest.raises(EigenFailure, match="gamma_ps \\* t_mix = nan outside sandwich"):
+            validate_model(P, [0.5, 0.5])
 
     def test_json_roundtrip_recomputes_derived(self, two_state):
         doc = model_to_json(two_state)
@@ -229,6 +330,38 @@ class TestPseudoSpectralGap:
         m = gen_random_ergodic(3, seed=seed, floor=0.05)
         gaps = [pseudo_spectral_gap(m.P, m.pi, k_max=k) for k in (1, 3, 6, 12)]
         assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
+
+    @given(gap_chains(), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=150, deadline=None)
+    def test_batched_terms_and_pruned_gap_equal_per_k_reference(self, chain, k_max):
+        P, pi = chain
+        ref = reference_pseudo_spectral_gap_terms(P, pi, k_max)
+        assert pseudo_spectral_gap_terms(P, pi, k_max).tobytes() == ref.tobytes()
+        assert np.float64(pseudo_spectral_gap(P, pi, k_max)).tobytes() == ref.max().tobytes()
+
+    @pytest.mark.parametrize("batch, calls", [(4, 50), (16, 13), (28, 8), (1 << 20, 1)])
+    def test_terms_split_into_batches_within_the_budget(self, monkeypatch, batch, calls):
+        # the budget counts matrix elements: 4 per term of this 2-state chain
+        P = gen_random_ergodic(2, seed=9, floor=0.05).P
+        pi = stationary_distribution(P)
+        ref = reference_pseudo_spectral_gap_terms(P, pi, 50)
+        monkeypatch.setattr(chains, "_BATCH_ELEMENTS", batch)
+        counter = EigvalshCalls(monkeypatch)
+        assert pseudo_spectral_gap_terms(P, pi, 50).tobytes() == ref.tobytes()
+        assert (counter.calls, counter.matrices) == (calls, 50)
+
+    def test_failure_names_the_first_k_of_its_batch(self, monkeypatch):
+        # term 1 of this chain bounds k by 5: k = 2..5 form the second batch
+        original = np.linalg.eigvalsh
+
+        def fail_second_call(a):
+            if a.shape[0] > 1:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_second_call)
+        with pytest.raises(EigenFailure, match="eigensolver failed at k=2$"):
+            validate_model([[0.95, 0.05], [0.05, 0.95]], [0.5, 0.5])
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7))
     @settings(max_examples=40, deadline=None)

@@ -48,6 +48,8 @@ def no_work(monkeypatch):
     return calls
 
 
+P2_MODEL = {"S": 2, "P": [[0.9, 0.1], [0.2, 0.8]], "mu": [0.5, 0.5]}
+
 SWEEP_CFG = {
     "instance": {"type": "separation", "S_prime": 1},
     "T": [24],
@@ -153,6 +155,16 @@ class TestGenerate:
         spec = json.dumps({"type": "inline", "models": [model], "T": 10, "H": 10})
         assert main(["generate", spec, "--out", str(tmp_path)]) == 2
         assert "has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("Mu", [1.0, 0.0]), ("pi", [0.5, 0.5])])
+    def test_unknown_inline_model_key_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "spec.json"
+        model = {"S": 2, "P": [[0.9, 0.1], [0.2, 0.8]], "mu": [0.5, 0.5], key: value}
+        path.write_text(json.dumps({"type": "inline", "models": [P2_MODEL, model],
+                                    "T": 10, "H": 10}))
+        assert main(["generate", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} models[1] has unknown key(s) [{key!r}]" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
 
     def test_inline_model_missing_field_exits_2(self, tmp_path, capsys):
@@ -322,6 +334,13 @@ class TestPipeline:
         assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 2
         assert f"{instance_file} models[1]: field {key!r} has the wrong type" \
             in capsys.readouterr().err
+
+    def test_unknown_model_key_names_its_place(self, tmp_path, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["models"][1]["pi"] = [0.25] * doc["models"][1]["S"]
+        instance_file.write_text(json.dumps(doc))
+        assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 2
+        assert f"{instance_file} models[1] has unknown key(s) ['pi']" in capsys.readouterr().err
 
     def test_wrong_type_model_field_names_its_place(self, tmp_path, instance_file, capsys):
         doc = json.loads(instance_file.read_text())
@@ -601,11 +620,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec, message", [
         ({"type": "random", "S": 3, "K": 2}, "instance lacks key(s) ['floor', 'seed']"),
+        ({"type": "inline", "models": [P2_MODEL, dict(P2_MODEL, Mu=[1.0, 0.0])]},
+         "instance models[1] has unknown key(s) ['Mu']"),
         ({"type": "separation"}, "instance lacks key(s) ['S_prime']"),
         ({"type": "nope"}, "instance: unknown instance spec type 'nope'"),
         ({"type": "separation", "S_prime": 1, "alpha": [1.0]},
          "instance: field 'alpha' needs 2 entries, one per model"),
-    ], ids=["random-missing", "separation-missing", "unknown-type", "alpha-length"])
+    ], ids=["random-missing", "inline-model-unknown-key", "separation-missing",
+            "unknown-type", "alpha-length"])
     def test_bad_instance_spec_fails_before_any_point(self, tmp_path, capsys, no_work,
                                                       spec, message):
         path = tmp_path / "sweep.json"
