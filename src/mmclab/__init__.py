@@ -9,7 +9,6 @@ from .chains import (
     model_to_json,
     pi_min,
     pseudo_spectral_gap,
-    pseudo_spectral_gap_terms,
     stationary_distribution,
     v_min,
     validate_model,

@@ -51,7 +51,6 @@ __all__ = [
     "check_stochastic_matrix",
     "stationary_distribution",
     "pseudo_spectral_gap",
-    "pseudo_spectral_gap_terms",
     "mixing_time",
     "augmented_chain",
     "pi_min",
@@ -204,15 +203,6 @@ def _terms(B: np.ndarray, Bk: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndar
         lam2 = ev[:, -2] if B.shape[0] > 1 else np.zeros(n)
         terms[lo:lo + n] = (1.0 - np.minimum(lam2, 1.0)) / np.arange(k_lo + lo, k_lo + lo + n)
     return terms, Bk
-
-
-def pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
-    """(1/k)(1 - lambda_2((P*)^k P^k)) for k = 1..k_max, from one eigensolve
-    of the stacked symmetric conjugates (B^k)^T B^k (one per _BATCH_ELEMENTS
-    matrix elements)."""
-    if k_max < 1:
-        raise InvalidRange("k_max must be >= 1")
-    return _terms(_conjugate(P, pi), np.eye(P.shape[0]), 1, k_max)[0]
 
 
 def pseudo_spectral_gap(P: np.ndarray, pi: np.ndarray, k_max: int) -> float:

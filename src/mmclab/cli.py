@@ -119,7 +119,7 @@ def cmd_sample(args) -> int:
     instance = simgen.load_instance(args.instance)
     trajs = simgen.sample_trajectories(instance, args.seed)
     out = Path(args.out) / (args.name + ".traj.bin")
-    simgen.save_trajectories(trajs, out, instance.S)
+    simgen.save_trajectories(trajs, out, instance.S, instance.instance_id())
     print(f"wrote {out} (T={trajs.T}, H={trajs.H}, seed={args.seed})")
     return 0
 
@@ -223,6 +223,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     pool starts, and ``where`` names it in every error: the models are
     generated once, and the points share one instance per (T, H) and one
     stage-1 config per delta."""
+    if jobs < 1:
+        raise InvalidRange(f"jobs must be >= 1; got {jobs}")
     unknown = sorted(set(cfg) - set(SWEEP_KEYS))
     if unknown:
         raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
@@ -282,8 +284,13 @@ def cmd_report(args) -> int:
                     # DictReader fills the fields of a short row with None
                     if any(row[c] is None for c in _REPORT_INPUTS):
                         raise InvalidSpec(f"{path} row {n} has fewer fields than its header")
-                    rows.append({c: field(row, c, kind, f"{path} row {n}")
-                                 for c, kind in _REPORT_INPUTS.items()})
+                    parsed = {c: field(row, c, kind, f"{path} row {n}")
+                              for c, kind in _REPORT_INPUTS.items()}
+                    for c in ("T", "H"):
+                        if parsed[c] < 1:
+                            raise InvalidSpec(f"{path} row {n}: {c} must be >= 1; "
+                                              f"got {parsed[c]}")
+                    rows.append(parsed)
             except UnicodeDecodeError as exc:
                 raise InvalidSpec(f"{path} is not a text file: {exc}") from exc
     if not rows:

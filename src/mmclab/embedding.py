@@ -48,13 +48,12 @@ class Counts:
     made only when first asked for.
     """
 
-    first: np.ndarray        # (T,) int64 initial states
     visits: np.ndarray       # (T, S) int32
     transitions: np.ndarray  # (T, S, S) int32
     H: int
 
     def __post_init__(self):
-        for arr in (self.first, self.visits, self.transitions):
+        for arr in (self.visits, self.transitions):
             arr.setflags(write=False)
 
     @property
@@ -132,8 +131,7 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     # every visit but the last is the source of one transition
     visits = transitions.sum(axis=2, dtype=np.int32)
     visits[np.arange(T), states[:, -1]] += 1
-    return Counts(first=states[:, 0].astype(np.int64), visits=visits,
-                  transitions=transitions, H=H)
+    return Counts(visits=visits, transitions=transitions, H=H)
 
 
 def embed_model(M: MarkovModel) -> np.ndarray:

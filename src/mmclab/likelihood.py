@@ -124,13 +124,12 @@ def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float) -> Stage2R
                         changed=int((new_labels != labels).sum()), smoothing=float(lam))
 
 
-def oracle_classify(counts: Counts, models: Sequence[MarkovModel],
-                    use_initial: bool = False) -> np.ndarray:
+def oracle_classify(counts: Counts, models: Sequence[MarkovModel]) -> np.ndarray:
     """Known-kernel maximum-likelihood labels (reference classifier).
 
-    Scores sum log p_k(s_{h+1}|s_h) over transitions, optionally plus
-    log mu_k(s_1). Raises if any model assigns probability zero to an
-    observed transition; ties break to the lowest model index.
+    Scores sum log p_k(s_{h+1}|s_h) over transitions. Raises if any model
+    assigns probability zero to an observed transition; ties break to the
+    lowest model index.
     """
     if any(m.S != counts.S for m in models):
         raise StateSpaceMismatch(f"every model must have the counts' S={counts.S}")
@@ -138,10 +137,6 @@ def oracle_classify(counts: Counts, models: Sequence[MarkovModel],
     if np.isneginf(scores).any():
         raise ZeroProbabilityTransition(
             "a model assigns probability 0 to an observed transition")
-    if use_initial:
-        with np.errstate(divide="ignore"):
-            logmu = np.log(np.stack([m.mu for m in models]))
-        scores = scores + logmu[:, counts.first].T
     return np.argmax(scores, axis=1).astype(np.int64)
 
 

@@ -89,7 +89,6 @@ class TrajectorySet:
 
     states: np.ndarray  # (T, H) int32, 0-based state indices
     seed: int
-    instance_id: str
 
     def __post_init__(self):
         self.states.setflags(write=False)
@@ -204,8 +203,7 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
                 ptr += (u > probe[ptr]) * step
             states[:, h + j] = ptr & offset
             ptr = next_row[ptr]
-    return TrajectorySet(states=states, seed=int(seed),
-                         instance_id=instance.instance_id())
+    return TrajectorySet(states=states, seed=int(seed))
 
 
 def gen_random_ergodic(S: int, seed: int, floor: float) -> MarkovModel:
@@ -282,10 +280,11 @@ def load_instance(path: str | Path) -> MixtureInstance:
     return instance_from_json(read_object(path), str(path))
 
 
-def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int) -> None:
+def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int, instance_id: str) -> None:
     """Binary layout: little-endian u32 header (T, H, S), then T*H u16 states (1-based).
 
-    A JSON sidecar ``<path>.json`` records the seed and the instance hash.
+    A JSON sidecar ``<path>.json`` records the seed and ``instance_id``, the
+    hash of the instance sampled (``MixtureInstance.instance_id``).
     States must lie in [0, S) with S <= 65535, so that every one fits 1-based.
     """
     if S > 0xFFFF:
@@ -297,13 +296,14 @@ def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<III", trajs.T, trajs.H, S))
         fh.write(states.astype("<u2").tobytes(order="C"))
-    sidecar = {"seed": trajs.seed, "instance_id": trajs.instance_id, "index_base": 1}
+    sidecar = {"seed": trajs.seed, "instance_id": instance_id, "index_base": 1}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
 
 
 def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
     """Read the binary trajectory file and its ``<path>.json`` sidecar;
-    returns (trajectories, S)."""
+    returns (trajectories, S). The sidecar must hold ``instance_id`` too, but
+    only its seed and index base are read."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -323,5 +323,4 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
                          f"of {path}") from exc
     where = str(sidecar_path)
     states = states.astype(np.int32) - field(sidecar, "index_base", integer, where, 1)
-    return (TrajectorySet(states=states, seed=field(sidecar, "seed", integer, where),
-                          instance_id=str(sidecar["instance_id"])), S)
+    return TrajectorySet(states=states, seed=field(sidecar, "seed", integer, where)), S

@@ -89,7 +89,22 @@ def reference_sample_trajectories(instance, seed, chunk=2048):
             cur = (U[:, j, None] > cdf_flat[base + cur]).sum(axis=1)
             states[:, h + j] = cur
         h += width
-    return TrajectorySet(states=states, seed=int(seed), instance_id=instance.instance_id())
+    return TrajectorySet(states=states, seed=int(seed))
+
+
+def reference_pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
+    """(1/k)(1 - lambda_2((B^k)^T B^k)) with B = D^{1/2} P D^{-1/2}, by one
+    eigensolve per k."""
+    d = np.sqrt(pi)
+    B = (d[:, None] * P) / d[None, :]
+    terms = np.empty(k_max)
+    Bk = np.eye(P.shape[0])
+    for k in range(1, k_max + 1):
+        Bk = Bk @ B
+        ev = np.linalg.eigvalsh(Bk.T @ Bk)
+        lam2 = float(ev[-2]) if len(ev) > 1 else 0.0  # eigvalsh sorts ascending
+        terms[k - 1] = (1.0 - min(lam2, 1.0)) / k
+    return terms
 
 
 def reference_counts(traj, S):

@@ -28,7 +28,6 @@ from mmclab import (
     misclassification,
     oracle_classify,
     pseudo_spectral_gap,
-    pseudo_spectral_gap_terms,
     refine,
     sample_trajectories,
     spectral_cluster,
@@ -41,6 +40,7 @@ from tests.conftest import (
     random_labels,
     reference_brute_force_misclassification,
     reference_necessary_condition,
+    reference_pseudo_spectral_gap_terms,
     reference_two_inf_distance,
 )
 
@@ -169,7 +169,7 @@ class TestCriterion4MetricAndOracle:
             k = max(12, 2 * mm.t_mix)
             aug = augmented_chain(mm).model
             direct = pseudo_spectral_gap(aug.P, aug.pi, k_max=k + 1)
-            terms = pseudo_spectral_gap_terms(mm.P, mm.pi, k)
+            terms = reference_pseudo_spectral_gap_terms(mm.P, mm.pi, k)
             gammas = terms * np.arange(1, k + 1)
             shifted = float((gammas / (np.arange(1, k + 1) + 1)).max())
             worst = max(worst, abs(direct - shifted))

@@ -15,7 +15,6 @@ from mmclab import (
     model_from_json,
     model_to_json,
     pseudo_spectral_gap,
-    pseudo_spectral_gap_terms,
     validate_model,
 )
 from mmclab import chains
@@ -30,6 +29,7 @@ from mmclab.errors import (
     RowNotStochastic,
     SingularSystem,
 )
+from tests.conftest import reference_pseudo_spectral_gap_terms
 
 P2 = np.array([[0.9, 0.1], [0.2, 0.8]])
 
@@ -84,19 +84,10 @@ def reference_depths(adj: np.ndarray) -> np.ndarray:
     return depth
 
 
-def reference_pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
-    """(1/k)(1 - lambda_2((B^k)^T B^k)) with B = D^{1/2} P D^{-1/2}, by one
-    eigensolve per k."""
-    d = np.sqrt(pi)
-    B = (d[:, None] * P) / d[None, :]
-    terms = np.empty(k_max)
-    Bk = np.eye(P.shape[0])
-    for k in range(1, k_max + 1):
-        Bk = Bk @ B
-        ev = np.linalg.eigvalsh(Bk.T @ Bk)
-        lam2 = float(ev[-2]) if len(ev) > 1 else 0.0  # eigvalsh sorts ascending
-        terms[k - 1] = (1.0 - min(lam2, 1.0)) / k
-    return terms
+def batched_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
+    """Every gap term for k = 1..k_max, from the stacked eigensolves of the
+    private ``chains._terms`` that ``pseudo_spectral_gap`` runs."""
+    return chains._terms(chains._conjugate(P, pi), np.eye(P.shape[0]), 1, k_max)[0]
 
 
 @st.composite
@@ -336,7 +327,7 @@ class TestPseudoSpectralGap:
     def test_batched_terms_and_pruned_gap_equal_per_k_reference(self, chain, k_max):
         P, pi = chain
         ref = reference_pseudo_spectral_gap_terms(P, pi, k_max)
-        assert pseudo_spectral_gap_terms(P, pi, k_max).tobytes() == ref.tobytes()
+        assert batched_terms(P, pi, k_max).tobytes() == ref.tobytes()
         assert np.float64(pseudo_spectral_gap(P, pi, k_max)).tobytes() == ref.max().tobytes()
 
     @pytest.mark.parametrize("batch, calls", [(4, 50), (16, 13), (28, 8), (1 << 20, 1)])
@@ -347,7 +338,7 @@ class TestPseudoSpectralGap:
         ref = reference_pseudo_spectral_gap_terms(P, pi, 50)
         monkeypatch.setattr(chains, "_BATCH_ELEMENTS", batch)
         counter = EigvalshCalls(monkeypatch)
-        assert pseudo_spectral_gap_terms(P, pi, 50).tobytes() == ref.tobytes()
+        assert batched_terms(P, pi, 50).tobytes() == ref.tobytes()
         assert (counter.calls, counter.matrices) == (calls, 50)
 
     def test_failure_names_the_first_k_of_its_batch(self, monkeypatch):
@@ -369,7 +360,8 @@ class TestPseudoSpectralGap:
         # the symmetric conjugate (B^k)^T B^k against eigvals of (P*)^k P^k itself
         m = gen_random_ergodic(5, seed=seed, floor=0.02)
         P_star = reference_time_reversal(m)
-        for k, term in enumerate(pseudo_spectral_gap_terms(m.P, m.pi, k_max), start=1):
+        for k, term in enumerate(reference_pseudo_spectral_gap_terms(m.P, m.pi, k_max),
+                                 start=1):
             M = np.linalg.matrix_power(P_star, k) @ np.linalg.matrix_power(m.P, k)
             lam2 = np.sort(np.linalg.eigvals(M).real)[-2]
             assert term == pytest.approx((1.0 - lam2) / k, abs=1e-12)
@@ -433,7 +425,7 @@ class TestAugmentedChain:
         k_base = 12
         aug = augmented_chain(two_state)
         direct = pseudo_spectral_gap(aug.model.P, aug.model.pi, k_max=k_base + 1)
-        terms = pseudo_spectral_gap_terms(two_state.P, two_state.pi, k_base)
+        terms = reference_pseudo_spectral_gap_terms(two_state.P, two_state.pi, k_base)
         gammas = terms * np.arange(1, k_base + 1)
         shifted = (gammas / (np.arange(1, k_base + 1) + 1)).max()
         assert direct == pytest.approx(shifted, abs=1e-8)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from mmclab import predicted_error_rate
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
 from mmclab.metrics import GapReport
-from mmclab.simgen import load_instance, load_trajectories
+from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
 from tests.conftest import STAGE1_EIGEN_FAILURES
+from tests.test_golden_outputs import GOLDEN, SAMPLE_SPEC
 
 
 def strip_walltime(csv_text: str) -> str:
@@ -215,6 +217,19 @@ class TestPipeline:
         assert all(0 <= v <= 60 for v in evals.values())
         out = capsys.readouterr().out
         assert "E_T" in out
+
+    def test_sample_files_name_the_instance(self, tmp_path):
+        # the golden sample: its states as recorded, and a sidecar holding the
+        # hash of the instance file it was drawn from
+        assert main(["generate", json.dumps(SAMPLE_SPEC), "--out", str(tmp_path)]) == 0
+        instance = load_instance(tmp_path / "instance.instance.json")
+        assert main(["sample", str(tmp_path / "instance.instance.json"), "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        traj = (tmp_path / "sample.traj.bin").read_bytes()
+        assert hashlib.sha256(traj).hexdigest() == \
+            json.loads(GOLDEN.read_text())["sample_traj_sha256"]
+        sidecar = json.loads((tmp_path / "sample.traj.bin.json").read_text())
+        assert sidecar == {"seed": 5, "instance_id": instance.instance_id(), "index_base": 1}
 
     def test_cluster_needs_gamma_source(self, tmp_path, instance_file):
         main(["sample", str(instance_file), "--seed", "1", "--out", str(tmp_path)])
@@ -439,6 +454,23 @@ class TestSweep:
         assert sorted(calls) == sorted((24, H) for H in SWEEP_CFG["H"]
                                        for _ in SWEEP_CFG["seeds"])
 
+    def test_sweep_never_hashes_the_instance(self, monkeypatch):
+        def no_hash(self):
+            raise AssertionError("the sweep hashed the instance")
+
+        monkeypatch.setattr(MixtureInstance, "instance_id", no_hash)
+        text = run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1]), jobs=1)
+        assert len(text.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_fail_before_any_point(self, tmp_path, capsys, no_work, jobs):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SWEEP_CFG))
+        assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert f"jobs must be >= 1; got {jobs}" in capsys.readouterr().err
+        assert no_work == []
+        assert not (tmp_path / "run.sweep.csv").exists()
+
     def test_duplicate_seeds_rejected(self):
         cfg = dict(SWEEP_CFG)
         cfg["seeds"] = [1, 1]
@@ -535,6 +567,18 @@ class TestSweep:
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "row 1" in err
+
+    # a zero T would divide the error counts by zero before the envelope's check
+    @pytest.mark.parametrize("column, value", [("T", 0), ("H", 0), ("T", -3)])
+    def test_report_T_or_H_below_one_exits_2(self, tmp_path, capsys, column, value):
+        path = tmp_path / "zero.csv"
+        text = run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1]), jobs=1)
+        header, row = text.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")), **{column: str(value)})
+        path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} row 1: {column} must be >= 1; got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.report.csv").exists()
 
     def test_report_wrong_type_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

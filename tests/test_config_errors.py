@@ -6,7 +6,7 @@ from mmclab import (
     count_transitions,
     gen_random_ergodic,
     pool_estimates,
-    pseudo_spectral_gap_terms,
+    pseudo_spectral_gap,
 )
 from mmclab.errors import InvalidRange
 
@@ -15,7 +15,7 @@ PI = np.array([1 / 3, 2 / 3])
 
 
 @pytest.mark.parametrize("call", [
-    lambda: pseudo_spectral_gap_terms(P, PI, 0),
+    lambda: pseudo_spectral_gap(P, PI, 0),
     lambda: gen_random_ergodic(3, seed=0, floor=0.5),
     lambda: SpectralConfig(delta=1.0, gamma_ps=0.5),
     lambda: SpectralConfig(delta=0.1, gamma_ps=0.0),

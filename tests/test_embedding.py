@@ -46,7 +46,6 @@ class TestCountStats:
         assert cs.visits.tolist() == [[2, 1]]
         assert cs.transitions.tolist() == [[[1, 1], [0, 0]]]
         assert cs.H == 3 and cs.T == 1 and cs.S == 2
-        assert cs.first.tolist() == [0]
 
     def test_constant_trajectory(self):
         cs = one([0, 0, 0, 0], S=2)
@@ -90,7 +89,7 @@ class TestCountStats:
     def test_counts_are_read_only_int32(self):
         cs = count_transitions(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int32), 2)
         assert cs.visits.dtype == cs.transitions.dtype == np.int32
-        for arr in (cs.first, cs.visits, cs.transitions):
+        for arr in (cs.visits, cs.transitions):
             assert not arr.flags.writeable
 
     def test_horizon_beyond_int32_counts_rejected(self):
@@ -125,7 +124,6 @@ class TestCountStats:
             visits, transitions = reference_counts(states[t], S)
             assert np.array_equal(cs.visits[t], visits)
             assert np.array_equal(cs.transitions[t], transitions)
-        assert np.array_equal(cs.first, states[:, 0])
         ref = cs.transitions.reshape(T, -1).astype(np.float64, order="F")
         assert np.array_equal(cs.float_transitions, ref)
 
@@ -153,7 +151,7 @@ class TestCountStats:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = cs.first.nbytes + cs.visits.nbytes + cs.transitions.nbytes
+        kept = cs.visits.nbytes + cs.transitions.nbytes
         assert peak - kept < budgets * _BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize("T", [255, 256, 257, 513])
@@ -189,7 +187,6 @@ class TestCountStats:
             assert np.array_equal(cs.transitions[t], transitions)
         assert (cs.visits.sum(axis=1) == H).all()
         assert (cs.transitions.sum(axis=(1, 2)) == H - 1).all()
-        assert np.array_equal(cs.first, states[:, 0])
 
 
 def reference_pi_from_embedding(L, S):

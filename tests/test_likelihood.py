@@ -289,19 +289,6 @@ class TestOracleClassify:
         labels = oracle_classify(sampled_counts(inst, 6), [m, m])
         assert (labels == 0).all()
 
-    def test_use_initial_term_can_flip(self):
-        # two chains with the same kernel but disjoint-ish initial mass
-        P = np.array([[0.6, 0.4], [0.4, 0.6]])
-        a = validate_model(P, [0.999, 0.001])
-        b = validate_model(P, [0.001, 0.999])
-        inst = make_instance([a, b], np.array([0.5, 0.5]), 40, 6)
-        counts = sampled_counts(inst, 7)
-        plain = oracle_classify(counts, [a, b], use_initial=False)
-        with_mu = oracle_classify(counts, [a, b], use_initial=True)
-        assert (plain == 0).all()  # identical kernels tie to index 0
-        assert misclassification(with_mu, inst.decoding) \
-            < misclassification(plain, inst.decoding)
-
     def test_zero_probability_transition_raises(self):
         P_pos = np.array([[0.5, 0.5], [0.5, 0.5]])
         m_pos = validate_model(P_pos, [0.5, 0.5])

@@ -1,3 +1,4 @@
+import json
 import re
 from unittest import mock
 
@@ -21,6 +22,7 @@ from mmclab.simgen import (
     cluster_sizes,
     instance_from_json,
     instance_to_json,
+    MixtureInstance,
     TrajectorySet,
     load_trajectories,
     save_trajectories,
@@ -86,7 +88,16 @@ class TestSampling:
         a = sample_trajectories(inst, seed=99)
         b = sample_trajectories(inst, seed=99)
         assert np.array_equal(a.states, b.states)
-        assert a.instance_id == b.instance_id
+
+    def test_sampling_never_hashes_the_instance(self, monkeypatch):
+        inst = gen_separation_instance(1, T=12, H=40)
+        expected = sample_trajectories(inst, seed=99).states
+
+        def no_hash(self):
+            raise AssertionError("sampling hashed the instance")
+
+        monkeypatch.setattr(MixtureInstance, "instance_id", no_hash)
+        assert np.array_equal(sample_trajectories(inst, seed=99).states, expected)
 
     @given(chunk=st.integers(1, 120), H=st.integers(2, 101))
     @settings(max_examples=30, deadline=None)
@@ -229,25 +240,25 @@ class TestPersistence:
         inst = gen_separation_instance(2, T=7, H=13)
         trajs = sample_trajectories(inst, 4)
         path = tmp_path / "t.traj.bin"
-        save_trajectories(trajs, path, inst.S)
+        save_trajectories(trajs, path, inst.S, inst.instance_id())
         again, S = load_trajectories(path)
         assert S == inst.S
         assert np.array_equal(again.states, trajs.states)
         assert again.seed == 4
-        assert again.instance_id == inst.instance_id()
+        sidecar = json.loads((tmp_path / "t.traj.bin.json").read_text())
+        assert sidecar == {"seed": 4, "instance_id": inst.instance_id(), "index_base": 1}
 
     def test_disk_states_are_one_based(self, tmp_path):
         inst = gen_separation_instance(1, T=3, H=5)
         trajs = sample_trajectories(inst, 0)
         path = tmp_path / "t.traj.bin"
-        save_trajectories(trajs, path, inst.S)
+        save_trajectories(trajs, path, inst.S, "x")
         raw = np.frombuffer(path.read_bytes()[12:], dtype="<u2")
         assert raw.min() >= 1 and raw.max() <= inst.S
 
     def test_largest_u16_state_space_roundtrips(self, tmp_path):
-        trajs = TrajectorySet(states=np.array([[0, 65534]], dtype=np.int32), seed=0,
-                              instance_id="x")
-        save_trajectories(trajs, tmp_path / "t.traj.bin", 65535)
+        trajs = TrajectorySet(states=np.array([[0, 65534]], dtype=np.int32), seed=0)
+        save_trajectories(trajs, tmp_path / "t.traj.bin", 65535, "x")
         again, S = load_trajectories(tmp_path / "t.traj.bin")
         assert S == 65535 and np.array_equal(again.states, trajs.states)
 
@@ -257,17 +268,17 @@ class TestPersistence:
         ([[0, -1]], 3),
     ])
     def test_save_rejects_states_the_file_cannot_hold(self, tmp_path, states, S):
-        trajs = TrajectorySet(states=np.array(states, dtype=np.int32), seed=0, instance_id="x")
+        trajs = TrajectorySet(states=np.array(states, dtype=np.int32), seed=0)
         path = tmp_path / "t.traj.bin"
         with pytest.raises(StateOutOfRange):
-            save_trajectories(trajs, path, S)
+            save_trajectories(trajs, path, S, "x")
         assert not path.exists()
 
     @pytest.mark.parametrize("keep", [0, 5, 12, 12 + 2 * 7 * 13 - 1])
     def test_truncated_file_raises(self, tmp_path, keep):
         inst = gen_separation_instance(2, T=7, H=13)
         path = tmp_path / "t.traj.bin"
-        save_trajectories(sample_trajectories(inst, 4), path, inst.S)
+        save_trajectories(sample_trajectories(inst, 4), path, inst.S, "x")
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(DimensionMismatch):
             load_trajectories(path)
@@ -275,8 +286,16 @@ class TestPersistence:
     def test_missing_sidecar_raises_input_error_naming_it(self, tmp_path):
         inst = gen_separation_instance(1, T=3, H=5)
         path = tmp_path / "t.traj.bin"
-        save_trajectories(sample_trajectories(inst, 0), path, inst.S)
+        save_trajectories(sample_trajectories(inst, 0), path, inst.S, "x")
         sidecar = tmp_path / "t.traj.bin.json"
         sidecar.unlink()
         with pytest.raises(InputError, match=re.escape(str(sidecar))):
+            load_trajectories(path)
+
+    def test_sidecar_without_instance_id_raises_input_error(self, tmp_path):
+        inst = gen_separation_instance(1, T=3, H=5)
+        path = tmp_path / "t.traj.bin"
+        save_trajectories(sample_trajectories(inst, 0), path, inst.S, "x")
+        (tmp_path / "t.traj.bin.json").write_text(json.dumps({"seed": 0, "index_base": 1}))
+        with pytest.raises(InputError, match="instance_id"):
             load_trajectories(path)
