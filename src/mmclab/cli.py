@@ -18,8 +18,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidRange, InvalidSpec, MMCLabError, NumericalError
@@ -85,8 +83,20 @@ def _build_instances(spec: dict, where: str, shapes) -> list[simgen.MixtureInsta
         raise InvalidSpec(f"{where}: field 'alpha' needs {len(models)} entries, one per model")
     shuffle = field(spec, "shuffle", boolean, where, False)
     shuffle_seed = field(spec, "shuffle_seed", integer, where, 0)
-    return [simgen.make_instance(models, np.asarray(alpha, dtype=np.float64), T, H,
-                                 shuffle=shuffle, shuffle_seed=shuffle_seed) for T, H in shapes]
+    try:
+        return [simgen.make_instance(models, alpha, T, H, shuffle=shuffle,
+                                     shuffle_seed=shuffle_seed) for T, H in shapes]
+    except InvalidRange as exc:  # alpha, the one range make_instance checks
+        raise InvalidRange(f"{where}: {exc}") from exc
+
+
+def _output_path(args, suffix: str) -> Path:
+    """``<--out>/<--name><suffix>``; creates the ``--out`` directory, parents included."""
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidSpec(f"--out {args.out} is not a usable directory: {exc}") from exc
+    return Path(args.out) / (args.name + suffix)
 
 
 def _resolve_gamma(gamma, instance) -> float:
@@ -101,6 +111,7 @@ def _resolve_gamma(gamma, instance) -> float:
 # --- subcommand implementations -------------------------------------------
 
 def cmd_generate(args) -> int:
+    out = _output_path(args, ".instance.json")
     if Path(args.spec).exists():
         spec, where = read_object(args.spec), args.spec
     else:
@@ -109,22 +120,22 @@ def cmd_generate(args) -> int:
     T, H = (field(spec, k, integer, where) for k in ("T", "H"))
     instance_spec = {k: v for k, v in spec.items() if k not in ("T", "H")}
     instance, = _build_instances(instance_spec, where, [(T, H)])
-    out = Path(args.out) / (args.name + ".instance.json")
     simgen.save_instance(instance, out)
     print(f"wrote {out} (K={instance.K}, S={instance.S}, T={T}, H={H})")
     return 0
 
 
 def cmd_sample(args) -> int:
+    out = _output_path(args, ".traj.bin")
     instance = simgen.load_instance(args.instance)
     trajs = simgen.sample_trajectories(instance, args.seed)
-    out = Path(args.out) / (args.name + ".traj.bin")
     simgen.save_trajectories(trajs, out, instance.S, instance.instance_id())
     print(f"wrote {out} (T={trajs.T}, H={trajs.H}, seed={args.seed})")
     return 0
 
 
 def cmd_cluster(args) -> int:
+    out = _output_path(args, ".stage1.json")
     # load scipy before the trajectories: imported while they are alive, it raises peak RSS
     import scipy.linalg
     trajs, S = simgen.load_trajectories(args.trajectories)
@@ -133,7 +144,6 @@ def cmd_cluster(args) -> int:
     cfg = SpectralConfig(delta=args.delta, gamma_ps=gamma, c_sigma=args.c_sigma,
                          c_rho=args.c_rho)
     res = spectral_cluster(empirical_matrix(count_transitions(trajs.states, S)), cfg)
-    out = Path(args.out) / (args.name + ".stage1.json")
     save_stage1(res, out)
     print(f"wrote {out} (K_hat={res.K_hat}, R_hat={res.R_hat}, "
           f"sigma_thres={res.sigma_thres:.6g})")
@@ -141,11 +151,11 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    out = _output_path(args, ".stage2.json")
     trajs, S = simgen.load_trajectories(args.trajectories)
     stage1 = load_stage1(args.stage1)
     res = refine(count_transitions(trajs.states, S), stage1.labels, stage1.K_hat,
                  args.smoothing)
-    out = Path(args.out) / (args.name + ".stage2.json")
     save_stage2(res, out, dump_loglik=args.dump_loglik)
     print(f"wrote {out} (changed={res.changed})")
     return 0
@@ -165,10 +175,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gaps(args) -> int:
+    out = _output_path(args, ".gaps.json")
     instance = simgen.load_instance(args.instance)
     rep = gap_report(instance)
     doc = rep.to_json()
-    out = Path(args.out) / (args.name + ".gaps.json")
     out.write_text(json.dumps(doc, indent=2))
     width = max(len(k) for k in doc)
     for key, value in doc.items():
@@ -179,9 +189,13 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    rate = None
-    if args.gamma is not None and args.d_pi is not None and args.c_eta is not None:
-        rate = predicted_error_rate(args.T, args.H, args.gamma, args.d_pi, args.c_eta)
+    missing = [flag for flag, value in [("--gamma", args.gamma), ("--d-pi", args.d_pi),
+                                        ("--c-eta", args.c_eta)] if value is None]
+    if len(missing) in (1, 2):
+        raise InvalidSpec(f"the predicted rate needs --gamma, --d-pi and --c-eta together; "
+                          f"missing {', '.join(missing)}")
+    rate = None if missing else predicted_error_rate(args.T, args.H, args.gamma, args.d_pi,
+                                                     args.c_eta)
     rep = lower_bound_check(args.eps, args.delta, args.T, args.H, args.D,
                             args.alpha_min, predicted=rate)
     doc = rep.to_json()
@@ -199,8 +213,8 @@ def _sweep_point(payload: tuple) -> tuple:
     import scipy.linalg
     instance, stage1_cfg, lam, seed = payload
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
-    # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine
-    # builds the counts' float copy; the truth matrix W is not needed at all
+    # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine;
+    # the truth matrix W is not needed at all
     stage1 = spectral_cluster(build_matrices(instance, counts)[1], stage1_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models)
@@ -263,15 +277,16 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
 
 
 def cmd_sweep(args) -> int:
+    out = _output_path(args, ".sweep.csv")
     cfg = read_object(args.config)
     text = run_sweep(cfg, jobs=args.jobs, where=args.config)
-    out = Path(args.out) / (args.name + ".sweep.csv")
     out.write_text(text)
     print(f"wrote {out} ({text.count(chr(10)) - 1} rows)")
     return 0
 
 
 def cmd_report(args) -> int:
+    out = _output_path(args, ".report.csv")
     rows = []
     for path in args.csv:
         with open(path, newline="") as fh:
@@ -319,7 +334,6 @@ def cmd_report(args) -> int:
             statistics.fmean(frac1), statistics.fmean(frac2), statistics.fmean(frac_o),
             statistics.median(frac2), ci, envelope]))
     text = "\n".join(lines) + "\n"
-    out = Path(args.out) / (args.name + ".report.csv")
     out.write_text(text)
     print(text, end="")
     print(f"wrote {out}")

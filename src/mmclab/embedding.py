@@ -9,7 +9,6 @@ trajectories gives the data matrices the spectral stage decomposes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +25,10 @@ __all__ = [
     "build_matrices",
 ]
 
-# elements a counting or conversion pass may touch: each takes
-# max(1, _BLOCK_ELEMENTS // row_width) trajectories, so its buffers hold
-# O(max(_BLOCK_ELEMENTS, row_width)) elements whatever T is
+# elements a counting pass may touch: each takes max(1, _BLOCK_ELEMENTS //
+# row_width) trajectories, so its buffers hold O(max(_BLOCK_ELEMENTS,
+# row_width)) elements whatever T is
 _BLOCK_ELEMENTS = 1 << 18
-
-
-def _rows_per_pass(row_width: int) -> int:
-    """Trajectories per pass over rows of ``row_width`` elements."""
-    return max(1, _BLOCK_ELEMENTS // row_width)
 
 
 @dataclass(frozen=True)
@@ -44,8 +38,6 @@ class Counts:
     ``visits`` counts occupations over h in [H]; ``transitions`` counts pairs
     (s_h, s_{h+1}) over h in [H-1], so each trajectory's block sums to H-1.
     Counts are int32: none exceeds H, which ``count_transitions`` bounds.
-    ``float_transitions`` is their float64 copy for the likelihood scores,
-    made only when first asked for.
     """
 
     visits: np.ndarray       # (T, S) int32
@@ -63,22 +55,6 @@ class Counts:
     @property
     def T(self) -> int:
         return self.visits.shape[0]
-
-    @cached_property
-    def float_transitions(self) -> np.ndarray:
-        """The transitions as a read-only (T, S*S) float64 array in column-major
-        order, built on first use and shared by every later caller.
-
-        Filled one block of trajectories at a time, which is about twice as
-        fast as one transposing ``astype(order="F")`` of the whole tensor.
-        """
-        flat = self.transitions.reshape(self.T, -1)
-        out = np.empty(flat.shape, dtype=np.float64, order="F")
-        rows = _rows_per_pass(flat.shape[1])
-        for lo in range(0, self.T, rows):
-            out[lo:lo + rows] = flat[lo:lo + rows]
-        out.setflags(write=False)
-        return out
 
 
 @dataclass(frozen=True)
@@ -115,7 +91,7 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     # over many states reach. Held to the budget too, at S = 40, H = 1000 it
     # cut the passes from 262 to 163 trajectories, and a sweep point's peak
     # RSS was 245 MB instead of 223 MB in 6 of 11 runs (0 of 9 at 262)
-    rows = _rows_per_pass(max(H - 1, S * S // 4))
+    rows = max(1, _BLOCK_ELEMENTS // max(H - 1, S * S // 4))
     # the flat index (t, s, s') of every transition of a pass, built in place
     # in one int64 buffer that every pass reuses
     index = np.empty((min(rows, T), H - 1), dtype=np.int64)

@@ -88,18 +88,15 @@ def trajectory_loglik(counts: Counts, kernels: np.ndarray) -> np.ndarray:
     scores -inf there; the caller decides whether that is an error.
     """
     K, S, _ = kernels.shape
-    with np.errstate(divide="ignore"):
-        logk = np.log(kernels).reshape(K, S * S)
-    # column-major so BLAS runs its column gemv: the scores' last bits depend on it
-    F = counts.float_transitions
-    scores = np.empty((counts.T, K))
-    for k in range(K):
-        dead = np.isneginf(logk[k])
-        if dead.any():
-            scores[:, k] = F[:, ~dead] @ logk[k][~dead]
-            scores[F[:, dead].any(axis=1), k] = -np.inf
-        else:
-            scores[:, k] = F @ logk[k]
+    dead = kernels.reshape(K, S * S) == 0.0
+    logk = np.log(kernels.reshape(K, S * S), out=np.zeros(dead.shape), where=~dead)
+    N = counts.transitions.reshape(counts.T, S * S)
+    # optimize=False keeps einsum's own loop, which sums a row's terms in the same
+    # order wherever the row sits and casts the int32 counts in small buffers;
+    # optimize=True hands the product to BLAS, whose rounding depends on the row
+    scores = np.einsum("ts,ks->tk", N, logk, optimize=False)
+    if dead.any():
+        scores[np.einsum("ts,ks->tk", N, dead, optimize=False) > 0] = -np.inf
     return scores
 
 

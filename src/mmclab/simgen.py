@@ -103,11 +103,14 @@ class TrajectorySet:
 
 
 def cluster_sizes(alpha: np.ndarray, T: int) -> np.ndarray:
-    """Largest-remainder rounding of alpha * T with a floor of 1 per cluster."""
+    """Largest-remainder rounding of alpha * T with a floor of 1 per cluster;
+    alpha must be finite and sum to 1 within 1e-9, or the sizes would not sum to T."""
     alpha = np.asarray(alpha, dtype=np.float64)
     K = alpha.shape[0]
     if T < K:
         raise EmptyClusterAfterRounding(f"T={T} < K={K}: some cluster must be empty")
+    if not np.isfinite(alpha).all() or abs(alpha.sum() - 1.0) > 1e-9:
+        raise InvalidRange(f"alpha must be finite and sum to 1; got {alpha.tolist()}")
     if np.any(alpha <= 0.0):
         raise EmptyClusterAfterRounding("alpha has a zero entry; every cluster must be nonempty")
     raw = alpha * T
@@ -310,8 +313,8 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
         if len(header) < 12:
             raise DimensionMismatch(f"{path} is shorter than its 12-byte header")
         T, H, S = struct.unpack("<III", header)
-        payload = fh.read(2 * T * H)
-    if len(payload) < 2 * T * H:
+        payload = fh.read()
+    if len(payload) != 2 * T * H:
         raise DimensionMismatch(f"{path} holds {len(payload)} state bytes; "
                                 f"its header (T={T}, H={H}) needs {2 * T * H}")
     states = np.frombuffer(payload, dtype="<u2").reshape(T, H)

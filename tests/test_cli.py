@@ -137,6 +137,32 @@ class TestGenerate:
         assert f"{path} models[0]: field {key!r} has the wrong type" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
 
+    # weights that do not sum to 1 gave a decoding of 40, 4 and 12 labels at T=10
+    @pytest.mark.parametrize("alpha", [[2, 2], [0.1, 0.1], [0.9, 0.3], [math.nan, 1.0],
+                                       [math.inf, 0.5]])
+    def test_alpha_not_finite_or_not_summing_to_one_exits_2(self, tmp_path, capsys, alpha):
+        spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20,
+                           "alpha": alpha})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 2
+        assert "generator spec: alpha must be finite and sum to 1" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
+    def test_creates_a_missing_nested_out_directory(self, tmp_path):
+        spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
+        out = tmp_path / "new" / "runs"
+        assert main(["generate", spec, "--out", str(out)]) == 0
+        assert load_instance(out / "instance.instance.json").T == 10
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / below if below else taken
+        spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
+        assert main(["generate", spec, "--out", str(out)]) == 2
+        assert f"--out {out} is not a usable directory" in capsys.readouterr().err
+        assert taken.read_text() == ""
+
     def test_T_and_H_come_from_the_spec(self, tmp_path, capsys):
         spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10})
         assert main(["generate", spec, "--out", str(tmp_path)]) == 2
@@ -391,6 +417,16 @@ class TestPipeline:
         assert "state bytes" in err and "needs 300000" in err
         assert not (tmp_path / "cluster.stage1.json").exists()
 
+    def test_trajectory_file_with_extra_bytes_exits_2(self, tmp_path, instance_file, capsys):
+        main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
+        path = tmp_path / "sample.traj.bin"
+        path.write_bytes(path.read_bytes() + bytes(20))
+        capsys.readouterr()
+        assert main(["cluster", str(path), "--gamma", "1.0", "--out", str(tmp_path)]) == 2
+        assert f"{path} holds 300020 state bytes; its header (T=60, H=2500) needs 300000" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "cluster.stage1.json").exists()
+
     def test_gaps_command(self, tmp_path, instance_file, capsys):
         assert main(["gaps", str(instance_file), "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "gaps.gaps.json").read_text())
@@ -411,6 +447,20 @@ class TestPipeline:
         assert doc["necessary_holds"] is True
         assert doc["predicted_error_rate"] == pytest.approx(
             predicted_error_rate(1000, 100, 0.5, 0.3, 0.01))
+
+    @pytest.mark.parametrize("given, missing", [
+        (["--gamma", "0.5"], "--d-pi, --c-eta"),
+        (["--d-pi", "0.3", "--c-eta", "0.01"], "--gamma"),
+        (["--gamma", "0.5", "--c-eta", "0.01"], "--d-pi"),
+    ])
+    def test_bounds_with_some_rate_flags_exits_2(self, tmp_path, capsys, given, missing):
+        out = tmp_path / "b.json"
+        rc = main(["bounds", "--eps", "0.01", "--delta", "0.1", "--T", "1000",
+                   "--H", "100", "--D", "0.05", "--alpha-min", "0.5", *given,
+                   "--json-out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"missing {missing}")
+        assert not out.exists()
 
     def test_bounds_invalid_range_exit_code(self, tmp_path):
         rc = main(["bounds", "--eps", "0.01", "--delta", "0.9", "--T", "10",
@@ -670,14 +720,37 @@ class TestSweep:
         ({"type": "nope"}, "instance: unknown instance spec type 'nope'"),
         ({"type": "separation", "S_prime": 1, "alpha": [1.0]},
          "instance: field 'alpha' needs 2 entries, one per model"),
+        ({"type": "separation", "S_prime": 1, "alpha": [2, 2]},
+         "instance: alpha must be finite and sum to 1; got [2.0, 2.0]"),
+        ({"type": "separation", "S_prime": 1, "alpha": [0.1, 0.1]},
+         "instance: alpha must be finite and sum to 1; got [0.1, 0.1]"),
+        ({"type": "separation", "S_prime": 1, "alpha": [0.9, 0.3]},
+         "instance: alpha must be finite and sum to 1; got [0.9, 0.3]"),
+        ({"type": "separation", "S_prime": 1, "alpha": [math.nan, 1.0]},
+         "instance: alpha must be finite and sum to 1; got [nan, 1.0]"),
     ], ids=["random-missing", "inline-model-unknown-key", "separation-missing",
-            "unknown-type", "alpha-length"])
+            "unknown-type", "alpha-length", "alpha-2-2", "alpha-0.1-0.1", "alpha-0.9-0.3",
+            "alpha-nan"])
     def test_bad_instance_spec_fails_before_any_point(self, tmp_path, capsys, no_work,
                                                       spec, message):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({**SWEEP_CFG, "instance": spec}))
         assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
         assert f"{path} {message}" in capsys.readouterr().err
+        assert no_work == []
+
+    def test_creates_a_missing_nested_out_directory(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, "H": [60], "seeds": [1]}))
+        out = tmp_path / "new" / "dir"
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        assert len((out / "run.sweep.csv").read_text().splitlines()) == 2
+
+    def test_out_naming_a_file_fails_before_any_point(self, tmp_path, capsys, no_work):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(SWEEP_CFG))
+        assert main(["sweep", str(path), "--jobs", "2", "--out", str(path)]) == 2
+        assert f"--out {path} is not a usable directory" in capsys.readouterr().err
         assert no_work == []
 
     def test_shuffled_spec_gives_the_generated_instance(self, tmp_path, monkeypatch):

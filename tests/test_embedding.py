@@ -124,8 +124,6 @@ class TestCountStats:
             visits, transitions = reference_counts(states[t], S)
             assert np.array_equal(cs.visits[t], visits)
             assert np.array_equal(cs.transitions[t], transitions)
-        ref = cs.transitions.reshape(T, -1).astype(np.float64, order="F")
-        assert np.array_equal(cs.float_transitions, ref)
 
     def test_no_whole_int64_flat_index(self):
         T, H, S = 2_000, 500, 10
@@ -153,26 +151,6 @@ class TestCountStats:
             tracemalloc.stop()
         kept = cs.visits.nbytes + cs.transitions.nbytes
         assert peak - kept < budgets * _BLOCK_ELEMENTS * 8
-
-    @pytest.mark.parametrize("T", [255, 256, 257, 513])
-    def test_float_transitions_equal_whole_conversion(self, T):
-        # at this S the float copy is filled 256 trajectories at a time
-        S, H = 32, 30
-        assert _BLOCK_ELEMENTS // (S * S) == 256
-        states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
-        cs = count_transitions(states, S)
-        ref = cs.transitions.reshape(T, -1).astype(np.float64, order="F")
-        got = cs.float_transitions
-        assert got.dtype == np.float64 and got.shape == ref.shape
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-        assert got.flags.f_contiguous and not got.flags.writeable
-        assert cs.float_transitions is got  # built once, then shared
-
-    def test_float_transitions_built_only_on_request(self):
-        inst = gen_separation_instance(2, T=20, H=50)
-        cs = count_transitions(sample_trajectories(inst, 0).states, inst.S)
-        build_matrices(inst, cs)
-        assert "float_transitions" not in cs.__dict__
 
     @given(state_arrays())
     @settings(max_examples=100, deadline=None)

@@ -49,21 +49,28 @@ def reference_loglik(traj, kernel) -> float:
 
 
 def reference_trajectory_loglik(counts, kernels):
-    """Scores from a fresh column-major float conversion of the counts on every
-    call, then the same per-kernel products as ``trajectory_loglik``."""
+    """Exactly rounded scores: for each (t, k), the math.fsum of the products
+    N_t(s,s') log kernels[k](s'|s) over the cells the trajectory uses, so -inf
+    where one of them has probability 0. Every term is <= 0, so the exact sum
+    has no cancellation to hide."""
     K, S, _ = kernels.shape
+    N = counts.transitions.reshape(counts.T, S * S)
     with np.errstate(divide="ignore"):
         logk = np.log(kernels).reshape(K, S * S)
-    F = counts.transitions.reshape(counts.T, S * S).astype(np.float64, order="F")
     scores = np.empty((counts.T, K))
-    for k in range(K):
-        dead = np.isneginf(logk[k])
-        if dead.any():
-            scores[:, k] = F[:, ~dead] @ logk[k][~dead]
-            scores[F[:, dead].any(axis=1), k] = -np.inf
-        else:
-            scores[:, k] = F @ logk[k]
+    for t in range(counts.T):
+        used = N[t] > 0
+        for k in range(K):
+            scores[t, k] = math.fsum(N[t, used] * logk[k, used])
     return scores
+
+
+def assert_matches_reference(scores, ref):
+    """-inf in the same cells, and within 1e-12 relative everywhere else."""
+    assert np.array_equal(np.isneginf(scores), np.isneginf(ref))
+    assert not np.isnan(scores).any()
+    finite = ~np.isneginf(ref)
+    np.testing.assert_allclose(scores[finite], ref[finite], rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -77,6 +84,18 @@ def pooled_cases(draw):
                              elements=st.integers(0, S - 1)))
     labels = random_labels(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), T, K)
     return states, S, labels, K, draw(st.sampled_from([0.0, 0.5]))
+
+
+@st.composite
+def scoring_cases(draw):
+    """Counts of up to 80 trajectories and K kernels, some with zero entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    S, K = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    T, H = draw(st.integers(1, 80)), draw(st.integers(2, 400))
+    states = rng.integers(0, S, size=(T, H), dtype=np.int32)
+    kernels = rng.dirichlet(np.ones(S), size=(K, S))
+    kernels[rng.random(kernels.shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = 0.0
+    return states, S, kernels, rng.permutation(T)
 
 
 def sampled_counts(inst, seed):
@@ -187,6 +206,22 @@ class TestTrajectoryLoglik:
                 else:
                     assert math.isclose(scores[t, k], ref, rel_tol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_within_1e12_of_exactly_rounded_reference(self, case):
+        states, S, kernels, _ = case
+        counts = counts_of(states, S)
+        assert_matches_reference(trajectory_loglik(counts, kernels),
+                                 reference_trajectory_loglik(counts, kernels))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_permuting_rows_permutes_scores_bit_for_bit(self, case):
+        states, S, kernels, perm = case
+        scores = trajectory_loglik(counts_of(states, S), kernels)
+        permuted = trajectory_loglik(counts_of(states[perm], S), kernels)
+        assert permuted.tobytes() == scores[perm].tobytes()  # -inf cells included
+
 
 class TestRefine:
     def test_fixed_point(self):
@@ -251,27 +286,26 @@ class TestRefine:
 
 
 class TestSharedFloatCounts:
-    """refine and the oracle read one float copy of the counts; their outputs
-    must equal those of a fresh conversion per call bit for bit."""
+    """refine's dump holds the scores of ``trajectory_loglik``, and they and the
+    oracle's labels agree with the exactly rounded reference."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_loglik_dump_and_oracle_match_fresh_conversion(self, tmp_path, lam):
         models = random_models(3, 6, seed0=11)
-        inst = make_instance(models, np.full(3, 1 / 3), 300, 120)  # T spans two blocks
+        inst = make_instance(models, np.full(3, 1 / 3), 300, 120)
         counts = sampled_counts(inst, 6)
         labels = inst.decoding.copy()
         labels[:40] = (labels[:40] + 1) % 3
         res = refine(counts, labels, 3, lam)
         kernels = pool_estimates(counts, labels, 3, lam).kernels
-        ref = reference_trajectory_loglik(counts, kernels)
+        assert res.loglik.tobytes() == trajectory_loglik(counts, kernels).tobytes()
+        assert_matches_reference(res.loglik, reference_trajectory_loglik(counts, kernels))
         save_stage2(res, tmp_path / "s2.json", dump_loglik=True)
-        assert (tmp_path / "s2.json.loglik").read_bytes() == ref.astype("<f8").tobytes()
-        kernels[1:, 0, 1] = 0.0  # and through the zero-probability columns
-        assert trajectory_loglik(counts, kernels).tobytes() == \
-            reference_trajectory_loglik(counts, kernels).tobytes()
-        shared = counts.float_transitions
+        assert (tmp_path / "s2.json.loglik").read_bytes() == res.loglik.astype("<f8").tobytes()
+        kernels[1:, 0, 1] = 0.0  # and through the zero-probability cells
+        assert_matches_reference(trajectory_loglik(counts, kernels),
+                                 reference_trajectory_loglik(counts, kernels))
         oracle = oracle_classify(counts, models)
-        assert counts.float_transitions is shared
         ref_oracle = reference_trajectory_loglik(counts, np.stack([m.P for m in models]))
         assert np.array_equal(oracle, np.argmax(ref_oracle, axis=1))
 
@@ -349,8 +383,7 @@ class TestPipelinePermutation:
         # refine sees stage 1 only through its labels
         q2 = refine(count_transitions(states[perm], inst.S), s1.labels[perm], s1.K_hat, lam)
         assert np.array_equal(q2.labels, s2.labels[perm])
-        # BLAS may round a row's dot product differently at another position
-        np.testing.assert_allclose(q2.loglik, s2.loglik[perm], rtol=1e-12)
+        assert np.array_equal(q2.loglik, s2.loglik[perm])
         if not (s1.K_hat == 1 or (s1.K_hat == K and
                                   misclassification(s1.labels, inst.decoding) == 0)):
             return
@@ -361,4 +394,4 @@ class TestPipelinePermutation:
         sigma[p1.labels] = s1.labels[perm]
         assert np.array_equal(sigma[p1.labels], s1.labels[perm])
         assert np.array_equal(sigma[p2.labels], s2.labels[perm])
-        np.testing.assert_allclose(p2.loglik[:, np.argsort(sigma)], s2.loglik[perm], rtol=1e-12)
+        assert np.array_equal(p2.loglik[:, np.argsort(sigma)], s2.loglik[perm])

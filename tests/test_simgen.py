@@ -15,7 +15,7 @@ from mmclab import (
     validate_model,
 )
 from mmclab import simgen
-from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
+from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError, InvalidRange,
                           StateOutOfRange, StateSpaceMismatch)
 from mmclab.metrics import eta_params
 from mmclab.simgen import (
@@ -47,6 +47,12 @@ class TestClusterSizes:
     def test_zero_alpha_raises(self):
         with pytest.raises(EmptyClusterAfterRounding):
             cluster_sizes(np.array([1.0, 0.0]), 10)
+
+    @pytest.mark.parametrize("alpha", [[2.0, 2.0], [0.1, 0.1], [0.9, 0.3], [np.nan, 1.0],
+                                       [np.inf, -np.inf]])
+    def test_alpha_not_finite_or_not_summing_to_one_raises(self, alpha):
+        with pytest.raises(InvalidRange, match="alpha must be finite and sum to 1"):
+            cluster_sizes(np.array(alpha), 10)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=50, deadline=None)
