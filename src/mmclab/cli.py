@@ -86,8 +86,8 @@ def _build_instances(spec: dict, where: str, shapes) -> list[simgen.MixtureInsta
     try:
         return [simgen.make_instance(models, alpha, T, H, shuffle=shuffle,
                                      shuffle_seed=shuffle_seed) for T, H in shapes]
-    except InvalidRange as exc:  # alpha, the one range make_instance checks
-        raise InvalidRange(f"{where}: {exc}") from exc
+    except InputError as exc:  # alpha, T against K, H: keep the type, name the spec
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _output_path(args, suffix: str) -> Path:
@@ -97,6 +97,20 @@ def _output_path(args, suffix: str) -> Path:
     except OSError as exc:
         raise InvalidSpec(f"--out {args.out} is not a usable directory: {exc}") from exc
     return Path(args.out) / (args.name + suffix)
+
+
+def _json_out_path(path: str | None) -> Path | None:
+    """The ``--json-out`` file, its parent directories created, or None when not given."""
+    if path is None:
+        return None
+    out = Path(path)
+    if out.is_dir():
+        raise InvalidSpec(f"--json-out {path} is a directory")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidSpec(f"--json-out {path} has no usable directory: {exc}") from exc
+    return out
 
 
 def _resolve_gamma(gamma, instance) -> float:
@@ -162,6 +176,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    json_out = _json_out_path(args.json_out)
     instance = simgen.load_instance(args.instance)
     results = {}
     for path in args.labels:
@@ -169,8 +184,8 @@ def cmd_evaluate(args) -> int:
         results[path] = misclassification(labels, instance.decoding)
     for path, e in results.items():
         print(f"E_T({path}) = {e} / {instance.T}")
-    if args.json_out:
-        Path(args.json_out).write_text(json.dumps(results, indent=2))
+    if json_out is not None:
+        json_out.write_text(json.dumps(results, indent=2))
     return 0
 
 
@@ -189,6 +204,7 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    json_out = _json_out_path(args.json_out)
     missing = [flag for flag, value in [("--gamma", args.gamma), ("--d-pi", args.d_pi),
                                         ("--c-eta", args.c_eta)] if value is None]
     if len(missing) in (1, 2):
@@ -200,8 +216,8 @@ def cmd_bounds(args) -> int:
                             args.alpha_min, predicted=rate)
     doc = rep.to_json()
     print(json.dumps(doc, indent=2))
-    if args.json_out:
-        Path(args.json_out).write_text(json.dumps(doc, indent=2))
+    if json_out is not None:
+        json_out.write_text(json.dumps(doc, indent=2))
     return 0
 
 
@@ -286,6 +302,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not (math.isfinite(args.c_eta) and args.c_eta > 0.0):
+        raise InvalidRange(f"--c-eta must be finite and > 0; got {args.c_eta}")
     out = _output_path(args, ".report.csv")
     rows = []
     for path in args.csv:

@@ -106,18 +106,6 @@ def estimate_rank(singular_values: np.ndarray, thresh: float) -> int:
     return int((sv >= thresh).sum())
 
 
-def _unassigned_gains(neighbors: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    """|Q_t minus the assigned set| for every unassigned t, and -1 for assigned
-    t (centers come from the unassigned pool), counted one row block at a time."""
-    free = np.packbits(~assigned)  # pad bits stay 0, like the neighbour rows'
-    gains = np.full(assigned.shape[0], -1, dtype=np.int64)
-    candidates = np.flatnonzero(~assigned)
-    for lo in range(0, candidates.size, _ROW_BLOCK):
-        rows = candidates[lo:lo + _ROW_BLOCK]
-        gains[rows] = _POPCOUNT[neighbors[rows] & free].sum(axis=1)
-    return gains
-
-
 def _tridiagonalize(G: np.ndarray) -> tuple:
     """Reduce the symmetric C-ordered G to Q^T G Q = tridiag(d, e) in place.
 
@@ -203,25 +191,27 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     sq_norms = (X ** 2).sum(axis=1)
     r2 = sigma_thres * sigma_thres
     # Q_t as bit-packed rows (bit j of row t is set when j is in Q_t), one block
-    # at a time; no clip at 0 is needed, since sigma_thres^2 >= 0 already
-    # admits every negative rounding of a squared distance
+    # at a time, and each row's gain |Q_t|; no clip at 0 is needed, since
+    # sigma_thres^2 >= 0 already admits every negative rounding of a squared distance
     neighbors = np.empty((T, (T + 7) // 8), dtype=np.uint8)
+    gains = np.empty(T, dtype=np.int64)
     for lo in range(0, T, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         block = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T) <= r2
         own = np.arange(block.shape[0])
         block[own, lo + own] = True
+        gains[rows] = np.count_nonzero(block, axis=1)
         neighbors[rows] = np.packbits(block, axis=1)
 
+    # gains[t] = |Q_t minus the carved set| for every uncarved t, and -1 for
+    # carved t (centers come from the uncarved pool)
     guard = cfg.c_rho * R_hat * T / _log_term(T, H, cfg.delta)
-    assigned = np.zeros(T, dtype=bool)
     labels = np.full(T, -1, dtype=np.int64)
     centers: list[int] = []
     forced = False
-    while not assigned.all():
-        gains = _unassigned_gains(neighbors, assigned)
+    while gains.max() >= 0:
         t_star = int(np.argmax(gains))
-        carve = np.unpackbits(neighbors[t_star], count=T).view(bool) & ~assigned
+        carve = np.unpackbits(neighbors[t_star], count=T).view(bool) & (gains >= 0)
         if gains[t_star] < guard:
             if not centers:
                 forced = True  # keep the first carve so a clustering always exists
@@ -229,9 +219,19 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
                 break
         labels[carve] = len(centers)
         centers.append(t_star)
-        assigned |= carve
         if forced:
             break
+        # lower each uncarved row's gain by |Q_t & carve|, read from row t's own bits (Q need
+        # not be symmetric bit for bit) in only the carve's bytes, _ROW_BLOCK rows' worth a pass
+        gains[carve] = -1
+        cols = np.unique(np.flatnonzero(carve) >> 3)
+        mask = np.packbits(carve)[cols]
+        free = np.flatnonzero(gains >= 0)
+        step = _ROW_BLOCK * neighbors.shape[1] // cols.size
+        for lo in range(0, free.size, step):
+            rows = free[lo:lo + step]
+            carved_bytes = neighbors.take(rows[:, None] * neighbors.shape[1] + cols)
+            gains[rows] -= _POPCOUNT[carved_bytes & mask].sum(axis=1, dtype=np.int64)
 
     center_arr = np.asarray(centers, dtype=np.int64)
     leftover = np.flatnonzero(labels < 0)

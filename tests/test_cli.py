@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from mmclab import predicted_error_rate
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
+from mmclab.errors import DimensionMismatch, EmptyClusterAfterRounding
 from mmclab.metrics import GapReport
 from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
 from tests.conftest import STAGE1_EIGEN_FAILURES
@@ -163,6 +165,15 @@ class TestGenerate:
         assert f"--out {out} is not a usable directory" in capsys.readouterr().err
         assert taken.read_text() == ""
 
+    # make_instance's checks of T against K and of H name the spec, and keep their type
+    @pytest.mark.parametrize("T, H, message", [
+        (1, 20, "T=1 < K=2: some cluster must be empty"), (10, 1, "H must be >= 2")])
+    def test_T_or_H_out_of_range_names_the_spec(self, tmp_path, capsys, T, H, message):
+        spec = json.dumps({"type": "separation", "S_prime": 1, "T": T, "H": H})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 2
+        assert f"generator spec: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
     def test_T_and_H_come_from_the_spec(self, tmp_path, capsys):
         spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10})
         assert main(["generate", spec, "--out", str(tmp_path)]) == 2
@@ -243,6 +254,22 @@ class TestPipeline:
         assert all(0 <= v <= 60 for v in evals.values())
         out = capsys.readouterr().out
         assert "E_T" in out
+
+        nested = tmp_path / "deep" / "x" / "e.json"
+        assert main(["evaluate", "--instance", str(instance_file),
+                     str(tmp_path / "cluster.stage1.json"), "--json-out", str(nested)]) == 0
+        assert json.loads(nested.read_text()) == {
+            str(tmp_path / "cluster.stage1.json"): evals[str(tmp_path / "cluster.stage1.json")]}
+
+    def test_evaluate_json_out_naming_a_directory_exits_2(self, tmp_path, instance_file,
+                                                          capsys):
+        stage1 = tmp_path / "s1.json"
+        stage1.write_text(json.dumps({"labels": [1] * 60}))
+        assert main(["evaluate", "--instance", str(instance_file), str(stage1),
+                     "--json-out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"--json-out {tmp_path} is a directory" in err
+        assert "E_T" not in out
 
     def test_sample_files_name_the_instance(self, tmp_path):
         # the golden sample: its states as recorded, and a sidecar holding the
@@ -448,6 +475,21 @@ class TestPipeline:
         assert doc["predicted_error_rate"] == pytest.approx(
             predicted_error_rate(1000, 100, 0.5, 0.3, 0.01))
 
+    def test_bounds_json_out_creates_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "b.json"
+        assert main(["bounds", "--eps", "0.01", "--delta", "0.1", "--T", "1000",
+                     "--H", "100", "--D", "0.05", "--alpha-min", "0.5",
+                     "--json-out", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+    def test_bounds_json_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["bounds", "--eps", "0.01", "--delta", "0.1", "--T", "1000",
+                     "--H", "100", "--D", "0.05", "--alpha-min", "0.5",
+                     "--json-out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert f"--json-out {tmp_path} is a directory" in err
+        assert out == ""
+
     @pytest.mark.parametrize("given, missing", [
         (["--gamma", "0.5"], "--d-pi, --c-eta"),
         (["--d-pi", "0.3", "--c-eta", "0.01"], "--gamma"),
@@ -604,6 +646,15 @@ class TestSweep:
         assert float(row["mean_err_stage2"]) == pytest.approx(
             int(src["e_t_stage2"]) / int(src["T"]))
 
+    # the flag is checked before any CSV is read, here one that does not exist
+    @pytest.mark.parametrize("c_eta", ["0", "-1", "nan", "inf"])
+    def test_report_c_eta_not_positive_and_finite_exits_2(self, tmp_path, capsys, c_eta):
+        out = tmp_path / "out"
+        assert main(["report", str(tmp_path / "missing.csv"), "--c-eta", c_eta,
+                     "--out", str(out)]) == 2
+        assert f"--c-eta must be finite and > 0; got {float(c_eta)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_input_without_sweep_columns_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("T,H\n10,20\n")
@@ -737,6 +788,21 @@ class TestSweep:
         path.write_text(json.dumps({**SWEEP_CFG, "instance": spec}))
         assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
         assert f"{path} {message}" in capsys.readouterr().err
+        assert no_work == []
+
+    # T and H are sweep axes that make_instance checks; the error names the
+    # config and keeps its type
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("T", [1], EmptyClusterAfterRounding, "T=1 < K=2: some cluster must be empty"),
+        ("H", [1], DimensionMismatch, "H must be >= 2")])
+    def test_T_or_H_out_of_range_fails_before_any_point(self, tmp_path, capsys, no_work,
+                                                        key, value, error, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, key: value}))
+        assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert f"{path} instance: {message}" in capsys.readouterr().err
+        with pytest.raises(error, match=re.escape(f"{path} instance: {message}")):
+            run_sweep({**SWEEP_CFG, key: value}, where=str(path))
         assert no_work == []
 
     def test_creates_a_missing_nested_out_directory(self, tmp_path):

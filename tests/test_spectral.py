@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mmclab import (
     build_matrices,
@@ -72,15 +74,33 @@ def reference_spectral_cluster(W_hat, cfg):
                         forced_first_cluster=forced)
 
 
+def lattice_matrix(points):
+    """Data matrix (S=2, H=100) whose first columns hold the integer points."""
+    values = np.zeros((points.shape[0], 4))
+    values[:, :points.shape[1]] = points
+    return DataMatrix(values=values, S=2, H=100)
+
+
+def lattice_c_sigma(T, r2):
+    """c_sigma at which sigma_thres^2 = r2 for a T-row ``lattice_matrix`` at
+    gamma_ps = 1 and delta = 0.1. At a half-integer r2 no squared distance
+    between integer points lies within rounding of the radius, so every
+    neighbour set is exact on both routes to X, provided R_hat is the rank."""
+    return math.sqrt(r2) / math.sqrt(T * 2 / 100 * math.log(T * 100 / 0.1))
+
+
 @functools.lru_cache(maxsize=None)
 def equivalence_case(kind, T):
     """(W-hat, gamma_ps) of the separation instance (S'=2, H=2000), of the
     random S=40, K=8, H=1000 instance of the `wide` benchmark shape, seed 0,
-    or of T uniform points in the unit square (S=2, H=100)."""
+    of T uniform points in the unit square (S=2, H=100), or of T points of
+    the integer cube {0..5}^3 (S=2, H=100)."""
     if kind == "square":
         values = np.zeros((T, 4))
         values[:, :2] = np.random.default_rng(0).random((T, 2))
         return DataMatrix(values=values, S=2, H=100), 1.0
+    if kind == "lattice":
+        return lattice_matrix(np.random.default_rng(0).integers(0, 6, (T, 3))), 1.0
     if kind == "separation":
         inst = gen_separation_instance(2, T=T, H=2_000)
     else:
@@ -254,8 +274,9 @@ class TestSpectralCluster:
         assert self.traced_peak(T) < T * T * 8
 
     def test_no_T_by_T_boolean_matrix(self):
-        # the neighbour matrix is bit-packed (T^2 / 8 bytes) and the per-carve
-        # gains are counted in row blocks, so not even one T x T bool array exists
+        # the neighbour matrix is bit-packed (T^2 / 8 bytes), and the gains are
+        # counted once while it is filled and lowered per carve in row blocks,
+        # so not even one T x T bool array exists
         T = 12_000
         assert self.traced_peak(T) < T * T
 
@@ -276,13 +297,15 @@ class TestSpectralCluster:
         ("random", 2_000, 0.15, 0.2),
         ("random", 2_000, 0.02, 0.2),
         ("square", 601, 0.008, 1e-9),
+        ("lattice", 601, lattice_c_sigma(601, 2.5), 1e-9),
     ])
     def test_gram_route_matches_svd_reference(self, kind, T, c_sigma, c_rho):
         # T = 500 < S^2 = 1600 takes the T x T Gram matrix, every other case
         # the S^2 x S^2 one; separation at T = 2000 collapses to K_hat = 1, and
         # the analysis constants force the first carve; the square's radius of
         # about 0.1 and near-zero guard make dozens of carves, each of which
-        # must count only unassigned neighbours
+        # must count only uncarved neighbours; so do the lattice's radius of
+        # sqrt(2.5), and its ties between equal gains
         W_hat, gamma = equivalence_case(kind, T)
         cfg = SpectralConfig(delta=0.1, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
         res, ref = spectral_cluster(W_hat, cfg), reference_spectral_cluster(W_hat, cfg)
@@ -296,6 +319,24 @@ class TestSpectralCluster:
         assert np.abs(sv - ref_sv).max() <= 1e-12 * ref_sv[0]
         top = slice(0, ref.R_hat + 1)
         np.testing.assert_allclose(sv[top], ref_sv[top], rtol=1e-10, atol=0)
+
+    # every carve lowers the gains of the rows it leaves; with a near-zero
+    # guard the peel carves each lattice site's neighbourhood in turn, tens to
+    # hundreds of times, and repeated points and the lattice's symmetry make
+    # ties between equal gains that must break to the lowest index
+    @given(T=st.integers(2, 300), dims=st.integers(1, 4), side=st.integers(2, 8),
+           r2=st.sampled_from([0.5, 1.5, 2.5, 3.5]), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_peel_matches_dense_recount_on_lattice(self, T, dims, side, r2, seed):
+        W = lattice_matrix(np.random.default_rng(seed).integers(0, side, (T, dims)))
+        cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=lattice_c_sigma(T, r2),
+                             c_rho=1e-9)
+        ref = reference_spectral_cluster(W, cfg)
+        assume(ref.R_hat == np.linalg.matrix_rank(W.values))
+        res = spectral_cluster(W, cfg)
+        assert (res.K_hat, res.forced_first_cluster) == (ref.K_hat, ref.forced_first_cluster)
+        assert np.array_equal(res.centers, ref.centers)
+        assert np.array_equal(res.labels, ref.labels)
 
     def test_stage1_json_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=20, H=300)
