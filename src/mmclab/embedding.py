@@ -25,10 +25,15 @@ __all__ = [
     "build_matrices",
 ]
 
-# elements a counting pass may touch: each takes max(1, _BLOCK_ELEMENTS //
-# row_width) trajectories, so its buffers hold O(max(_BLOCK_ELEMENTS,
-# row_width)) elements whatever T is
+# int64 flat-index entries a counting pass may hold: a pass takes at most
+# max(1, _BLOCK_ELEMENTS // (H - 1)) trajectories, so its index holds
+# O(max(_BLOCK_ELEMENTS, H)) entries whatever T is
 _BLOCK_ELEMENTS = 1 << 18
+# int64 bins a counting pass's bincount may return: 120 KiB, under 128 KiB,
+# the least size from which glibc gives a block a mapping of its own, so each
+# pass reuses heap memory instead of faulting in fresh pages; at S = 40,
+# H = 1000 that halved the counting time with the threshold held at 128 KiB
+_COUNT_BINS = 15 << 10
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,9 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     if states.size and (states.min() < 0 or states.max() >= S):
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
     transitions = np.empty((T, S, S), dtype=np.int32)
-    # a pass's int64 flat index has H - 1 entries per trajectory and stays
-    # within the element budget (or one row); its int64 bincount has S * S
-    # and may take four times the budget, a bound that only short horizons
-    # over many states reach. Held to the budget too, at S = 40, H = 1000 it
-    # cut the passes from 262 to 163 trajectories, and a sweep point's peak
-    # RSS was 245 MB instead of 223 MB in 6 of 11 runs (0 of 9 at 262)
-    rows = max(1, _BLOCK_ELEMENTS // max(H - 1, S * S // 4))
+    # a pass's int64 flat index has H - 1 entries per trajectory and its int64
+    # bincount S * S; each stays within its budget, or one trajectory's worth
+    rows = max(1, min(_BLOCK_ELEMENTS // (H - 1), _COUNT_BINS // (S * S)))
     # the flat index (t, s, s') of every transition of a pass, built in place
     # in one int64 buffer that every pass reuses
     index = np.empty((min(rows, T), H - 1), dtype=np.int64)

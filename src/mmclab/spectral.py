@@ -195,10 +195,21 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     # sigma_thres^2 >= 0 already admits every negative rounding of a squared distance
     neighbors = np.empty((T, (T + 7) // 8), dtype=np.uint8)
     gains = np.empty(T, dtype=np.int64)
+    # the squared distances ||x_t||^2 + ||x_j||^2 - 2 x_t.x_j of a block, in
+    # that order of rounding, are built in two buffers that every block reuses
+    dist = np.empty((min(_ROW_BLOCK, T), T))
+    dots = np.empty_like(dist)
+    within = np.empty(dist.shape, dtype=bool)
     for lo in range(0, T, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        block = sq_norms[rows, None] + sq_norms[None, :] - 2.0 * (X[rows] @ X.T) <= r2
-        own = np.arange(block.shape[0])
+        n = min(_ROW_BLOCK, T - lo)
+        dist_n, dots_n = dist[:n], dots[:n]
+        np.add(sq_norms[rows, None], sq_norms[None, :], out=dist_n)
+        np.matmul(X[rows], X.T, out=dots_n)
+        dots_n *= 2.0
+        dist_n -= dots_n
+        block = np.less_equal(dist_n, r2, out=within[:n])
+        own = np.arange(n)
         block[own, lo + own] = True
         gains[rows] = np.count_nonzero(block, axis=1)
         neighbors[rows] = np.packbits(block, axis=1)

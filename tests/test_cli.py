@@ -2,8 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -863,3 +868,36 @@ class TestSweep:
         empty.write_text(",".join(SWEEP_COLUMNS) + "\n")
         rc = main(["report", str(empty), "--out", str(tmp_path)])
         assert rc == 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the threshold is glibc's")
+def test_main_keeps_large_arrays_out_of_the_heap(tmp_path):
+    # freeing the 8 MiB array would lift glibc's mmap threshold to 8 MiB, so the
+    # 1 MiB array after it would come from the heap; main holds the threshold
+    # at 128 KiB, so it gets a mapping of its own. A fresh interpreter, since
+    # the threshold belongs to the process.
+    code = """
+        import ctypes, numpy as np
+        from mmclab.cli import main
+
+        class MallInfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in
+                        ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                         "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        mallinfo2.restype = MallInfo2
+        assert main(["bounds", "--eps", "0.1", "--delta", "0.1", "--T", "10", "--H", "20",
+                     "--D", "0.5", "--alpha-min", "0.5"]) == 0
+        big = np.ones(1 << 20)
+        del big
+        mapped = mallinfo2().hblkhd
+        small = np.ones(1 << 17)
+        print(mallinfo2().hblkhd - mapped)
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) >= 1 << 20

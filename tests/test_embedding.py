@@ -138,8 +138,8 @@ class TestCountStats:
 
     # the decay shape, where the whole int64 flat index would take 32 MB and
     # a pass of 13 trajectories takes 2.1 MB; and one with many states, where
-    # a pass over all T would make a 24 MB int64 bincount, against 8.3 MB for
-    # a pass of 104 (the bincount may take four times the budget)
+    # a pass over all T would make a 24 MB int64 bincount, against 80 KB for
+    # a pass of one trajectory
     @pytest.mark.parametrize("T, H, S, budgets", [(200, 20_000, 4, 2), (300, 3, 100, 5)])
     def test_pass_buffers_within_the_budget(self, T, H, S, budgets):
         states = np.random.default_rng(0).integers(0, S, size=(T, H)).astype(np.int64)
