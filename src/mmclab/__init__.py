@@ -55,6 +55,6 @@ from .simgen import (
     make_instance,
     sample_trajectories,
 )
-from .spectral import SpectralConfig, Stage1Result, estimate_rank, sigma_threshold, spectral_cluster
+from .spectral import SpectralConfig, Stage1Result, sigma_threshold, spectral_cluster
 
 __version__ = "0.1.0"

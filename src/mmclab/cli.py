@@ -266,8 +266,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     deltas, lams = (field(cfg, axis, float_list, where) for axis in ("delta", "lambda"))
     if len(set(seeds)) != len(seeds):
         raise InvalidSpec(f"{where}: sweep seeds must be distinct")
-    if not all(lam >= 0.0 for lam in lams):
-        raise InvalidRange(f"{where}: lambda must be >= 0; got {lams}")
+    if not all(0.0 <= lam < math.inf for lam in lams):
+        raise InvalidRange(f"{where}: lambda must be finite and >= 0; got {lams}")
     instances = _build_instances(require_keys(cfg, ("instance",), where)["instance"],
                                  f"{where} instance", [(T, H) for T in Ts for H in Hs])
     gamma = _resolve_gamma(field(cfg, "gamma", number, where, None), instances[0])

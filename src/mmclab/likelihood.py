@@ -10,6 +10,7 @@ style classifier the refinement approximates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -59,8 +60,8 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != counts.T:
         raise LengthMismatch("labels length does not match trajectory count")
-    if not lam >= 0:
-        raise InvalidRange("smoothing must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise InvalidRange(f"smoothing must be finite and >= 0; got {lam}")
     S = counts.S
     if K < 1 or labels.min() < 0 or labels.max() >= K:
         raise EmptyCluster(f"labels must lie in [0, {K - 1}]")

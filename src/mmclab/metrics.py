@@ -473,8 +473,10 @@ def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,
         raise InvalidRange(f"delta must be in (0, 1/2]; got {delta}")
     if not 0.0 < alpha_min <= 1.0:
         raise InvalidRange(f"alpha_min must be in (0,1]; got {alpha_min}")
-    if T < 1 or H < 2 or D < 0.0:
-        raise InvalidRange("need T >= 1, H >= 2, D >= 0")
+    if T < 1 or H < 2:
+        raise InvalidRange(f"need T >= 1 and H >= 2; got T = {T}, H = {H}")
+    if not 0.0 <= D < math.inf:
+        raise InvalidRange(f"D must be finite and >= 0; got {D}")
 
     rhs = math.log(1.0 / (2.0 * delta)) / (eps * T) + math.log(alpha_min / (16.0 * math.e * eps))
     lhs = 4.0 * (H - 1) * D
@@ -499,8 +501,14 @@ def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,
 
 def predicted_error_rate(T: int, H: int, gamma_ps: float, D_pi: float, C_eta: float) -> float:
     """Predicted error envelope T exp(-C_eta gamma_ps H D_pi)."""
-    if T < 1 or H < 1 or not 0.0 < gamma_ps <= 1.0 or D_pi < 0.0 or C_eta <= 0.0:
-        raise InvalidRange("need T,H >= 1, gamma_ps in (0,1], D_pi >= 0, C_eta > 0")
+    if T < 1 or H < 1:
+        raise InvalidRange(f"need T, H >= 1; got T = {T}, H = {H}")
+    if not 0.0 < gamma_ps <= 1.0:
+        raise InvalidRange(f"gamma_ps must be in (0,1]; got {gamma_ps}")
+    if not 0.0 <= D_pi < math.inf:
+        raise InvalidRange(f"D_pi must be finite and >= 0; got {D_pi}")
+    if not 0.0 < C_eta < math.inf:
+        raise InvalidRange(f"C_eta must be finite and > 0; got {C_eta}")
     return T * math.exp(-C_eta * gamma_ps * H * D_pi)
 
 

@@ -1,20 +1,25 @@
 """Adaptive spectral clustering of the empirical data matrix, without knowing K.
 
-The stage reduces the smaller Gram matrix of the T x S^2 data matrix (S^2 x
-S^2, or T x T when T < S^2) to tridiagonal form once, in place, and takes
-both the data matrix's singular spectrum (every eigenvalue) and the top R
-eigenvectors from that one reduction. It thresholds the spectrum to pick a
-working rank R, builds the spectral representation X = U_{1:R} Sigma_{1:R}
-(up to the sign of each column) from those R eigenvectors alone, and
+The stage works on the smaller Gram matrix G of the T x S^2 data matrix
+(S^2 x S^2, or T x T when T < S^2). Its working rank R is the count of
+singular values at or above sigma_thres, the eigenvalues of G at or above
+sigma_thres^2; Sylvester's law of inertia gives that count exactly from one
+symmetric indefinite (Bunch-Kaufman) factorization of G - sigma_thres^2 I,
+made in place in one triangle of G. Implicitly restarted Lanczos then finds
+only the top k = min(R + 1, n) eigenpairs of G, n = min(T, S^2); the
+singular values recorded are those k, and the rest of the spectrum is never
+computed. The stage builds the spectral representation X = U_{1:R}
+Sigma_{1:R} (up to the sign of each column) from the top R eigenvectors, and
 greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
 carve falls below the size guard c_rho * R * T / log(TH/delta). Leftover
 trajectories attach to the nearest carved center.
 
-scipy, whose LAPACK wrappers and tridiagonal eigensolvers do the reduction
-and its eigenproblems, is imported by the functions that call it, so
-importing this module does not load it. They look those routines up on
-``scipy.linalg`` at each call rather than caching them, so a routine replaced
-there takes effect at once.
+scipy, whose LAPACK wrappers and ARPACK do the factorization and the
+eigenproblems, is imported by the functions that call it, so importing this
+module does not load it, and ``scipy.sparse.linalg`` is loaded only when
+Lanczos runs. They look those routines up on ``scipy.linalg`` and
+``scipy.sparse.linalg`` at each call rather than caching them, so a routine
+replaced there takes effect at once.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .embedding import DataMatrix
 from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
 from .jsondoc import boolean, field, float_array, int_vector, integer, number, read_object
 
-__all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "estimate_rank",
-           "spectral_cluster", "save_stage1", "load_stage1"]
+__all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "spectral_cluster",
+           "save_stage1", "load_stage1"]
 
 _STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma_thres",
                 "forced_first_cluster")
@@ -72,7 +77,7 @@ class Stage1Result:
     labels: np.ndarray           # (T,) int, 0-based cluster labels
     centers: np.ndarray          # (K_hat,) trajectory indices t_k*
     R_hat: int
-    singular_values: np.ndarray  # full spectrum of W-hat, descending
+    singular_values: np.ndarray  # sigma_1 .. sigma_min(R_hat + 1, n) of W-hat, descending
     sigma_thres: float
     forced_first_cluster: bool = False
 
@@ -100,57 +105,72 @@ def sigma_threshold(T: int, S: int, H: int, cfg: SpectralConfig) -> float:
     return cfg.c_sigma * math.sqrt(float(ratio) * log_term)
 
 
-def estimate_rank(singular_values: np.ndarray, thresh: float) -> int:
-    """Count of singular values >= thresh (non-strict; values sorted descending)."""
-    sv = np.asarray(singular_values, dtype=np.float64)
-    return int((sv >= thresh).sum())
+def _count_below(G: np.ndarray, shift: float) -> int:
+    """Number of eigenvalues of the symmetric C-ordered G below ``shift``.
 
-
-def _tridiagonalize(G: np.ndarray) -> tuple:
-    """Reduce the symmetric C-ordered G to Q^T G Q = tridiag(d, e) in place.
-
-    G.T is the same matrix F-ordered, so LAPACK's dsytrd overwrites G itself;
-    Q = H(1)...H(n-1) is left as Householder vectors below the subdiagonal of
-    the (n-1) x (n-1) block c[1:, :n-1], with their scales in tau. That block
-    is moved, still in G's buffer, to a contiguous F-ordered (n-1) x (n-1)
-    array at its start, since dormqr would copy an offset view.
+    By Sylvester's law of inertia, G - shift I = L D L^T has as many negative
+    eigenvalues as its block-diagonal D, whose 1 x 1 and 2 x 2 blocks are read
+    off the Bunch-Kaufman factorization. G.T is the same matrix F-ordered, so
+    LAPACK's dsytrf factors it in place, in G's diagonal and upper triangle.
+    G is then rebuilt from its untouched strict lower triangle, _ROW_BLOCK
+    rows at a time, and a saved diagonal, so no second n x n array exists.
     """
     import scipy.linalg
 
     n = G.shape[0]
-    lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])  # blocked; the default is not
-    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
-    _check_info("dsytrd", info)
-    flat = c.reshape(-1, order="F")  # a view: c is F-contiguous
-    m = n - 1
-    # column j moves from [j n + 1, j n + n) down to [j m, j m + m); in increasing
-    # j no column lands on one that has not moved yet
-    for j in range(m):
-        flat[j * m:(j + 1) * m] = flat[j * n + 1:(j + 1) * n]
-    return d, e, flat[:m * m].reshape((m, m), order="F"), tau
+    diagonal = G.diagonal().copy()
+    G.flat[::n + 1] -= shift
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0])  # blocked; the default is not
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(G.T, lower=1, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dsytrf returned info = {info}")
+    # info > 0 is an exactly zero 1 x 1 pivot: an eigenvalue at the shift, not below it
+    d = ldu.diagonal()
+    paired = np.flatnonzero(ipiv < 0)  # both rows of each 2 x 2 block, which are adjacent
+    single = np.ones(n, dtype=bool)
+    single[paired] = False
+    a, b = d[paired[0::2]], d[paired[1::2]]
+    c = ldu[paired[1::2], paired[0::2]]
+    det = a * b - c * c
+    # a 2 x 2 block has one negative eigenvalue when det < 0, both when det > 0
+    # and its trace is negative, and one when det = 0 and its trace is negative
+    below = int(np.count_nonzero(d[single] < 0.0) + np.count_nonzero(det < 0.0)
+                + 2 * np.count_nonzero((det > 0.0) & (a < 0.0))
+                + np.count_nonzero((det == 0.0) & (a + b < 0.0)))
+
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        G[lo:hi, hi:] = G[hi:, lo:hi].T
+        square = G[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        square[upper] = square.T[upper]
+    np.fill_diagonal(G, diagonal)
+    return below
 
 
-def _back_transform(reflectors: np.ndarray, tau: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Q Z for the Q that ``_tridiagonalize`` left in (reflectors, tau).
+def _top_eigenpairs(G: np.ndarray, k: int) -> tuple:
+    """The k largest eigenvalues of the symmetric G, descending, and their
+    eigenvectors as columns in the same order.
 
-    Q fixes the first coordinate, so row 0 of Z stays and dormqr applies
-    H(1)...H(n-1) to the rest.
+    Implicitly restarted Lanczos (ARPACK) finds them from a fixed start vector
+    to machine precision (tol=0). Where its Krylov basis, of ARPACK's default
+    size max(2k + 1, 20), would span the whole space, LAPACK solves the dense
+    problem instead; G is overwritten there.
     """
-    import scipy.linalg
+    n = G.shape[0]
+    if n <= max(2 * k + 1, 20):
+        import scipy.linalg
 
-    if Z.shape[0] == 1:
-        return Z
-    ormqr = scipy.linalg.lapack.dormqr
-    work, info = ormqr("L", "N", reflectors, tau, Z[1:], -1)[1:]
-    _check_info("dormqr workspace query", info)
-    QZ, _, info = ormqr("L", "N", reflectors, tau, Z[1:], int(work[0]))
-    _check_info("dormqr", info)
-    return np.vstack([Z[:1], QZ])
+        w, V = scipy.linalg.eigh(G, subset_by_index=(n - k, n - 1), overwrite_a=True)
+    else:
+        import scipy.sparse.linalg
 
-
-def _check_info(routine: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine} returned info = {info}")
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            w, V = scipy.sparse.linalg.eigsh(G, k, which="LA", v0=v0, tol=0)
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+    return w[::-1], V[:, ::-1]  # both solvers return them ascending
 
 
 def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
@@ -161,8 +181,6 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     at the first sub-guard carve thereafter, which is discarded. Candidate
     centers are the unassigned trajectories; ties break to the lowest index.
     """
-    import scipy.linalg
-
     T = W_hat.T
     if T == 0 or W_hat.values.size == 0:
         raise EmptyInput("empty data matrix")
@@ -171,25 +189,23 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     A = W_hat.values
     gram_of_columns = T >= A.shape[1]
     sigma_thres = sigma_threshold(T, S, H, cfg)
+    r2 = sigma_thres * sigma_thres
+    G = A.T @ A if gram_of_columns else A @ A.T
+    n = G.shape[0]
     try:
-        # the Gram matrix is reduced once, in place: its memory ends up holding Q
-        d, e, reflectors, tau = _tridiagonalize(A.T @ A if gram_of_columns else A @ A.T)
-        sv = np.sqrt(np.clip(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")[::-1],
-                             0.0, None))  # descending
-        R_hat = max(1, estimate_rank(sv, sigma_thres))
-        # only the eigenvectors X needs: the top R_hat, which come ascending
-        n = d.shape[0]
-        Z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - R_hat, n - 1))[1]
-        V = _back_transform(reflectors, tau, Z)
+        # R_hat counts the singular values >= sigma_thres, the eigenvalues of G
+        # at or above r2; G is positive semidefinite, so at r2 = 0 that is all n
+        R_hat = max(1, n - _count_below(G, r2)) if r2 > 0.0 else n
+        eigvals, V = _top_eigenpairs(G, min(R_hat + 1, n))
     except np.linalg.LinAlgError as exc:
         raise SvdFailure("eigendecomposition of the Gram matrix did not converge") from exc
-    del reflectors
-    V = V[:, ::-1]  # descending like the spectrum; column order sets the distances' rounding
+    del G
+    sv = np.sqrt(np.clip(eigvals, 0.0, None))
+    V = V[:, :R_hat]  # descending; column order sets the distances' rounding
     # U Sigma up to the sign of each column, which no distance below sees
     X = A @ V if gram_of_columns else V * sv[:R_hat]
 
     sq_norms = (X ** 2).sum(axis=1)
-    r2 = sigma_thres * sigma_thres
     # Q_t as bit-packed rows (bit j of row t is set when j is in Q_t), one block
     # at a time, and each row's gain |Q_t|; no clip at 0 is needed, since
     # sigma_thres^2 >= 0 already admits every negative rounding of a squared distance

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from mmclab import gen_random_ergodic, gen_separation_models, make_instance, validate_model
 from mmclab.errors import DimensionMismatch
@@ -39,20 +40,28 @@ def _raise_linalg_error(original):
     return boom
 
 
-def _nonzero_info(original):
+def _raise_no_convergence(original):
+    def boom(A, k, *args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("synthetic failure", np.empty(0),
+                                                      np.empty((A.shape[0], 0)))
+    return boom
+
+
+def _negative_info(original):
     def failed(*args, **kwargs):
-        return (*original(*args, **kwargs)[:-1], 1)  # LAPACK wrappers return info last
+        return (*original(*args, **kwargs)[:-1], -1)  # LAPACK wrappers return info last
     return failed
 
 
-# each call of stage 1's eigendecomposition made to fail in turn: the solvers
-# raise LinAlgError themselves, the raw LAPACK wrappers report a nonzero info
-STAGE1_EIGEN_FAILURES = pytest.mark.parametrize("module, name, breaker", [
-    (scipy.linalg, "eigvalsh_tridiagonal", _raise_linalg_error),
-    (scipy.linalg, "eigh_tridiagonal", _raise_linalg_error),
-    (scipy.linalg.lapack, "dsytrd", _nonzero_info),
-    (scipy.linalg.lapack, "dormqr", _nonzero_info),
-], ids=["eigvalsh", "scipy-eigh", "dsytrd-info", "dormqr-info"])
+# each call of stage 1's eigendecomposition made to fail in turn, with the size
+# n of a Gram matrix that reaches it: the rank's factorization reports an
+# illegal argument, Lanczos (n > 20 at rank 1) does not converge, and the dense
+# solver of a small Gram matrix raises LinAlgError itself
+STAGE1_EIGEN_FAILURES = pytest.mark.parametrize("module, name, breaker, n", [
+    (scipy.linalg.lapack, "dsytrf", _negative_info, 4),
+    (scipy.sparse.linalg, "eigsh", _raise_no_convergence, 36),
+    (scipy.linalg, "eigh", _raise_linalg_error, 4),
+], ids=["dsytrf-info", "eigsh-no-convergence", "scipy-eigh"])
 
 
 def reference_sample_trajectories(instance, seed, chunk=2048):

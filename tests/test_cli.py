@@ -266,6 +266,19 @@ class TestPipeline:
         assert json.loads(nested.read_text()) == {
             str(tmp_path / "cluster.stage1.json"): evals[str(tmp_path / "cluster.stage1.json")]}
 
+    def test_refine_with_infinite_lambda_exits_2(self, tmp_path, instance_file, capsys):
+        # an infinite smoothing made every kernel entry NaN and relabelled every
+        # trajectory to cluster 0 with exit 0
+        assert main(["sample", str(instance_file), "--seed", "5", "--out", str(tmp_path)]) == 0
+        traj_file = tmp_path / "sample.traj.bin"
+        assert main(["cluster", str(traj_file), "--gamma", "1.0", "--c-sigma", "0.15",
+                     "--c-rho", "2.0", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["refine", str(traj_file), str(tmp_path / "cluster.stage1.json"),
+                     "--lambda", "inf", "--out", str(tmp_path)]) == 2
+        assert "smoothing must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "refine.stage2.json").exists()
+
     def test_evaluate_json_out_naming_a_directory_exits_2(self, tmp_path, instance_file,
                                                           capsys):
         stage1 = tmp_path / "s1.json"
@@ -514,6 +527,29 @@ class TestPipeline:
                    "--H", "10", "--D", "0.1", "--alpha-min", "0.5"])
         assert rc == 2
 
+    # NaN passes a one-sided range test, so it printed a NaN rate, which is not
+    # JSON, or (--D) died in math.ceil; each message names the argument
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--D", "nan", "D must be finite and >= 0"),
+        ("--D", "inf", "D must be finite and >= 0"),
+        ("--d-pi", "nan", "D_pi must be finite and >= 0"),
+        ("--d-pi", "inf", "D_pi must be finite and >= 0"),
+        ("--c-eta", "nan", "C_eta must be finite and > 0"),
+        ("--c-eta", "inf", "C_eta must be finite and > 0"),
+        ("--c-eta", "0", "C_eta must be finite and > 0"),
+    ])
+    def test_bounds_nonfinite_or_out_of_range_value_exits_2(self, tmp_path, capsys, flag, value,
+                                                            message):
+        args = {"--eps": "0.01", "--delta": "0.1", "--T": "1000", "--H": "100", "--D": "0.05",
+                "--alpha-min": "0.5", "--gamma": "0.5", "--d-pi": "0.3", "--c-eta": "0.01"}
+        args[flag] = value
+        out = tmp_path / "b.json"
+        assert main(["bounds", *[x for kv in args.items() for x in kv],
+                     "--json-out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 class TestSweep:
     def test_rows_and_determinism(self, tmp_path):
@@ -585,8 +621,10 @@ class TestSweep:
 
     @STAGE1_EIGEN_FAILURES
     def test_eigensolver_failure_in_stage1_exits_3(self, tmp_path, capsys, monkeypatch,
-                                                   module, name, breaker):
-        spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
+                                                   module, name, breaker, n):
+        # 2 S' = sqrt(n) states and T = 40 >= n trajectories give an n x n Gram matrix
+        spec = json.dumps({"type": "separation", "S_prime": math.isqrt(n) // 2, "T": 40,
+                           "H": 20})
         main(["generate", spec, "--out", str(tmp_path)])
         main(["sample", str(tmp_path / "instance.instance.json"), "--seed", "1",
               "--out", str(tmp_path)])
@@ -742,6 +780,15 @@ class TestSweep:
         path.write_text(json.dumps({**SWEEP_CFG, key: value}))
         assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
         assert f"{path}: {key} must be" in capsys.readouterr().err
+        assert no_work == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_infinite_lambda_fails_before_any_point(self, tmp_path, capsys, no_work, jobs):
+        # JSON has no infinity, but 1e999 reads as one
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, "lambda": [0.5, 7.25]}).replace("7.25", "1e999"))
+        assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
+        assert f"{path}: lambda must be finite and >= 0" in capsys.readouterr().err
         assert no_work == []
 
     # a misspelt constant, and the keys that moved into the instance spec or

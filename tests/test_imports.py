@@ -1,8 +1,9 @@
 """Which subcommands load scipy, and when.
 
 scipy serves only stage 1's eigensolvers, so importing the package and every
-subcommand that does not cluster must leave it unloaded, and no subcommand
-loads ``scipy.optimize``. ``sweep`` and ``cluster`` load ``scipy.linalg``
+subcommand that does not cluster must leave it unloaded, no subcommand loads
+``scipy.optimize``, and a Gram matrix small enough for the dense solver leaves
+``scipy.sparse.linalg`` unloaded. ``sweep`` and ``cluster`` load ``scipy.linalg``
 before they allocate, which keeps their peak RSS. This module's process has
 scipy loaded already (``conftest`` imports it), so each check runs in a fresh
 interpreter on the checkout's ``src``.
@@ -115,6 +116,20 @@ def test_cluster_loads_scipy_before_it_reads_trajectories(tmp_path):
                  "--out", str(tmp_path)]) == 0
     argv = ["cluster", "sample.traj.bin", "--gamma", "0.5"]
     assert run_fresh(_RECORD_LOAD_ORDER.format(argv=argv), tmp_path) == [True]
+
+
+def test_decay_shape_sweep_point_loads_no_sparse_linalg(tmp_path):
+    # S = 4 gives a 16 x 16 Gram matrix, which the dense eigensolver takes
+    # rather than Lanczos, so scipy.sparse.linalg stays out of the process
+    cfg = {"instance": {"type": "separation", "S_prime": 2}, "T": [200], "H": [20_000],
+           "delta": [0.1], "lambda": [0.5], "seeds": [0], "c_sigma": 0.15, "c_rho": 2.0}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    code = """
+        from mmclab.cli import main
+        assert main(["sweep", "sweep.json", "--jobs", "1"]) == 0
+    """
+    loaded = scipy_loaded_after(code, tmp_path)
+    assert "scipy.linalg" in loaded and "scipy.sparse.linalg" not in loaded
 
 
 def test_clustering_subcommands_load_no_scipy_optimize(tmp_path):

@@ -23,7 +23,8 @@ from mmclab import (
     trajectory_loglik,
     validate_model,
 )
-from mmclab.errors import EmptyCluster, StateSpaceMismatch, ZeroProbabilityTransition
+from mmclab.errors import (EmptyCluster, InvalidRange, StateSpaceMismatch,
+                           ZeroProbabilityTransition)
 from mmclab.likelihood import save_stage2
 from tests.conftest import gen_separation_instance, random_labels, random_models, reference_counts
 
@@ -143,6 +144,13 @@ class TestPoolEstimates:
         counts = counts_of([[0, 1], [1, 0]], S=2)
         with pytest.raises(EmptyCluster, match=r"labels must lie in \[0, 1\]"):
             pool_estimates(counts, np.array(labels), K=2, lam=0.5)
+
+    @pytest.mark.parametrize("lam", [-0.5, math.inf, math.nan])
+    def test_smoothing_must_be_finite_and_nonnegative(self, lam):
+        # an infinite smoothing makes every kernel entry inf / inf = NaN
+        counts = counts_of([[0, 1], [1, 0]], S=2)
+        with pytest.raises(InvalidRange, match="smoothing must be finite and >= 0"):
+            pool_estimates(counts, np.array([0, 1]), K=2, lam=lam)
 
     @settings(max_examples=200, deadline=None)
     @given(pooled_cases())

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from mmclab import (
     count_transitions,
     delta_W_sq,
     empirical_matrix,
-    estimate_rank,
     gen_random_ergodic,
     make_instance,
     misclassification,
@@ -27,12 +27,18 @@ from mmclab.spectral import Stage1Result, save_stage1, load_stage1
 from tests.conftest import STAGE1_EIGEN_FAILURES, gen_separation_instance, random_models
 
 
+def estimate_rank(singular_values, thresh):
+    """Count of singular values >= thresh (non-strict)."""
+    return int((np.asarray(singular_values, dtype=np.float64) >= thresh).sum())
+
+
 def reference_spectral_cluster(W_hat, cfg):
     """Stage 1 from a full SVD of W-hat and a dense T x T neighbour matrix.
 
     Same threshold, rank, peel, tie rules and leftover assignment as
-    ``spectral_cluster``; only the route to the spectrum and to X = U Sigma
-    differs, so the two must agree on every output.
+    ``spectral_cluster``; only the routes to the rank (a count of the whole
+    spectrum here), to the spectrum and to X = U Sigma differ, so the two
+    must agree on every output. ``singular_values`` holds the whole spectrum.
     """
     T, S, H = W_hat.T, W_hat.S, W_hat.H
     U, sv = np.linalg.svd(W_hat.values, full_matrices=False)[:2]
@@ -111,6 +117,32 @@ def equivalence_case(kind, T):
     return empirical_matrix(count_transitions(states, inst.S)), gamma
 
 
+def hadamard_groups():
+    """Data matrix (S=5, H=100) of 20 + 20 + 1 rows repeating rows 1, 2 and 3
+    of the 16 x 16 Hadamard matrix, scaled to norms 1, 1 and 1/2, in the
+    first 16 of its 25 columns. Those rows are exactly orthogonal, so the
+    Gram matrix's eigenvalues are exactly 20, 20, 1/4 and 0."""
+    rows = scipy.linalg.hadamard(16)[1:4] / 4.0 * np.array([[1.0], [1.0], [0.5]])
+    values = np.zeros((41, 25))
+    values[:, :16] = np.repeat(rows, (20, 20, 1), axis=0)
+    return DataMatrix(values=values, S=5, H=100)
+
+
+def assert_matches_svd_reference(W_hat, cfg):
+    """Stage 1 agrees with ``reference_spectral_cluster`` on every output, and
+    on the top min(R_hat + 1, n) singular values, the only ones it computes,
+    to 1e-10 relative; returns its result."""
+    res, ref = spectral_cluster(W_hat, cfg), reference_spectral_cluster(W_hat, cfg)
+    assert (res.K_hat, res.R_hat, res.forced_first_cluster) == \
+        (ref.K_hat, ref.R_hat, ref.forced_first_cluster)
+    assert np.array_equal(res.labels, ref.labels)
+    assert np.array_equal(res.centers, ref.centers)
+    assert res.sigma_thres == ref.sigma_thres
+    np.testing.assert_allclose(res.singular_values, ref.singular_values[:ref.R_hat + 1],
+                               rtol=1e-10, atol=0)
+    return res
+
+
 def truth_matrix(models, decoding, H):
     rows = np.stack([embed_model(m) for m in models])
     return DataMatrix(values=rows[decoding].copy(), S=models[0].S, H=H)
@@ -154,6 +186,7 @@ class TestSigmaThreshold:
 
 
 class TestEstimateRank:
+    # the reference's rank rule, which the inertia count of spectral_cluster matches
     def test_examples(self):
         assert estimate_rank(np.array([5.0, 3.0, 1.0]), 2.0) == 2
         assert estimate_rank(np.array([5.0, 3.0, 1.0]), 10.0) == 0
@@ -281,9 +314,9 @@ class TestSpectralCluster:
         assert self.traced_peak(T) < T * T
 
     @STAGE1_EIGEN_FAILURES
-    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name, breaker):
+    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name, breaker, n):
         monkeypatch.setattr(module, name, breaker(getattr(module, name)))
-        W = DataMatrix(values=np.eye(4), S=2, H=10)
+        W = DataMatrix(values=np.eye(n), S=math.isqrt(n), H=10)
         with pytest.raises(SvdFailure, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
@@ -307,18 +340,41 @@ class TestSpectralCluster:
         # must count only uncarved neighbours; so do the lattice's radius of
         # sqrt(2.5), and its ties between equal gains
         W_hat, gamma = equivalence_case(kind, T)
-        cfg = SpectralConfig(delta=0.1, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
-        res, ref = spectral_cluster(W_hat, cfg), reference_spectral_cluster(W_hat, cfg)
-        assert (res.K_hat, res.R_hat, res.forced_first_cluster) == \
-            (ref.K_hat, ref.R_hat, ref.forced_first_cluster)
-        assert np.array_equal(res.labels, ref.labels)
-        assert np.array_equal(res.centers, ref.centers)
-        assert res.sigma_thres == ref.sigma_thres
-        sv, ref_sv = res.singular_values, ref.singular_values
-        assert sv.shape == ref_sv.shape
-        assert np.abs(sv - ref_sv).max() <= 1e-12 * ref_sv[0]
-        top = slice(0, ref.R_hat + 1)
-        np.testing.assert_allclose(sv[top], ref_sv[top], rtol=1e-10, atol=0)
+        assert_matches_svd_reference(W_hat, SpectralConfig(delta=0.1, gamma_ps=gamma,
+                                                           c_sigma=c_sigma, c_rho=c_rho))
+
+    @pytest.mark.parametrize("case", ["repeated-top", "c_sigma-0", "rank-n-1"])
+    def test_rank_edge_cases_match_svd_reference(self, case):
+        if case == "repeated-top":
+            # the top eigenvalue 20 is repeated exactly, which a single Lanczos
+            # vector meets only once in exact arithmetic; the 25 x 25 Gram
+            # matrix and k = R_hat + 1 = 3 put it on Lanczos, and sigma_thres^2
+            # = 1/2 puts the rank at 2 and separates the three groups
+            W_hat, gamma, R_hat, thresh = hadamard_groups(), 1.0, 2, 0.5 ** 0.5
+        else:
+            # at c_sigma = 0 every singular value counts, and halfway between
+            # the two smallest all but the last; with k = n the random case's
+            # 500 x 500 Gram matrix takes the dense solver
+            W_hat, gamma = equivalence_case("random", 500)
+            sv = np.linalg.svd(W_hat.values, compute_uv=False)
+            R_hat = 500 if case == "c_sigma-0" else 499
+            thresh = 0.0 if case == "c_sigma-0" else (sv[-2] + sv[-1]) / 2
+        unit = sigma_threshold(W_hat.T, W_hat.S, W_hat.H, SpectralConfig(0.1, gamma, 1.0))
+        res = assert_matches_svd_reference(W_hat, SpectralConfig(
+            delta=0.1, gamma_ps=gamma, c_sigma=thresh / unit, c_rho=1e-9))
+        assert res.R_hat == R_hat
+        if case == "repeated-top":
+            assert res.K_hat == 3
+            assert res.singular_values[:2] == pytest.approx([20 ** 0.5] * 2, rel=1e-12)
+
+    def test_zero_threshold_counts_the_rounded_zero_eigenvalues(self):
+        # rank 3 in 25 columns: the Gram matrix's 22 zero eigenvalues round to
+        # either side of 0, and at c_sigma = 0 each still counts, as
+        # sqrt(max(lambda, 0)) >= 0 does; the SVD reference cannot be matched
+        # here, since those singular values have no relative accuracy
+        res = spectral_cluster(hadamard_groups(), SpectralConfig(delta=0.1, gamma_ps=1.0,
+                                                                 c_sigma=0.0, c_rho=1e-9))
+        assert res.R_hat == 25 and res.singular_values.shape == (25,)
 
     # every carve lowers the gains of the rows it leaves; with a near-zero
     # guard the peel carves each lattice site's neighbourhood in turn, tens to
