@@ -230,8 +230,8 @@ def _sweep_point(payload: tuple) -> tuple:
     import scipy.linalg
     instance, stage1_cfg, lam, seed = payload
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
-    # W-hat is bound nowhere, so it is freed once stage 1 returns, before refine;
-    # the truth matrix W is not needed at all
+    # W-hat reads its rows from the counts a block at a time, and the truth
+    # matrix W, which nothing here reads, is never built
     stage1 = spectral_cluster(build_matrices(instance, counts)[1], stage1_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models)

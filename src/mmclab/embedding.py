@@ -3,12 +3,15 @@
 A chain maps to the S^2 vector with coordinate (s, s') = sqrt(pi(s)) p(s'|s)
 (row-major flattening); a trajectory maps to N(s,s') / sqrt(H N(s)) from its
 occupation and transition counts. Stacking embeddings row-wise over the T
-trajectories gives the data matrices the spectral stage decomposes.
+trajectories gives the data matrices the spectral stage decomposes; a
+``DataMatrix`` builds those rows a block at a time as they are read, so the
+T x S^2 stack is never held whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -62,20 +65,40 @@ class Counts:
         return self.visits.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equality is identity: rows are not compared
 class DataMatrix:
-    """T x S^2 row-stack of embeddings, plus the horizon it was built at."""
+    """T x S^2 row-stack of embeddings, plus the horizon it was built at.
 
-    values: np.ndarray  # (T, S*S) float64
+    The stack itself is not stored: the matrix keeps only what its rows are
+    made from (the counts, the models and the decoding, or explicit values)
+    and ``rows(lo, hi)`` builds rows lo..hi-1 on demand, so a caller that
+    reads it in row blocks never holds a T x S^2 float array. ``values``
+    builds the whole stack.
+    """
+
+    T: int
     S: int
     H: int
+    build: Callable[[slice], np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
+    @classmethod
+    def from_values(cls, values, S: int, H: int) -> "DataMatrix":
+        """The matrix whose rows are the given (T, S^2) array, read through a
+        read-only view of it."""
+        values = np.asarray(values, dtype=np.float64).view()
+        if values.ndim != 2 or values.shape[1] != S * S:
+            raise DimensionMismatch(f"values must be a (T, {S * S}) array; got {values.shape}")
+        values.setflags(write=False)
+        return cls(T=values.shape[0], S=S, H=H, build=values.__getitem__)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..min(hi, T)-1 as a (rows, S^2) float64 array."""
+        return self.build(slice(lo, hi))
 
     @property
-    def T(self) -> int:
-        return self.values.shape[0]
+    def values(self) -> np.ndarray:
+        """The whole (T, S^2) stack, built at once."""
+        return self.rows(0, self.T)
 
 
 def count_transitions(states: np.ndarray, S: int) -> Counts:
@@ -118,24 +141,31 @@ def embed_model(M: MarkovModel) -> np.ndarray:
 
 def empirical_matrix(counts: Counts) -> DataMatrix:
     """W-hat: row t has coordinates N_t(s,s') / sqrt(H N_t(s)); rows with
-    N_t(s) = 0 map to zero.
+    N_t(s) = 0 map to zero. Rows are built from the counts as they are read.
 
     N(s) counts all H visits (including the final state, which has no
     outgoing transition), exactly as the population embedding's weight does
     in the limit.
     """
-    denom = np.sqrt(counts.H * counts.visits.astype(np.float64))[:, :, None]
-    out = np.zeros(counts.transitions.shape, dtype=np.float64)
-    np.divide(counts.transitions, denom, out=out, where=denom > 0)
-    return DataMatrix(values=out.reshape(counts.T, -1), S=counts.S, H=counts.H)
+    def build(rows: slice) -> np.ndarray:
+        transitions = counts.transitions[rows]
+        denom = np.sqrt(counts.H * counts.visits[rows].astype(np.float64))[:, :, None]
+        out = np.zeros(transitions.shape, dtype=np.float64)
+        np.divide(transitions, denom, out=out, where=denom > 0)
+        return out.reshape(transitions.shape[0], -1)
+
+    return DataMatrix(T=counts.T, S=counts.S, H=counts.H, build=build)
 
 
 def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatrix, DataMatrix]:
-    """Ground-truth W (row t = model embedding of f(t)) and empirical W-hat."""
+    """Ground-truth W (row t = model embedding of f(t)) and empirical W-hat,
+    each built a block of rows at a time as it is read."""
     if counts.T != instance.T or counts.H != instance.H or counts.S != instance.S:
         raise DimensionMismatch("trajectory counts do not match the instance shape")
     model_rows = np.stack([embed_model(m) for m in instance.models])
-    # fancy indexing already returns a new array, so W owns its rows
-    W = DataMatrix(values=model_rows[instance.decoding], S=instance.S, H=instance.H)
-    return W, empirical_matrix(counts)
 
+    def build(rows: slice) -> np.ndarray:
+        return model_rows[instance.decoding[rows]]
+
+    W = DataMatrix(T=instance.T, S=instance.S, H=instance.H, build=build)
+    return W, empirical_matrix(counts)

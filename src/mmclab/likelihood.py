@@ -25,6 +25,8 @@ from .errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMisma
 __all__ = ["TransitionEstimate", "Stage2Result", "pool_estimates",
            "trajectory_loglik", "refine", "oracle_classify", "save_stage2"]
 
+_POOL_ROWS = 256  # most trajectories whose counts one pooling step copies
+
 
 @dataclass(frozen=True)
 class TransitionEstimate:
@@ -70,8 +72,17 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
         empty = int(np.argmin(counts_per_cluster))
         raise EmptyCluster(f"cluster {empty} has no trajectories")
 
-    # integer sums are exact, so the kernels do not depend on the pooling order
-    trans = np.stack([counts.transitions[labels == k].sum(axis=0) for k in range(K)])
+    # a cluster's rows are summed in pieces of the label-sorted order, each one
+    # run of equal labels cut every _POOL_ROWS rows, so no copy of a whole
+    # cluster's counts exists; integer sums are exact, so the kernels do not
+    # depend on the pooling order
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    cuts = np.union1d(np.flatnonzero(np.diff(sorted_labels)) + 1,
+                      np.arange(0, counts.T, _POOL_ROWS)).tolist()
+    trans = np.zeros((K, S, S), dtype=np.int64)
+    for lo, hi in zip(cuts, cuts[1:] + [counts.T]):
+        trans[sorted_labels[lo]] += counts.transitions[order[lo:hi]].sum(axis=0, dtype=np.int64)
     sources = trans.sum(axis=2)  # (K, S)
 
     denom = sources + lam * S

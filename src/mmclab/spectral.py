@@ -1,25 +1,28 @@
 """Adaptive spectral clustering of the empirical data matrix, without knowing K.
 
 The stage works on the smaller Gram matrix G of the T x S^2 data matrix
-(S^2 x S^2, or T x T when T < S^2). Its working rank R is the count of
-singular values at or above sigma_thres, the eigenvalues of G at or above
-sigma_thres^2; Sylvester's law of inertia gives that count exactly from one
-symmetric indefinite (Bunch-Kaufman) factorization of G - sigma_thres^2 I,
-made in place in one triangle of G. Implicitly restarted Lanczos then finds
-only the top k = min(R + 1, n) eigenpairs of G, n = min(T, S^2); the
-singular values recorded are those k, and the rest of the spectrum is never
-computed. The stage builds the spectral representation X = U_{1:R}
-Sigma_{1:R} (up to the sign of each column) from the top R eigenvectors, and
-greedily peels maximal neighborhoods of squared radius sigma_thres^2 until a
-carve falls below the size guard c_rho * R * T / log(TH/delta). Leftover
-trajectories attach to the nearest carved center.
+(S^2 x S^2, or T x T when T < S^2), summed from blocks of the data matrix's
+rows, as the rows of X below are formed, so the data matrix is never held
+whole: a sweep point reads it straight from the int32 counts. Its working
+rank R is the count of singular values at or above sigma_thres, the
+eigenvalues of G at or above sigma_thres^2; Sylvester's law of inertia gives
+that count exactly from one symmetric indefinite (Bunch-Kaufman)
+factorization of G - sigma_thres^2 I, made in place in one triangle of G.
+Implicitly restarted Lanczos then finds only the top k = min(R + 1, n)
+eigenpairs of G, n = min(T, S^2); the singular values recorded are those k,
+and the rest of the spectrum is never computed. The stage builds the
+spectral representation X = U_{1:R} Sigma_{1:R} (up to the sign of each
+column) from the top R eigenvectors, and greedily peels maximal
+neighborhoods of squared radius sigma_thres^2 until a carve falls below the
+size guard c_rho * R * T / log(TH/delta). Leftover trajectories attach to
+the nearest carved center.
 
-scipy, whose LAPACK wrappers and ARPACK do the factorization and the
-eigenproblems, is imported by the functions that call it, so importing this
-module does not load it, and ``scipy.sparse.linalg`` is loaded only when
-Lanczos runs. They look those routines up on ``scipy.linalg`` and
-``scipy.sparse.linalg`` at each call rather than caching them, so a routine
-replaced there takes effect at once.
+scipy, whose BLAS and LAPACK wrappers and ARPACK do the Gram sum, the
+factorization and the eigenproblems, is imported by the functions that call
+it, so importing this module does not load it, and ``scipy.sparse.linalg``
+is loaded only when Lanczos runs. They look those routines up on
+``scipy.linalg`` and ``scipy.sparse.linalg`` at each call rather than
+caching them, so a routine replaced there takes effect at once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,11 @@ __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "spectral_cluste
 
 _STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma_thres",
                 "forced_first_cluster")
-_ROW_BLOCK = 256  # rows of the neighbour matrix filled or counted per pass, so that work stays O(T)
+_ROW_BLOCK = 256  # rows of G mirrored, or of the peel's gains lowered, per pass, so that work stays O(T)
+# float64 bytes that one block of W-hat's rows, or the neighbour fill's two
+# distance buffers, may take: at the `wide` shape (S = 40, T = 4000) a block
+# is 163 rows of W-hat and 32 rows of the fill
+_BLOCK_BYTES = 1 << 21
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
 
@@ -105,6 +112,58 @@ def sigma_threshold(T: int, S: int, H: int, cfg: SpectralConfig) -> float:
     return cfg.c_sigma * math.sqrt(float(ratio) * log_term)
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when a row takes ``row_bytes``: as many as fit
+    _BLOCK_BYTES, and at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _mirror_lower(G: np.ndarray) -> None:
+    """Copy the strict lower triangle of the C-ordered G into its upper
+    triangle, _ROW_BLOCK rows at a time, so no second n x n array exists."""
+    n = G.shape[0]
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        G[lo:hi, hi:] = G[hi:, lo:hi].T
+        square = G[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        square[upper] = square.T[upper]
+
+
+def _gram(W_hat: DataMatrix, of_columns: bool) -> np.ndarray:
+    """The Gram matrix W-hat^T W-hat (S^2 x S^2) when ``of_columns``, else
+    W-hat W-hat^T (T x T), from blocks of W-hat's rows read one at a time.
+
+    The column Gram accumulates in place in G's lower triangle, one BLAS
+    dsyrk call per block with beta = 1, so no block leaves a temporary the
+    size of G; the row Gram fills its lower triangle a pair of row blocks at
+    a time. Either triangle is then mirrored. When W-hat fits one block, G is
+    numpy's A^T A or A A^T bit for bit; over several blocks it can differ
+    from that in the last bits.
+    """
+    import scipy.linalg
+
+    T, width = W_hat.T, W_hat.S * W_hat.S
+    step = _block_rows(8 * width)
+    if of_columns:
+        G = np.zeros((width, width))
+        for lo in range(0, T, step):
+            # G.T is G F-ordered, so dsyrk's upper triangle of it is G's lower
+            # one; the call returns that same memory, which nothing keeps
+            scipy.linalg.blas.dsyrk(1.0, W_hat.rows(lo, lo + step).T, beta=1.0, c=G.T,
+                                    lower=0, overwrite_c=1)
+    else:
+        G = np.empty((T, T))
+        for lo in range(0, T, step):
+            block = W_hat.rows(lo, lo + step)
+            hi = lo + block.shape[0]
+            np.matmul(block, block.T, out=G[lo:hi, lo:hi])
+            for left in range(0, lo, step):
+                np.matmul(block, W_hat.rows(left, left + step).T, out=G[lo:hi, left:left + step])
+    _mirror_lower(G)
+    return G
+
+
 def _count_below(G: np.ndarray, shift: float) -> int:
     """Number of eigenvalues of the symmetric C-ordered G below ``shift``.
 
@@ -138,12 +197,7 @@ def _count_below(G: np.ndarray, shift: float) -> int:
                 + 2 * np.count_nonzero((det > 0.0) & (a < 0.0))
                 + np.count_nonzero((det == 0.0) & (a + b < 0.0)))
 
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        G[lo:hi, hi:] = G[hi:, lo:hi].T
-        square = G[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        square[upper] = square.T[upper]
+    _mirror_lower(G)
     np.fill_diagonal(G, diagonal)
     return below
 
@@ -174,23 +228,21 @@ def _top_eigenpairs(G: np.ndarray, k: int) -> tuple:
 
 
 def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
-    """Run the full stage on a T x S^2 data matrix.
+    """Run the full stage on a T x S^2 data matrix, read a block of rows at a time.
 
     The greedy peel always commits its first carve (otherwise a guard larger
     than T would yield no clustering at all; the result flags this), and stops
     at the first sub-guard carve thereafter, which is discarded. Candidate
     centers are the unassigned trajectories; ties break to the lowest index.
     """
-    T = W_hat.T
-    if T == 0 or W_hat.values.size == 0:
+    T, S, H = W_hat.T, W_hat.S, W_hat.H
+    if T == 0 or S == 0:
         raise EmptyInput("empty data matrix")
-    S, H = W_hat.S, W_hat.H
 
-    A = W_hat.values
-    gram_of_columns = T >= A.shape[1]
+    gram_of_columns = T >= S * S
     sigma_thres = sigma_threshold(T, S, H, cfg)
     r2 = sigma_thres * sigma_thres
-    G = A.T @ A if gram_of_columns else A @ A.T
+    G = _gram(W_hat, gram_of_columns)
     n = G.shape[0]
     try:
         # R_hat counts the singular values >= sigma_thres, the eigenvalues of G
@@ -203,7 +255,13 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     sv = np.sqrt(np.clip(eigvals, 0.0, None))
     V = V[:, :R_hat]  # descending; column order sets the distances' rounding
     # U Sigma up to the sign of each column, which no distance below sees
-    X = A @ V if gram_of_columns else V * sv[:R_hat]
+    if gram_of_columns:
+        X = np.empty((T, R_hat))
+        step = _block_rows(8 * S * S)
+        for lo in range(0, T, step):
+            np.matmul(W_hat.rows(lo, lo + step), V, out=X[lo:lo + step])
+    else:
+        X = V * sv[:R_hat]
 
     sq_norms = (X ** 2).sum(axis=1)
     # Q_t as bit-packed rows (bit j of row t is set when j is in Q_t), one block
@@ -213,12 +271,13 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     gains = np.empty(T, dtype=np.int64)
     # the squared distances ||x_t||^2 + ||x_j||^2 - 2 x_t.x_j of a block, in
     # that order of rounding, are built in two buffers that every block reuses
-    dist = np.empty((min(_ROW_BLOCK, T), T))
+    step = _block_rows(16 * T)
+    dist = np.empty((min(step, T), T))
     dots = np.empty_like(dist)
     within = np.empty(dist.shape, dtype=bool)
-    for lo in range(0, T, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        n = min(_ROW_BLOCK, T - lo)
+    for lo in range(0, T, step):
+        rows = slice(lo, lo + step)
+        n = min(step, T - lo)
         dist_n, dots_n = dist[:n], dots[:n]
         np.add(sq_norms[rows, None], sq_norms[None, :], out=dist_n)
         np.matmul(X[rows], X.T, out=dots_n)

@@ -189,7 +189,7 @@ class TestCriterion5NoiselessRecovery:
             models = [gen_random_ergodic(S, 9_000 + 41 * i + j, 0.02) for j in range(K)]
             inst = make_instance(models, np.full(K, 1.0 / K), T, H)
             rows = np.stack([embed_model(mm) for mm in models])
-            W = DataMatrix(values=rows[inst.decoding].copy(), S=S, H=H)
+            W = DataMatrix.from_values(rows[inst.decoding], S=S, H=H)
             gamma = min(mm.gamma_ps for mm in models)
             base = math.sqrt(T * S / (gamma * H) * math.log(T * H / 0.1))
             target = math.sqrt(delta_W_sq(models)) / 4

@@ -16,7 +16,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab.embedding import _BLOCK_ELEMENTS
+from mmclab.embedding import _BLOCK_ELEMENTS, DataMatrix
 from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from tests.conftest import (
     gen_separation_instance,
@@ -278,6 +278,27 @@ class TestDataMatrices:
             W, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
             errs.append(np.sqrt(((W.values - W_hat.values) ** 2).sum(axis=1)).mean())
         assert errs[1] < errs[0]
+
+    def test_matrices_are_built_only_as_their_rows_are_read(self):
+        # W and W-hat are read in row blocks; building them allocates no T x S^2
+        # array of any dtype wider than a byte, and W-hat's rows come from the counts
+        T, S, H = 4_000, 20, 20
+        inst = make_instance(random_models(2, S, seed0=3), [0.5, 0.5], T, H)
+        counts = count_transitions(sample_trajectories(inst, 0).states, S)
+        tracemalloc.start()
+        try:
+            W, W_hat = build_matrices(inst, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * S * S
+        model_rows = np.stack([embed_model(m) for m in inst.models])
+        assert np.array_equal(W.rows(1_000, 1_010), model_rows[inst.decoding[1_000:1_010]])
+        assert np.array_equal(W_hat.rows(T - 3, T + 5), W_hat.values[T - 3:])
+
+    def test_values_must_have_S_squared_columns(self):
+        with pytest.raises(DimensionMismatch):
+            DataMatrix.from_values(np.zeros((3, 5)), S=2, H=10)
 
     def test_two_inf_examples(self):
         a = np.zeros((3, 4))

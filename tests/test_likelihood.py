@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from mmclab import (
 )
 from mmclab.errors import (EmptyCluster, InvalidRange, StateSpaceMismatch,
                            ZeroProbabilityTransition)
-from mmclab.likelihood import save_stage2
+from mmclab.likelihood import _POOL_ROWS, save_stage2
 from tests.conftest import gen_separation_instance, random_labels, random_models, reference_counts
 
 
@@ -166,6 +167,33 @@ class TestPoolEstimates:
         est = pool_estimates(counts_of(states, S), labels, K, lam)
         assert np.array_equal(est.undefined_rows, undefined)
         assert np.array_equal(est.kernels, expected)
+
+
+    @pytest.mark.parametrize("T", [_POOL_ROWS - 1, _POOL_ROWS, _POOL_ROWS + 1,
+                                   3 * _POOL_ROWS + 7])
+    @pytest.mark.parametrize("K", [1, 3, 200])
+    def test_pooling_pieces_match_whole_cluster_sums(self, T, K):
+        # the label-sorted order is cut every _POOL_ROWS rows and at every
+        # change of label; these T end a cut exactly, one short of it or past it
+        S = 4
+        states = np.random.default_rng(T).integers(0, S, size=(T, 30)).astype(np.int32)
+        counts = counts_of(states, S)
+        labels = random_labels(np.random.default_rng(K), T, K)
+        pooled = np.stack([counts.transitions[labels == k].sum(axis=0) for k in range(K)])
+        expected = (pooled + 0.5) / (pooled.sum(axis=2) + 0.5 * S)[:, :, None]
+        assert np.array_equal(pool_estimates(counts, labels, K, 0.5).kernels, expected)
+
+    def test_pooling_copies_no_whole_cluster(self):
+        # one cluster: copying its rows would take all of the 6.4 MB counts
+        T, S = 4_000, 20
+        counts = counts_of(np.random.default_rng(0).integers(0, S, size=(T, 50)), S)
+        tracemalloc.start()
+        try:
+            pool_estimates(counts, np.zeros(T, dtype=np.int64), 1, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.transitions.nbytes / 4
 
 
 class TestTrajectoryLoglik:

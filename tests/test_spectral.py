@@ -23,6 +23,7 @@ from mmclab import (
 )
 from mmclab.embedding import DataMatrix, embed_model
 from mmclab.errors import EmptyInput, NonpositiveLogArgument, SvdFailure
+from mmclab import spectral
 from mmclab.spectral import Stage1Result, save_stage1, load_stage1
 from tests.conftest import STAGE1_EIGEN_FAILURES, gen_separation_instance, random_models
 
@@ -80,11 +81,15 @@ def reference_spectral_cluster(W_hat, cfg):
                         forced_first_cluster=forced)
 
 
+# rows of W-hat per block when a test sets the block budget to fit this many
+BLOCK = 16
+
+
 def lattice_matrix(points):
     """Data matrix (S=2, H=100) whose first columns hold the integer points."""
     values = np.zeros((points.shape[0], 4))
     values[:, :points.shape[1]] = points
-    return DataMatrix(values=values, S=2, H=100)
+    return DataMatrix.from_values(values, S=2, H=100)
 
 
 def lattice_c_sigma(T, r2):
@@ -104,7 +109,7 @@ def equivalence_case(kind, T):
     if kind == "square":
         values = np.zeros((T, 4))
         values[:, :2] = np.random.default_rng(0).random((T, 2))
-        return DataMatrix(values=values, S=2, H=100), 1.0
+        return DataMatrix.from_values(values, S=2, H=100), 1.0
     if kind == "lattice":
         return lattice_matrix(np.random.default_rng(0).integers(0, 6, (T, 3))), 1.0
     if kind == "separation":
@@ -125,7 +130,7 @@ def hadamard_groups():
     rows = scipy.linalg.hadamard(16)[1:4] / 4.0 * np.array([[1.0], [1.0], [0.5]])
     values = np.zeros((41, 25))
     values[:, :16] = np.repeat(rows, (20, 20, 1), axis=0)
-    return DataMatrix(values=values, S=5, H=100)
+    return DataMatrix.from_values(values, S=5, H=100)
 
 
 def assert_matches_svd_reference(W_hat, cfg):
@@ -145,7 +150,7 @@ def assert_matches_svd_reference(W_hat, cfg):
 
 def truth_matrix(models, decoding, H):
     rows = np.stack([embed_model(m) for m in models])
-    return DataMatrix(values=rows[decoding].copy(), S=models[0].S, H=H)
+    return DataMatrix.from_values(rows[decoding], S=models[0].S, H=H)
 
 
 def noiseless_config(models, T, H, delta=0.1):
@@ -212,13 +217,13 @@ class TestSpectralCluster:
         assert len(set(res.labels.tolist())) == 1
 
     def test_empty_input(self):
-        W = DataMatrix(values=np.zeros((0, 4)), S=2, H=10)
+        W = DataMatrix.from_values(np.zeros((0, 4)), S=2, H=10)
         with pytest.raises(EmptyInput):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
     def test_single_trajectory(self):
         # T = 1 < S^2 gives a 1 x 1 Gram matrix, whose reduction leaves no reflectors
-        W = DataMatrix(values=np.array([[0.3, 0.4, 0.0, 0.0]]), S=2, H=10)
+        W = DataMatrix.from_values(np.array([[0.3, 0.4, 0.0, 0.0]]), S=2, H=10)
         res = spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=1e-3, c_rho=1e-9))
         assert (res.K_hat, res.R_hat, res.labels.tolist()) == (1, 1, [0])
         assert res.singular_values.tolist() == pytest.approx([0.5], rel=1e-15)
@@ -240,7 +245,7 @@ class TestSpectralCluster:
         base = spectral_cluster(W_hat, cfg)
         rng = np.random.default_rng(0)
         perm = rng.permutation(50)
-        permuted = DataMatrix(values=W_hat.values[perm].copy(), S=W_hat.S, H=W_hat.H)
+        permuted = DataMatrix.from_values(W_hat.values[perm], S=W_hat.S, H=W_hat.H)
         res = spectral_cluster(permuted, cfg)
         assert misclassification(res.labels, base.labels[perm]) == 0
 
@@ -275,10 +280,13 @@ class TestSpectralCluster:
     @pytest.mark.parametrize("T, hub", [(600, 0), (600, 255), (600, 256), (600, 599),
                                         (601, 600)],
                              ids=["0", "255", "256", "599", "T601-600"])
-    def test_every_row_block_is_filled(self, T, hub):
+    def test_every_row_block_is_filled(self, monkeypatch, T, hub):
         # rank-1 points at +-0.9 sigma_thres and one hub at 0: only the hub's
         # neighbourhood holds every trajectory, so it must be the one center;
-        # T = 601 leaves 7 pad bits in each packed neighbour row
+        # the budget makes the fill's blocks 256 rows, so hubs 255 and 256 sit
+        # on either side of a block edge; T = 601 leaves 7 pad bits in each
+        # packed neighbour row
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * T * 256)
         H, delta = 100, 0.1
         base = math.sqrt(T * 2 / H * math.log(T * H / delta))
         cfg = SpectralConfig(delta=delta, gamma_ps=1.0, c_sigma=1.0 / base, c_rho=1e-9)
@@ -286,14 +294,14 @@ class TestSpectralCluster:
         x[hub] = 0.0
         values = np.zeros((T, 4))
         values[:, 0] = x
-        res = spectral_cluster(DataMatrix(values=values, S=2, H=H), cfg)
+        res = spectral_cluster(DataMatrix.from_values(values, S=2, H=H), cfg)
         assert res.K_hat == 1 and res.centers.tolist() == [hub]
 
     @staticmethod
     def traced_peak(T):
         """tracemalloc peak of stage 1 on T uniform random rows in S^2 = 4 columns."""
         rng = np.random.default_rng(0)
-        W = DataMatrix(values=rng.random((T, 4)), S=2, H=100)
+        W = DataMatrix.from_values(rng.random((T, 4)), S=2, H=100)
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.05, c_rho=1e-9)
         tracemalloc.start()
         try:
@@ -313,10 +321,24 @@ class TestSpectralCluster:
         T = 12_000
         assert self.traced_peak(T) < T * T
 
+    def test_stage1_from_counts_holds_no_T_by_S2_array(self):
+        # W-hat would take T S^2 * 8 = 12.8 MB whole, against S^4 * 8 = 1.3 MB
+        # for its Gram matrix and T^2 / 8 = 2 MB for the packed neighbours
+        T, S = 4_000, 20
+        counts = count_transitions(np.random.default_rng(0).integers(0, S, size=(T, 50)), S)
+        cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=1.0, c_rho=1e-9)
+        tracemalloc.start()
+        try:
+            spectral_cluster(empirical_matrix(counts), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * S * S * 8
+
     @STAGE1_EIGEN_FAILURES
     def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name, breaker, n):
         monkeypatch.setattr(module, name, breaker(getattr(module, name)))
-        W = DataMatrix(values=np.eye(n), S=math.isqrt(n), H=10)
+        W = DataMatrix.from_values(np.eye(n), S=math.isqrt(n), H=10)
         with pytest.raises(SvdFailure, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
@@ -342,6 +364,43 @@ class TestSpectralCluster:
         W_hat, gamma = equivalence_case(kind, T)
         assert_matches_svd_reference(W_hat, SpectralConfig(delta=0.1, gamma_ps=gamma,
                                                            c_sigma=c_sigma, c_rho=c_rho))
+
+    @pytest.mark.parametrize("S_prime", [1, 4], ids=["column-gram", "row-gram"])
+    @pytest.mark.parametrize("T", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("c_sigma, c_rho", [(0.15, 2.0), (0.05, 0.5)])
+    def test_row_blocks_match_svd_reference(self, monkeypatch, S_prime, T, c_sigma, c_rho):
+        # separation at S = 2 (T >= S^2 = 4: the S^2 x S^2 Gram matrix) and at
+        # S = 8 (T < S^2 = 64: the T x T one), read from the counts BLOCK rows
+        # at a time; the first constants recover both clusters at R_hat = 2,
+        # the second take R_hat up to 14
+        S = 2 * S_prime
+        inst = gen_separation_instance(S_prime, T=T, H=2_000)
+        W_hat = empirical_matrix(count_transitions(sample_trajectories(inst, 0).states, S))
+        cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=c_sigma, c_rho=c_rho)
+        one_block = spectral_cluster(W_hat, cfg)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
+        res = assert_matches_svd_reference(W_hat, cfg)
+        ref = reference_spectral_cluster(W_hat, cfg)
+        np.testing.assert_allclose(res.singular_values, ref.singular_values[:ref.R_hat + 1],
+                                   rtol=0, atol=1e-12 * ref.singular_values[0])
+        if T <= BLOCK:
+            assert res.singular_values.tobytes() == one_block.singular_values.tobytes()
+            assert res.labels.tobytes() == one_block.labels.tobytes()
+
+    @pytest.mark.parametrize("of_columns", [True, False], ids=["column-gram", "row-gram"])
+    @pytest.mark.parametrize("T", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_gram_from_row_blocks(self, monkeypatch, of_columns, T):
+        # one block is numpy's product bit for bit; more sum in another order
+        S = 2 if of_columns else 8
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
+        A = np.random.default_rng(T).random((T, S * S))
+        G = spectral._gram(DataMatrix.from_values(A, S=S, H=100), of_columns)
+        expected = A.T @ A if of_columns else A @ A.T
+        assert np.array_equal(G, G.T)
+        if T <= BLOCK:
+            assert G.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_allclose(G, expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("case", ["repeated-top", "c_sigma-0", "rank-n-1"])
     def test_rank_edge_cases_match_svd_reference(self, case):
