@@ -151,14 +151,21 @@ def cmd_sample(args) -> int:
 
 def cmd_cluster(args) -> int:
     out = _output_path(args, ".stage1.json")
-    # load scipy before the trajectories: imported while they are alive, it raises peak RSS
-    import scipy.linalg
-    trajs, S = simgen.load_trajectories(args.trajectories)
+    # the instance before scipy, whose import reuses the heap its parsing and hashing leave
     instance = simgen.load_instance(args.instance) if args.instance else None
     gamma = _resolve_gamma(args.gamma, instance)
+    expected_id = instance.instance_id() if instance is not None else None
+    # load scipy before the trajectories: imported while they are alive, it raises peak RSS
+    import scipy.linalg
+    trajs, S, instance_id = simgen.load_trajectories(args.trajectories)
+    counts = count_transitions(trajs.states, S)
+    del trajs  # only the counts are read from here on
+    if instance is not None and instance_id != expected_id:
+        raise InvalidSpec(f"{args.trajectories} was not sampled from {args.instance}: "
+                          f"its sidecar names instance {instance_id}, not {expected_id}")
     cfg = SpectralConfig(delta=args.delta, gamma_ps=gamma, c_sigma=args.c_sigma,
                          c_rho=args.c_rho)
-    res = spectral_cluster(empirical_matrix(count_transitions(trajs.states, S)), cfg)
+    res = spectral_cluster(empirical_matrix(counts), cfg)
     save_stage1(res, out)
     print(f"wrote {out} (K_hat={res.K_hat}, R_hat={res.R_hat}, "
           f"sigma_thres={res.sigma_thres:.6g})")
@@ -167,10 +174,11 @@ def cmd_cluster(args) -> int:
 
 def cmd_refine(args) -> int:
     out = _output_path(args, ".stage2.json")
-    trajs, S = simgen.load_trajectories(args.trajectories)
+    trajs, S, _ = simgen.load_trajectories(args.trajectories)
+    counts = count_transitions(trajs.states, S)
+    del trajs
     stage1 = load_stage1(args.stage1)
-    res = refine(count_transitions(trajs.states, S), stage1.labels, stage1.K_hat,
-                 args.smoothing)
+    res = refine(counts, stage1.labels, stage1.K_hat, args.smoothing)
     save_stage2(res, out, dump_loglik=args.dump_loglik)
     print(f"wrote {out} (changed={res.changed})")
     return 0
@@ -223,27 +231,24 @@ def cmd_bounds(args) -> int:
 
 
 def _sweep_point(payload: tuple) -> tuple:
-    """Run one (T, H, delta, lambda, seed) point on the instance and stage-1
-    config that ``run_sweep`` built; returns (key, row list)."""
+    """Run one (T, H, delta, lambda, seed) point on the instance, its columns
+    and the stage-1 config that ``run_sweep`` built; returns (key, row list)."""
     start = time.perf_counter()
     # load scipy before the point allocates: imported while its arrays are alive, it raises peak RSS
     import scipy.linalg
-    instance, stage1_cfg, lam, seed = payload
+    instance, columns, stage1_cfg, lam, seed = payload
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     # W-hat reads its rows from the counts a block at a time, and the truth
     # matrix W, which nothing here reads, is never built
     stage1 = spectral_cluster(build_matrices(instance, counts)[1], stage1_cfg)
     stage2 = refine(counts, stage1.labels, stage1.K_hat, lam)
     oracle = oracle_classify(counts, instance.models)
-    D, _ = divergence_D(instance)
-    d_pi, _ = divergence_D_pi(instance.models)
     key = (instance.T, instance.H, stage1_cfg.delta, lam, seed)
     row = [*key, stage1.K_hat,
            misclassification(stage1.labels, instance.decoding),
            misclassification(stage2.labels, instance.decoding),
            misclassification(oracle, instance.decoding),
-           float(D), float(d_pi), float(delta_W_sq(instance.models)),
-           stage1_cfg.gamma_ps, float(stage1.sigma_thres), stage1.R_hat,
+           *columns, stage1_cfg.gamma_ps, float(stage1.sigma_thres), stage1.R_hat,
            time.perf_counter() - start]
     return key, row
 
@@ -252,8 +257,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     """Execute the cartesian sweep; returns the CSV text (deterministic order).
     The whole config is read and checked here, before any point runs or a
     pool starts, and ``where`` names it in every error: the models are
-    generated once, and the points share one instance per (T, H) and one
-    stage-1 config per delta."""
+    generated once, and the points share one instance per (T, H), its
+    columns D, D_pi and delta_W_sq, and one stage-1 config per delta."""
     if jobs < 1:
         raise InvalidRange(f"jobs must be >= 1; got {jobs}")
     unknown = sorted(set(cfg) - set(SWEEP_KEYS))
@@ -278,7 +283,11 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
                        for d in deltas]
     except InvalidRange as exc:
         raise InvalidRange(f"{where}: {exc}") from exc
-    points = [(instance, stage1_cfg, lam, seed) for instance in instances
+    # D depends on the horizon; D_pi and delta_W_sq on the models alone
+    models = instances[0].models
+    shared = (float(divergence_D_pi(models)[0]), float(delta_W_sq(models)))
+    columns = [(float(divergence_D(instance)[0]), *shared) for instance in instances]
+    points = [(instance, cols, stage1_cfg, lam, seed) for instance, cols in zip(instances, columns)
               for stage1_cfg in stage1_cfgs for lam in lams for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -70,26 +70,16 @@ class DataMatrix:
     """T x S^2 row-stack of embeddings, plus the horizon it was built at.
 
     The stack itself is not stored: the matrix keeps only what its rows are
-    made from (the counts, the models and the decoding, or explicit values)
-    and ``rows(lo, hi)`` builds rows lo..hi-1 on demand, so a caller that
-    reads it in row blocks never holds a T x S^2 float array. ``values``
-    builds the whole stack.
+    made from (the counts, or the models and the decoding) and
+    ``rows(lo, hi)`` builds rows lo..hi-1 on demand, so a caller that reads
+    it in row blocks never holds a T x S^2 float array. ``values`` builds
+    the whole stack.
     """
 
     T: int
     S: int
     H: int
     build: Callable[[slice], np.ndarray] = field(repr=False)
-
-    @classmethod
-    def from_values(cls, values, S: int, H: int) -> "DataMatrix":
-        """The matrix whose rows are the given (T, S^2) array, read through a
-        read-only view of it."""
-        values = np.asarray(values, dtype=np.float64).view()
-        if values.ndim != 2 or values.shape[1] != S * S:
-            raise DimensionMismatch(f"values must be a (T, {S * S}) array; got {values.shape}")
-        values.setflags(write=False)
-        return cls(T=values.shape[0], S=S, H=H, build=values.__getitem__)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..min(hi, T)-1 as a (rows, S^2) float64 array."""

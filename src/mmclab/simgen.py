@@ -303,10 +303,9 @@ def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int, instance_i
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
 
 
-def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
+def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int, str]:
     """Read the binary trajectory file and its ``<path>.json`` sidecar;
-    returns (trajectories, S). The sidecar must hold ``instance_id`` too, but
-    only its seed and index base are read."""
+    returns (trajectories, S, the sidecar's ``instance_id``)."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -325,5 +324,6 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int]:
         raise InputError(f"{sidecar_path} is missing: it holds the seed and index base "
                          f"of {path}") from exc
     where = str(sidecar_path)
-    states = states.astype(np.int32) - field(sidecar, "index_base", integer, where, 1)
-    return TrajectorySet(states=states, seed=field(sidecar, "seed", integer, where)), S
+    states = np.subtract(states, field(sidecar, "index_base", integer, where, 1), dtype=np.int32)
+    return (TrajectorySet(states=states, seed=field(sidecar, "seed", integer, where)), S,
+            sidecar["instance_id"])

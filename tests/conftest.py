@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from mmclab import gen_random_ergodic, gen_separation_models, make_instance, validate_model
+from mmclab.embedding import DataMatrix
 from mmclab.errors import DimensionMismatch
 from mmclab.simgen import TrajectorySet
 
@@ -25,6 +26,16 @@ def random_models(n, S, seed0=0, floor=None):
 def gen_separation_instance(S_prime, T=2, H=2, alpha=(0.5, 0.5)):
     """Two-cluster instance of the 3:1 separation construction on S = 2 S' states."""
     return make_instance(gen_separation_models(S_prime), np.asarray(alpha), T, H)
+
+
+def matrix_from_values(values, S, H):
+    """The data matrix whose rows are the given (T, S^2) array, read through a
+    read-only view of it."""
+    values = np.asarray(values, dtype=np.float64).view()
+    if values.ndim != 2 or values.shape[1] != S * S:
+        raise DimensionMismatch(f"values must be a (T, {S * S}) array; got {values.shape}")
+    values.setflags(write=False)
+    return DataMatrix(T=values.shape[0], S=S, H=H, build=values.__getitem__)
 
 
 def random_labels(rng, T, K):

@@ -20,6 +20,7 @@ from mmclab import (
     count_transitions,
     delta_W_sq,
     divergence_D_pi,
+    empirical_matrix,
     gen_random_ergodic,
     gen_separation_models,
     witness_state_gap,
@@ -34,9 +35,10 @@ from mmclab import (
     SpectralConfig,
 )
 from mmclab.cli import run_sweep
-from mmclab.embedding import DataMatrix, embed_model
+from mmclab.embedding import embed_model
 from mmclab.spectral import sigma_threshold
 from tests.conftest import (
+    matrix_from_values,
     random_labels,
     reference_brute_force_misclassification,
     reference_necessary_condition,
@@ -189,7 +191,7 @@ class TestCriterion5NoiselessRecovery:
             models = [gen_random_ergodic(S, 9_000 + 41 * i + j, 0.02) for j in range(K)]
             inst = make_instance(models, np.full(K, 1.0 / K), T, H)
             rows = np.stack([embed_model(mm) for mm in models])
-            W = DataMatrix.from_values(rows[inst.decoding], S=S, H=H)
+            W = matrix_from_values(rows[inst.decoding], S=S, H=H)
             gamma = min(mm.gamma_ps for mm in models)
             base = math.sqrt(T * S / (gamma * H) * math.log(T * H / 0.1))
             target = math.sqrt(delta_W_sq(models)) / 4
@@ -215,7 +217,7 @@ def decay_runs():
         e1s, e2s = [], []
         for seed in range(50):
             counts = count_transitions(sample_trajectories(inst, seed).states, inst.S)
-            _, W_hat = build_matrices(inst, counts)
+            W_hat = empirical_matrix(counts)
             cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
             r1 = spectral_cluster(W_hat, cfg)
             r2 = refine(counts, r1.labels, r1.K_hat, 0.5)

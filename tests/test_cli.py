@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmclab import predicted_error_rate
+from mmclab import count_transitions, pool_estimates, predicted_error_rate, trajectory_loglik
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
 from mmclab.errors import DimensionMismatch, EmptyClusterAfterRounding
 from mmclab.metrics import GapReport
 from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
+from mmclab.spectral import load_stage1
 from tests.conftest import STAGE1_EIGEN_FAILURES
 from tests.test_golden_outputs import GOLDEN, SAMPLE_SPEC
 
@@ -240,7 +241,7 @@ class TestPipeline:
         assert main(["sample", str(instance_file), "--seed", "5",
                      "--out", str(tmp_path)]) == 0
         traj_file = tmp_path / "sample.traj.bin"
-        trajs, S = load_trajectories(traj_file)
+        trajs, S, _ = load_trajectories(traj_file)
         assert trajs.T == 60 and S == 4
 
         assert main(["cluster", str(traj_file), "--instance", str(instance_file),
@@ -302,6 +303,36 @@ class TestPipeline:
         sidecar = json.loads((tmp_path / "sample.traj.bin.json").read_text())
         assert sidecar == {"seed": 5, "instance_id": instance.instance_id(), "index_base": 1}
 
+    def test_cluster_rejects_an_instance_the_file_was_not_sampled_from(self, tmp_path,
+                                                                        instance_file, capsys):
+        # the file's sidecar names its instance; another instance's gamma_ps
+        # would set sigma_thres silently
+        other = json.dumps({"type": "separation", "S_prime": 2, "T": 60, "H": 2000})
+        assert main(["generate", other, "--out", str(tmp_path), "--name", "other"]) == 0
+        assert main(["sample", str(instance_file), "--seed", "1", "--out", str(tmp_path)]) == 0
+        traj, wrong = tmp_path / "sample.traj.bin", tmp_path / "other.instance.json"
+        capsys.readouterr()
+        assert main(["cluster", str(traj), "--instance", str(wrong), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{traj} was not sampled from {wrong}" in err
+        assert load_instance(instance_file).instance_id() in err
+        assert not (tmp_path / "cluster.stage1.json").exists()
+
+    def test_refine_dumps_the_scores_of_its_kernels(self, tmp_path, instance_file):
+        assert main(["sample", str(instance_file), "--seed", "5", "--out", str(tmp_path)]) == 0
+        traj, stage1_file = tmp_path / "sample.traj.bin", tmp_path / "cluster.stage1.json"
+        assert main(["cluster", str(traj), "--gamma", "1.0", "--c-sigma", "0.15",
+                     "--c-rho", "2.0", "--out", str(tmp_path)]) == 0
+        assert main(["refine", str(traj), str(stage1_file), "--lambda", "0.5",
+                     "--dump-loglik", "--out", str(tmp_path)]) == 0
+        trajs, S, _ = load_trajectories(traj)
+        counts = count_transitions(trajs.states, S)
+        stage1 = load_stage1(stage1_file)
+        kernels = pool_estimates(counts, stage1.labels, stage1.K_hat, 0.5).kernels
+        raw = (tmp_path / "refine.stage2.json.loglik").read_bytes()
+        assert len(raw) == 8 * trajs.T * stage1.K_hat
+        assert raw == trajectory_loglik(counts, kernels).astype("<f8").tobytes()
+
     def test_cluster_needs_gamma_source(self, tmp_path, instance_file):
         main(["sample", str(instance_file), "--seed", "1", "--out", str(tmp_path)])
         rc = main(["cluster", str(tmp_path / "sample.traj.bin"), "--out", str(tmp_path)])
@@ -311,7 +342,7 @@ class TestPipeline:
         main(["sample", str(instance_file), "--seed", "2", "--out", str(tmp_path)])
         good = tmp_path / "sample.traj.bin"
         assert main(["cluster", str(good), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
-        trajs, S = load_trajectories(good)
+        trajs, S, _ = load_trajectories(good)
         assert trajs.states.max() == S - 1
         bad = tmp_path / "bad.traj.bin"
         raw = good.read_bytes()
@@ -586,6 +617,20 @@ class TestSweep:
         run_sweep(dict(SWEEP_CFG), jobs=1)
         assert sorted(calls) == sorted((24, H) for H in SWEEP_CFG["H"]
                                        for _ in SWEEP_CFG["seeds"])
+
+    def test_divergences_computed_once_per_instance(self, monkeypatch):
+        # D depends on the horizon, D_pi and delta_W_sq on the models alone
+        import mmclab.cli as cli_mod
+
+        calls = {}
+        for name in ("divergence_D", "divergence_D_pi", "delta_W_sq"):
+            def counting(*args, _name=name, _original=getattr(cli_mod, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(cli_mod, name, counting)
+        run_sweep(dict(SWEEP_CFG, **{"lambda": [0.0, 0.5]}), jobs=1)
+        assert calls == {"divergence_D": len(SWEEP_CFG["H"]), "divergence_D_pi": 1,
+                         "delta_W_sq": 1}
 
     def test_sweep_never_hashes_the_instance(self, monkeypatch):
         def no_hash(self):

@@ -16,10 +16,11 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab.embedding import _BLOCK_ELEMENTS, DataMatrix
+from mmclab.embedding import _BLOCK_ELEMENTS
 from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from tests.conftest import (
     gen_separation_instance,
+    matrix_from_values,
     random_models,
     reference_counts,
     reference_two_inf_distance,
@@ -298,7 +299,7 @@ class TestDataMatrices:
 
     def test_values_must_have_S_squared_columns(self):
         with pytest.raises(DimensionMismatch):
-            DataMatrix.from_values(np.zeros((3, 5)), S=2, H=10)
+            matrix_from_values(np.zeros((3, 5)), S=2, H=10)
 
     def test_two_inf_examples(self):
         a = np.zeros((3, 4))

@@ -688,7 +688,7 @@ class TestPredictedErrorRate:
 
     def test_rate_upper_bounds_observed_error(self):
         # one-sided Monte-Carlo check with the explicit analysis constant
-        from mmclab import (build_matrices, count_transitions, refine, sample_trajectories,
+        from mmclab import (count_transitions, empirical_matrix, refine, sample_trajectories,
                             spectral_cluster, SpectralConfig)
         models = gen_separation_models(2)
         c_eta = c_eta_explicit(3.0)
@@ -698,7 +698,7 @@ class TestPredictedErrorRate:
             rate = predicted_error_rate(200, H, 1.0, d_pi, c_eta)
             for seed in range(10):
                 counts = count_transitions(sample_trajectories(inst, seed).states, inst.S)
-                _, W_hat = build_matrices(inst, counts)
+                W_hat = empirical_matrix(counts)
                 cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
                 r1 = spectral_cluster(W_hat, cfg)
                 r2 = refine(counts, r1.labels, r1.K_hat, 0.5)

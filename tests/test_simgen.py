@@ -247,8 +247,8 @@ class TestPersistence:
         trajs = sample_trajectories(inst, 4)
         path = tmp_path / "t.traj.bin"
         save_trajectories(trajs, path, inst.S, inst.instance_id())
-        again, S = load_trajectories(path)
-        assert S == inst.S
+        again, S, instance_id = load_trajectories(path)
+        assert S == inst.S and instance_id == inst.instance_id()
         assert np.array_equal(again.states, trajs.states)
         assert again.seed == 4
         sidecar = json.loads((tmp_path / "t.traj.bin.json").read_text())
@@ -265,7 +265,7 @@ class TestPersistence:
     def test_largest_u16_state_space_roundtrips(self, tmp_path):
         trajs = TrajectorySet(states=np.array([[0, 65534]], dtype=np.int32), seed=0)
         save_trajectories(trajs, tmp_path / "t.traj.bin", 65535, "x")
-        again, S = load_trajectories(tmp_path / "t.traj.bin")
+        again, S, _ = load_trajectories(tmp_path / "t.traj.bin")
         assert S == 65535 and np.array_equal(again.states, trajs.states)
 
     @pytest.mark.parametrize("states, S", [

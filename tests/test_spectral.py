@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmclab import (
-    build_matrices,
     count_transitions,
     delta_W_sq,
     empirical_matrix,
@@ -21,11 +20,12 @@ from mmclab import (
     spectral_cluster,
     SpectralConfig,
 )
-from mmclab.embedding import DataMatrix, embed_model
+from mmclab.embedding import embed_model
 from mmclab.errors import EmptyInput, NonpositiveLogArgument, SvdFailure
 from mmclab import spectral
 from mmclab.spectral import Stage1Result, save_stage1, load_stage1
-from tests.conftest import STAGE1_EIGEN_FAILURES, gen_separation_instance, random_models
+from tests.conftest import (STAGE1_EIGEN_FAILURES, gen_separation_instance,
+                            matrix_from_values, random_models)
 
 
 def estimate_rank(singular_values, thresh):
@@ -89,7 +89,7 @@ def lattice_matrix(points):
     """Data matrix (S=2, H=100) whose first columns hold the integer points."""
     values = np.zeros((points.shape[0], 4))
     values[:, :points.shape[1]] = points
-    return DataMatrix.from_values(values, S=2, H=100)
+    return matrix_from_values(values, S=2, H=100)
 
 
 def lattice_c_sigma(T, r2):
@@ -109,7 +109,7 @@ def equivalence_case(kind, T):
     if kind == "square":
         values = np.zeros((T, 4))
         values[:, :2] = np.random.default_rng(0).random((T, 2))
-        return DataMatrix.from_values(values, S=2, H=100), 1.0
+        return matrix_from_values(values, S=2, H=100), 1.0
     if kind == "lattice":
         return lattice_matrix(np.random.default_rng(0).integers(0, 6, (T, 3))), 1.0
     if kind == "separation":
@@ -130,7 +130,7 @@ def hadamard_groups():
     rows = scipy.linalg.hadamard(16)[1:4] / 4.0 * np.array([[1.0], [1.0], [0.5]])
     values = np.zeros((41, 25))
     values[:, :16] = np.repeat(rows, (20, 20, 1), axis=0)
-    return DataMatrix.from_values(values, S=5, H=100)
+    return matrix_from_values(values, S=5, H=100)
 
 
 def assert_matches_svd_reference(W_hat, cfg):
@@ -150,7 +150,7 @@ def assert_matches_svd_reference(W_hat, cfg):
 
 def truth_matrix(models, decoding, H):
     rows = np.stack([embed_model(m) for m in models])
-    return DataMatrix.from_values(rows[decoding], S=models[0].S, H=H)
+    return matrix_from_values(rows[decoding], S=models[0].S, H=H)
 
 
 def noiseless_config(models, T, H, delta=0.1):
@@ -217,13 +217,13 @@ class TestSpectralCluster:
         assert len(set(res.labels.tolist())) == 1
 
     def test_empty_input(self):
-        W = DataMatrix.from_values(np.zeros((0, 4)), S=2, H=10)
+        W = matrix_from_values(np.zeros((0, 4)), S=2, H=10)
         with pytest.raises(EmptyInput):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
     def test_single_trajectory(self):
         # T = 1 < S^2 gives a 1 x 1 Gram matrix, whose reduction leaves no reflectors
-        W = DataMatrix.from_values(np.array([[0.3, 0.4, 0.0, 0.0]]), S=2, H=10)
+        W = matrix_from_values(np.array([[0.3, 0.4, 0.0, 0.0]]), S=2, H=10)
         res = spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=1e-3, c_rho=1e-9))
         assert (res.K_hat, res.R_hat, res.labels.tolist()) == (1, 1, [0])
         assert res.singular_values.tolist() == pytest.approx([0.5], rel=1e-15)
@@ -232,7 +232,7 @@ class TestSpectralCluster:
         # at desk scale 32 R T / log(TH/delta) exceeds T: the peel is forced
         inst = gen_separation_instance(2, T=60, H=2_000)
         trajs = sample_trajectories(inst, 0)
-        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
+        W_hat = empirical_matrix(count_transitions(trajs.states, inst.S))
         res = spectral_cluster(W_hat, SpectralConfig(delta=0.1, gamma_ps=1.0))
         assert res.K_hat == 1
         assert res.forced_first_cluster
@@ -240,19 +240,19 @@ class TestSpectralCluster:
     def test_permutation_equivariance(self):
         inst = gen_separation_instance(2, T=50, H=3_000)
         trajs = sample_trajectories(inst, 3)
-        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
+        W_hat = empirical_matrix(count_transitions(trajs.states, inst.S))
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
         base = spectral_cluster(W_hat, cfg)
         rng = np.random.default_rng(0)
         perm = rng.permutation(50)
-        permuted = DataMatrix.from_values(W_hat.values[perm], S=W_hat.S, H=W_hat.H)
+        permuted = matrix_from_values(W_hat.values[perm], S=W_hat.S, H=W_hat.H)
         res = spectral_cluster(permuted, cfg)
         assert misclassification(res.labels, base.labels[perm]) == 0
 
     def test_determinism_and_sign_flip_invariance(self):
         inst = gen_separation_instance(1, T=30, H=500)
         trajs = sample_trajectories(inst, 9)
-        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
+        W_hat = empirical_matrix(count_transitions(trajs.states, inst.S))
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15, c_rho=2.0)
         a = spectral_cluster(W_hat, cfg)
         b = spectral_cluster(W_hat, cfg)
@@ -269,7 +269,7 @@ class TestSpectralCluster:
     def test_every_trajectory_labeled_centers_consistent(self):
         inst = gen_separation_instance(2, T=80, H=2_500)
         trajs = sample_trajectories(inst, 5)
-        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
+        W_hat = empirical_matrix(count_transitions(trajs.states, inst.S))
         res = spectral_cluster(W_hat, SpectralConfig(delta=0.1, gamma_ps=1.0,
                                                      c_sigma=0.15, c_rho=2.0))
         assert (res.labels >= 0).all() and (res.labels < res.K_hat).all()
@@ -294,14 +294,14 @@ class TestSpectralCluster:
         x[hub] = 0.0
         values = np.zeros((T, 4))
         values[:, 0] = x
-        res = spectral_cluster(DataMatrix.from_values(values, S=2, H=H), cfg)
+        res = spectral_cluster(matrix_from_values(values, S=2, H=H), cfg)
         assert res.K_hat == 1 and res.centers.tolist() == [hub]
 
     @staticmethod
     def traced_peak(T):
         """tracemalloc peak of stage 1 on T uniform random rows in S^2 = 4 columns."""
         rng = np.random.default_rng(0)
-        W = DataMatrix.from_values(rng.random((T, 4)), S=2, H=100)
+        W = matrix_from_values(rng.random((T, 4)), S=2, H=100)
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.05, c_rho=1e-9)
         tracemalloc.start()
         try:
@@ -338,7 +338,7 @@ class TestSpectralCluster:
     @STAGE1_EIGEN_FAILURES
     def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name, breaker, n):
         monkeypatch.setattr(module, name, breaker(getattr(module, name)))
-        W = DataMatrix.from_values(np.eye(n), S=math.isqrt(n), H=10)
+        W = matrix_from_values(np.eye(n), S=math.isqrt(n), H=10)
         with pytest.raises(SvdFailure, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
@@ -394,7 +394,7 @@ class TestSpectralCluster:
         S = 2 if of_columns else 8
         monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
         A = np.random.default_rng(T).random((T, S * S))
-        G = spectral._gram(DataMatrix.from_values(A, S=S, H=100), of_columns)
+        G = spectral._gram(matrix_from_values(A, S=S, H=100), of_columns)
         expected = A.T @ A if of_columns else A @ A.T
         assert np.array_equal(G, G.T)
         if T <= BLOCK:
@@ -456,7 +456,7 @@ class TestSpectralCluster:
     def test_stage1_json_roundtrip(self, tmp_path):
         inst = gen_separation_instance(1, T=20, H=300)
         trajs = sample_trajectories(inst, 1)
-        _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
+        W_hat = empirical_matrix(count_transitions(trajs.states, inst.S))
         res = spectral_cluster(W_hat, SpectralConfig(delta=0.1, gamma_ps=1.0,
                                                      c_sigma=0.2, c_rho=2.0))
         save_stage1(res, tmp_path / "s1.json")
@@ -496,7 +496,7 @@ class TestStage1ErrorEnvelope:
         errs = []
         for seed in range(20):
             trajs = sample_trajectories(inst, seed)
-            _, W_hat = build_matrices(inst, count_transitions(trajs.states, inst.S))
+            W_hat = empirical_matrix(count_transitions(trajs.states, inst.S))
             res = spectral_cluster(W_hat, cfg)
             errs.append(misclassification(res.labels, inst.decoding))
         assert all(e <= envelope for e in errs)
