@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import simgen
 from .embedding import build_matrices, count_transitions, empirical_matrix
-from .errors import InputError, InvalidRange, InvalidSpec, MMCLabError, NumericalError
+from .errors import InputError, InvalidRange, InvalidSpec, NumericalError
 from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, number,
                       read_object, require_keys)
 from .likelihood import oracle_classify, refine, save_stage2
@@ -257,8 +257,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     """Execute the cartesian sweep; returns the CSV text (deterministic order).
     The whole config is read and checked here, before any point runs or a
     pool starts, and ``where`` names it in every error: the models are
-    generated once, and the points share one instance per (T, H), its
-    columns D, D_pi and delta_W_sq, and one stage-1 config per delta."""
+    generated once, and the points share one instance per (T, H), one D per
+    H, one D_pi and delta_W_sq, and one stage-1 config per delta."""
     if jobs < 1:
         raise InvalidRange(f"jobs must be >= 1; got {jobs}")
     unknown = sorted(set(cfg) - set(SWEEP_KEYS))
@@ -283,11 +283,13 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
                        for d in deltas]
     except InvalidRange as exc:
         raise InvalidRange(f"{where}: {exc}") from exc
-    # D depends on the horizon; D_pi and delta_W_sq on the models alone
+    # D depends on the models and H alone; D_pi and delta_W_sq on the models alone
     models = instances[0].models
     shared = (float(divergence_D_pi(models)[0]), float(delta_W_sq(models)))
-    columns = [(float(divergence_D(instance)[0]), *shared) for instance in instances]
-    points = [(instance, cols, stage1_cfg, lam, seed) for instance, cols in zip(instances, columns)
+    by_H = {instance.H: instance for instance in instances}
+    D = {H: float(divergence_D(instance)[0]) for H, instance in by_H.items()}
+    points = [(instance, (D[instance.H], *shared), stage1_cfg, lam, seed)
+              for instance in instances
               for stage1_cfg in stage1_cfgs for lam in lams for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -479,9 +481,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except MMCLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -121,10 +121,10 @@ def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float) -> Stage2R
     """
     labels = np.asarray(labels_f0, dtype=np.int64)
     est = pool_estimates(counts, labels, K, lam)
+    # finite under each trajectory's own cluster, even at lam = 0: its counts
+    # are pooled into that cluster's kernel, so every transition it makes has
+    # positive probability there
     scores = trajectory_loglik(counts, est.kernels)
-    if lam == 0.0 and np.any(np.all(np.isneginf(scores), axis=1)):
-        raise ZeroProbabilityTransition(
-            "a trajectory has -inf score under every cluster at smoothing 0")
     best = scores.max(axis=1)
     new_labels = np.argmax(scores, axis=1).astype(np.int64)
     keep = scores[np.arange(len(labels)), labels] == best

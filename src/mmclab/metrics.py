@@ -381,11 +381,8 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
                                   bound - dW2, dW2, bound))
 
     # (iv) Delta_W^2 >= alpha Delta^2 / 2 - max((sqrt(eta_pi)-1)^2, (1-1/sqrt(eta_pi))^2)
-    if math.isinf(eta_pi_val):
-        penalty = math.inf
-    else:
-        r = math.sqrt(eta_pi_val)
-        penalty = max((r - 1.0) ** 2, (1.0 - 1.0 / r) ** 2)
+    r = math.sqrt(eta_pi_val)  # +inf when eta_pi is, and so is the penalty
+    penalty = max((r - 1.0) ** 2, (1.0 - 1.0 / r) ** 2)
     rhs_iv = 0.5 * alpha * delta_sq - penalty
     checks.append(InequalityCheck("deltaW_lower_witness", dW2 >= rhs_iv - tol,
                                   dW2 - rhs_iv, dW2, rhs_iv))

@@ -99,10 +99,8 @@ def _log_term(T: int, H: int, delta: float) -> float:
     # horizons are fine here even when float(H) would overflow.
     if T < 1 or H < 1:
         raise NonpositiveLogArgument("T and H must be >= 1")
-    val = math.log(T) + math.log(H) - math.log(delta)
-    if val <= 0.0:
-        raise NonpositiveLogArgument(f"log(T*H/delta) = {val} is not positive")
-    return val
+    # positive: SpectralConfig keeps delta in (0, 1)
+    return math.log(T) + math.log(H) - math.log(delta)
 
 
 def sigma_threshold(T: int, S: int, H: int, cfg: SpectralConfig) -> float:
@@ -169,8 +167,12 @@ def _count_below(G: np.ndarray, shift: float) -> int:
 
     By Sylvester's law of inertia, G - shift I = L D L^T has as many negative
     eigenvalues as its block-diagonal D, whose 1 x 1 and 2 x 2 blocks are read
-    off the Bunch-Kaufman factorization. G.T is the same matrix F-ordered, so
-    LAPACK's dsytrf factors it in place, in G's diagonal and upper triangle.
+    off the Bunch-Kaufman factorization. LAPACK's dsytrf takes a 2 x 2 pivot
+    only when |d11| < alpha d21^2 / sigma and |d22| < alpha sigma, with
+    alpha = (1 + sqrt 17)/8, so the block's determinant is below
+    (alpha^2 - 1) d21^2 < 0 and it has exactly one negative eigenvalue
+    (Bunch & Kaufman 1977). G.T is the same matrix F-ordered, so dsytrf
+    factors it in place, in G's diagonal and upper triangle.
     G is then rebuilt from its untouched strict lower triangle, _ROW_BLOCK
     rows at a time, and a saved diagonal, so no second n x n array exists.
     """
@@ -184,18 +186,9 @@ def _count_below(G: np.ndarray, shift: float) -> int:
     if info < 0:
         raise np.linalg.LinAlgError(f"dsytrf returned info = {info}")
     # info > 0 is an exactly zero 1 x 1 pivot: an eigenvalue at the shift, not below it
-    d = ldu.diagonal()
-    paired = np.flatnonzero(ipiv < 0)  # both rows of each 2 x 2 block, which are adjacent
-    single = np.ones(n, dtype=bool)
-    single[paired] = False
-    a, b = d[paired[0::2]], d[paired[1::2]]
-    c = ldu[paired[1::2], paired[0::2]]
-    det = a * b - c * c
-    # a 2 x 2 block has one negative eigenvalue when det < 0, both when det > 0
-    # and its trace is negative, and one when det = 0 and its trace is negative
-    below = int(np.count_nonzero(d[single] < 0.0) + np.count_nonzero(det < 0.0)
-                + 2 * np.count_nonzero((det > 0.0) & (a < 0.0))
-                + np.count_nonzero((det == 0.0) & (a + b < 0.0)))
+    paired = ipiv < 0  # both rows of each 2 x 2 block
+    below = int(np.count_nonzero((ldu.diagonal() < 0.0) & ~paired)
+                + np.count_nonzero(paired) // 2)
 
     _mirror_lower(G)
     np.fill_diagonal(G, diagonal)

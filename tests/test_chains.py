@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse.csgraph import connected_components
@@ -167,6 +167,8 @@ class TestValidateModel:
             validate_model(np.ones((2, 3)) / 3, [0.5, 0.5])
         with pytest.raises(DimensionMismatch):
             validate_model(P2, [1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="mu must be 1-D"):
+            validate_model(P2, [[0.5, 0.5]])
 
     def test_row_not_stochastic(self):
         with pytest.raises(RowNotStochastic):
@@ -255,6 +257,10 @@ class TestValidateModel:
         assert again.gamma_ps == two_state.gamma_ps
         assert again.t_mix == two_state.t_mix
 
+    def test_json_size_disagreeing_with_P_raises(self, two_state):
+        with pytest.raises(DimensionMismatch, match="S=3 does not match P shape"):
+            model_from_json(dict(model_to_json(two_state), S=3))
+
 
 class TestStationary:
     def test_symmetric_doubly_stochastic(self):
@@ -321,6 +327,17 @@ class TestPseudoSpectralGap:
         m = gen_random_ergodic(3, seed=seed, floor=0.05)
         gaps = [pseudo_spectral_gap(m.P, m.pi, k_max=k) for k in (1, 3, 6, 12)]
         assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
+
+    @given(gap_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_first_k_max_already_meets_the_lower_sandwich_bound(self, chain):
+        # validate_model takes the gap at k_max = max(10, 2 t_mix) once: term
+        # t_mix is at least 1/(2 t_mix), so no larger k_max could lift a gap
+        # below the sandwich's 1/2 (at k_max = 1 most sparse chains fall below)
+        P, pi = chain
+        assume(return_time_gcd(P > 0) == 1)
+        t_mix = mixing_time(P, pi)
+        assert pseudo_spectral_gap(P, pi, max(10, 2 * t_mix)) * t_mix >= 0.5
 
     @given(gap_chains(), st.integers(min_value=1, max_value=200))
     @settings(max_examples=150, deadline=None)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from mmclab import count_transitions, pool_estimates, predicted_error_rate, trajectory_loglik
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
-from mmclab.errors import DimensionMismatch, EmptyClusterAfterRounding
+from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
+                           MMCLabError, NumericalError)
 from mmclab.metrics import GapReport
 from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
 from mmclab.spectral import load_stage1
@@ -395,17 +396,20 @@ class TestPipeline:
             "labels": (stage1, ["evaluate", "--instance", str(instance_file), str(stage1)]),
         }[kind]
 
-    @pytest.mark.parametrize("text", ["[1]", "{}"], ids=["list", "empty"])
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "must hold a JSON object"), ("{}", "lacks key(s)"),
+        ("{not json", "is not valid JSON"),
+    ], ids=["list", "empty", "not-json"])
     @pytest.mark.parametrize("kind", ["sidecar", "stage1", "instance", "labels"])
     def test_malformed_json_document_exits_2(self, tmp_path, instance_file, capsys,
-                                             kind, text):
+                                             kind, text, message):
         bad, argv = self.reader(tmp_path, instance_file, kind)
         bad.write_text(text)
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(bad) in err
-        assert ("must hold a JSON object" if text == "[1]" else "lacks key(s)") in err
+        assert message in err
 
     @pytest.mark.parametrize("kind, key", [("sidecar", "seed"), ("stage1", "labels"),
                                            ("instance", "decoding"), ("labels", "labels")])
@@ -531,6 +535,17 @@ class TestPipeline:
                      "--json-out", str(out)]) == 0
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
+    def test_bounds_json_out_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "b.json"
+        assert main(["bounds", "--eps", "0.01", "--delta", "0.1", "--T", "1000",
+                     "--H", "100", "--D", "0.05", "--alpha-min", "0.5",
+                     "--json-out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert f"--json-out {out} has no usable directory" in err
+        assert out_text == ""
+
     def test_bounds_json_out_naming_a_directory_exits_2(self, tmp_path, capsys):
         assert main(["bounds", "--eps", "0.01", "--delta", "0.1", "--T", "1000",
                      "--H", "100", "--D", "0.05", "--alpha-min", "0.5",
@@ -618,8 +633,9 @@ class TestSweep:
         assert sorted(calls) == sorted((24, H) for H in SWEEP_CFG["H"]
                                        for _ in SWEEP_CFG["seeds"])
 
-    def test_divergences_computed_once_per_instance(self, monkeypatch):
-        # D depends on the horizon, D_pi and delta_W_sq on the models alone
+    @staticmethod
+    def divergence_calls(monkeypatch, cfg) -> dict:
+        """Calls of each divergence the sweep of ``cfg`` makes, by name."""
         import mmclab.cli as cli_mod
 
         calls = {}
@@ -628,9 +644,20 @@ class TestSweep:
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args)
             monkeypatch.setattr(cli_mod, name, counting)
-        run_sweep(dict(SWEEP_CFG, **{"lambda": [0.0, 0.5]}), jobs=1)
+        run_sweep(cfg, jobs=1)
+        return calls
+
+    def test_divergences_computed_once_per_instance(self, monkeypatch):
+        # D depends on the horizon, D_pi and delta_W_sq on the models alone
+        calls = self.divergence_calls(monkeypatch, dict(SWEEP_CFG, **{"lambda": [0.0, 0.5]}))
         assert calls == {"divergence_D": len(SWEEP_CFG["H"]), "divergence_D_pi": 1,
                          "delta_W_sq": 1}
+
+    def test_D_computed_once_per_horizon(self, monkeypatch):
+        # D reads the models and H alone, so the instances of two T values
+        # at one H share it: two calls for four (T, H) instances
+        calls = self.divergence_calls(monkeypatch, dict(SWEEP_CFG, T=[24, 30], seeds=[1]))
+        assert calls == {"divergence_D": 2, "divergence_D_pi": 1, "delta_W_sq": 1}
 
     def test_sweep_never_hashes_the_instance(self, monkeypatch):
         def no_hash(self):
@@ -750,6 +777,13 @@ class TestSweep:
         err = capsys.readouterr().err
         assert str(path) in err and "e_t_stage1" in err
 
+    def test_report_input_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"T,H\n\xff\xfe\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} is not a text file" in capsys.readouterr().err
+        assert not (tmp_path / "summary.report.csv").exists()
+
     def test_report_row_shorter_than_header_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short_row.csv"
         path.write_text(",".join(SWEEP_COLUMNS) + "\n10,20\n")
@@ -812,6 +846,14 @@ class TestSweep:
         path.write_text(json.dumps(with_field(SWEEP_CFG, key, value)))
         assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
         assert f"{field_place(path, key)} has the wrong type" in capsys.readouterr().err
+        assert no_work == []
+
+    @pytest.mark.parametrize("axis", ["T", "H", "delta", "lambda", "seeds"])
+    def test_empty_axis_fails_before_any_point(self, tmp_path, capsys, no_work, axis):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**SWEEP_CFG, axis: []}))
+        assert main(["sweep", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} needs a nonempty axis {axis!r}" in capsys.readouterr().err
         assert no_work == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -960,6 +1002,12 @@ class TestSweep:
         empty.write_text(",".join(SWEEP_COLUMNS) + "\n")
         rc = main(["report", str(empty), "--out", str(tmp_path)])
         assert rc == 2
+
+
+def test_input_and_numerical_errors_are_the_only_package_errors():
+    # main maps InputError to exit 2 and NumericalError to exit 3, and has no
+    # handler for the base class: nothing raises it, and no third kind exists
+    assert MMCLabError.__subclasses__() == [InputError, NumericalError]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the threshold is glibc's")

@@ -24,7 +24,7 @@ from mmclab import (
     trajectory_loglik,
     validate_model,
 )
-from mmclab.errors import (EmptyCluster, InvalidRange, StateSpaceMismatch,
+from mmclab.errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
                            ZeroProbabilityTransition)
 from mmclab.likelihood import _POOL_ROWS, save_stage2
 from tests.conftest import gen_separation_instance, random_labels, random_models, reference_counts
@@ -134,6 +134,11 @@ class TestPoolEstimates:
             defined = ~est.undefined_rows
             sums = est.kernels.sum(axis=2)[defined]
             assert np.allclose(sums, 1.0, atol=1e-12)
+
+    def test_labels_of_wrong_length_raise(self):
+        counts = counts_of([[0, 1], [1, 0]], S=2)
+        with pytest.raises(LengthMismatch, match="labels length does not match"):
+            pool_estimates(counts, np.array([0, 0, 0]), K=1, lam=0.5)
 
     def test_empty_cluster_raises(self):
         counts = counts_of([[0, 1], [1, 0]], S=2)
@@ -260,6 +265,16 @@ class TestTrajectoryLoglik:
 
 
 class TestRefine:
+    @settings(max_examples=200, deadline=None)
+    @given(pooled_cases())
+    def test_own_cluster_score_is_finite_without_smoothing(self, case):
+        # a trajectory's counts are pooled into its own cluster's kernel, so at
+        # lam = 0 refine always has a finite score to compare against
+        states, S, labels, K, _ = case
+        counts = counts_of(states, S)
+        scores = refine(counts, labels, K, 0.0).loglik
+        assert np.isfinite(scores[np.arange(len(labels)), labels]).all()
+
     def test_fixed_point(self):
         inst = gen_separation_instance(2, T=40, H=400)
         counts = sampled_counts(inst, 0)

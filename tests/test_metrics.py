@@ -27,7 +27,7 @@ from mmclab import (
     predicted_error_rate,
     validate_model,
 )
-from mmclab.errors import InvalidRange, LengthMismatch
+from mmclab.errors import InvalidRange, LengthMismatch, StateSpaceMismatch
 from mmclab.metrics import (
     _ACC_BLOCK,
     LOG_E_OVER_2,
@@ -243,6 +243,14 @@ class TestMisclassification:
         with pytest.raises(LengthMismatch):
             misclassification(np.array([0, 1]), np.array([0, 1, 1]))
 
+    def test_empty_labels_have_no_errors(self):
+        assert misclassification(np.array([], dtype=int), np.array([], dtype=int)) == 0
+
+    @pytest.mark.parametrize("f_hat, f", [([0, -1], [0, 1]), ([0, 1], [-2, 1])])
+    def test_negative_labels_raise(self, f_hat, f):
+        with pytest.raises(LengthMismatch, match="labels must be nonnegative"):
+            misclassification(np.array(f_hat), np.array(f))
+
     def test_brute_equals_assignment(self):
         rng = np.random.default_rng(0)
         for _ in range(60):
@@ -293,6 +301,10 @@ class TestMisclassification:
 class TestDivergencePrimitives:
     def test_kl_zero_for_equal(self):
         assert kl_divergence(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0
+
+    def test_kl_shape_mismatch_raises(self):
+        with pytest.raises(LengthMismatch, match="shape mismatch"):
+            kl_divergence(np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5]))
 
     def test_kl_frozen_value(self):
         val = kl_divergence(np.array([0.9, 0.1]), np.array([0.8, 0.2]))
@@ -450,6 +462,27 @@ class TestVisitationAgainstLoop:
         assert first_fixed_step(model, H) == fixed_at
         assert visitation_weights(model, H).tobytes() == \
             reference_visitation_weights(model, H).tobytes()
+
+
+class TestModelChecks:
+    # every stacked divergence and gap takes two or more models on one state space
+    @pytest.mark.parametrize("compute", [divergence_D_pi, delta_W_sq, witness_state_gap,
+                                         eta_params, check_gap_inequalities])
+    def test_one_model_raises(self, compute):
+        with pytest.raises(InvalidRange, match="need at least two models"):
+            compute(random_models(1, 3))
+
+    @pytest.mark.parametrize("compute", [divergence_D_pi, witness_state_gap, eta_params,
+                                         check_gap_inequalities])
+    def test_state_space_mismatch_raises(self, compute):
+        models = [gen_random_ergodic(3, 0, 0.05), gen_random_ergodic(4, 1, 0.05)]
+        with pytest.raises(StateSpaceMismatch, match="same state space"):
+            compute(models)
+
+    @pytest.mark.parametrize("H", [1, 0])
+    def test_visitation_weights_need_two_steps(self, H):
+        with pytest.raises(InvalidRange, match="H must be >= 2"):
+            visitation_weights(random_models(1, 3)[0], H)
 
 
 class TestDivergenceDPi:
@@ -681,10 +714,33 @@ class TestLowerBound:
         with pytest.raises(InvalidRange):
             lower_bound_check(0.1, 0.1, 10, 10, 0.1, 1.5)
 
+    @pytest.mark.parametrize("T, H", [(0, 10), (10, 1)])
+    def test_T_or_H_out_of_range_raises(self, T, H):
+        with pytest.raises(InvalidRange, match="need T >= 1 and H >= 2"):
+            lower_bound_check(0.1, 0.1, T, H, 0.1, 0.5)
+
+    def test_min_H_steps_back_from_an_overshooting_ceil(self):
+        # 1 + rhs / (4 D) rounds to 15.000000000000002 here, whose ceil is 16,
+        # yet 4 (15 - 1) D already reaches rhs
+        D = 0.002489897914077941
+        rep = lower_bound_check(0.02, 0.5, 100, 2, D, 1.0)
+        assert math.ceil(1.0 + rep.rhs_eq2 / (4.0 * D)) == 16
+        assert rep.min_H_necessary == 15
+        assert [lower_bound_check(0.02, 0.5, 100, H, D, 1.0).necessary_holds
+                for H in (14, 15)] == [False, True]
+
 
 class TestPredictedErrorRate:
     def test_zero_divergence_gives_T(self):
         assert predicted_error_rate(100, 50, 0.5, 0.0, 1.0) == 100.0
+
+    @pytest.mark.parametrize("T, H, gamma_ps, message", [
+        (0, 50, 0.5, "need T, H >= 1"), (100, 0, 0.5, "need T, H >= 1"),
+        (100, 50, 0.0, "gamma_ps must be in"), (100, 50, 1.5, "gamma_ps must be in"),
+    ])
+    def test_out_of_range_arguments_raise(self, T, H, gamma_ps, message):
+        with pytest.raises(InvalidRange, match=message):
+            predicted_error_rate(T, H, gamma_ps, 0.1, 1.0)
 
     def test_rate_upper_bounds_observed_error(self):
         # one-sided Monte-Carlo check with the explicit analysis constant

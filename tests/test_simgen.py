@@ -87,6 +87,10 @@ class TestMakeInstance:
         with pytest.raises(StateSpaceMismatch):
             make_instance([m1, m2], np.array([0.5, 0.5]), 10, 5)
 
+    def test_one_model_raises(self):
+        with pytest.raises(DimensionMismatch, match="K >= 2"):
+            make_instance(random_models(1, 3), np.array([1.0]), 10, 5)
+
 
 class TestSampling:
     def test_bitwise_reproducible(self):
@@ -232,6 +236,14 @@ class TestGenerators:
             assert np.allclose(m2.pi, m1.pi[::-1], atol=1e-12)
             assert m1.gamma_ps == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gen_random_ergodic(1, seed=0, floor=0.5), "S must be >= 2"),
+        (lambda: gen_separation_models(0), "S_prime must be >= 1"),
+    ], ids=["random-S-1", "separation-S_prime-0"])
+    def test_state_space_too_small_raises(self, call, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            call()
+
 
 class TestPersistence:
     def test_instance_json_roundtrip(self, tmp_path):
@@ -241,6 +253,16 @@ class TestPersistence:
         again = instance_from_json(doc)
         assert np.array_equal(again.decoding, inst.decoding)
         assert again.instance_id() == inst.instance_id()
+
+    @pytest.mark.parametrize("decoding, message", [
+        ([1] * 9, "decoding length does not match T"),
+        ([1] * 9 + [3], r"decoding values outside \[1, K\]"),
+        ([0] + [1] * 9, r"decoding values outside \[1, K\]"),
+    ], ids=["short", "above-K", "zero"])
+    def test_bad_decoding_raises(self, decoding, message):
+        doc = dict(instance_to_json(gen_separation_instance(2, T=10, H=20)), decoding=decoding)
+        with pytest.raises(DimensionMismatch, match=message):
+            instance_from_json(doc)
 
     def test_trajectory_binary_roundtrip(self, tmp_path):
         inst = gen_separation_instance(2, T=7, H=13)

@@ -198,6 +198,67 @@ class TestEstimateRank:
         assert estimate_rank(np.array([5.0, 3.0, 3.0]), 3.0) == 3  # non-strict
 
 
+BK_ALPHA = (1 + math.sqrt(17)) / 8  # the Bunch-Kaufman pivot threshold of LAPACK's dsytrf
+
+
+def gram_and_shift(rng, kind):
+    """The Gram matrix G = A^T A of an m x n factor A, n from 2 to 99, that is
+    Gaussian, of small integers, rows repeated from at most five (low rank),
+    or Gaussian with 80% zeros, and a shift that is a random fraction of G's
+    largest diagonal entry."""
+    n = int(rng.integers(2, 100))
+    m = int(rng.integers(1, 2 * n))
+    if kind == "gaussian":
+        A = rng.standard_normal((m, n))
+    elif kind == "integer":
+        A = rng.integers(-3, 4, (m, n)).astype(float)
+    elif kind == "repeated":
+        rows = rng.standard_normal((int(rng.integers(1, 6)), n))
+        A = rows[rng.integers(0, len(rows), m)]
+    else:
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.2)
+    G = A.T @ A
+    return G, float(rng.uniform(0.0, 1.0) * G.diagonal().max())
+
+
+class TestInertia:
+    KINDS = ["gaussian", "integer", "repeated", "sparse"]
+
+    def test_every_two_by_two_pivot_is_indefinite(self):
+        # _count_below counts one negative eigenvalue per 2 x 2 block of D;
+        # factor shifted Gram matrices as it does and read every block
+        rng = np.random.default_rng(0)
+        det, off_sq = [], []
+        for i in range(400):
+            G, shift = gram_and_shift(rng, self.KINDS[i % 4])
+            G.flat[::len(G) + 1] -= shift
+            lwork = int(scipy.linalg.lapack.dsytrf_lwork(len(G), lower=1)[0])
+            ldu, ipiv, info = scipy.linalg.lapack.dsytrf(G.T, lower=1, lwork=lwork,
+                                                         overwrite_a=1)
+            assert info >= 0
+            paired = np.flatnonzero(ipiv < 0)
+            first = paired[0::2]
+            assert np.array_equal(paired[1::2], first + 1)  # each block's two rows
+            d, c = ldu.diagonal(), ldu[first + 1, first]
+            det.append(d[first] * d[first + 1] - c * c)
+            off_sq.append(c * c)
+        det, off_sq = np.concatenate(det), np.concatenate(off_sq)
+        assert det.size >= 1000
+        assert (det < 0.0).all()
+        assert (det / off_sq).max() < BK_ALPHA ** 2 - 1.0 + 1e-12
+
+    def test_count_below_matches_the_spectrum(self):
+        rng = np.random.default_rng(1)
+        for i in range(200):
+            G, shift = gram_and_shift(rng, self.KINDS[i % 4])
+            ev = np.linalg.eigvalsh(G)
+            if np.abs(ev - shift).min() < 1e-8 * max(ev[-1], 1.0):
+                continue  # too close to the shift for either count to be exact
+            before = G.copy()
+            assert spectral._count_below(G, shift) == np.count_nonzero(ev < shift)
+            assert np.array_equal(G, before)
+
+
 class TestSpectralCluster:
     def test_noiseless_two_clusters(self):
         models = random_models(2, 4, seed0=1)
