@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import simgen
-from .embedding import build_matrices, count_transitions, empirical_matrix
+from .embedding import Counts, build_matrices, count_transitions, empirical_matrix
 from .errors import InputError, InvalidRange, InvalidSpec, NumericalError
 from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, number,
                       read_object, require_keys)
@@ -123,15 +123,24 @@ def _resolve_gamma(gamma, instance) -> float:
     raise InvalidSpec("supply --gamma or --instance for oracle gamma")
 
 
+def _read_counts(path: str) -> tuple[Counts, str]:
+    """The trajectory file's counts and its sidecar's ``instance_id``; the states die here."""
+    trajs, S, instance_id = simgen.load_trajectories(path)
+    return count_transitions(trajs.states, S), instance_id
+
+
 # --- subcommand implementations -------------------------------------------
 
 def cmd_generate(args) -> int:
     out = _output_path(args, ".instance.json")
-    if Path(args.spec).exists():
-        spec, where = read_object(args.spec), args.spec
-    else:
+    if args.spec.lstrip().startswith("{"):  # the spec itself, never probed as a file name
         where = "generator spec"
-        spec = require_keys(json.loads(args.spec), (), where)
+        try:
+            spec = require_keys(json.loads(args.spec), (), where)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"{where} is not valid JSON: {exc}") from exc
+    else:
+        spec, where = read_object(args.spec), args.spec
     T, H = (field(spec, k, integer, where) for k in ("T", "H"))
     instance_spec = {k: v for k, v in spec.items() if k not in ("T", "H")}
     instance, = _build_instances(instance_spec, where, [(T, H)])
@@ -151,16 +160,10 @@ def cmd_sample(args) -> int:
 
 def cmd_cluster(args) -> int:
     out = _output_path(args, ".stage1.json")
-    # the instance before scipy, whose import reuses the heap its parsing and hashing leave
     instance = simgen.load_instance(args.instance) if args.instance else None
     gamma = _resolve_gamma(args.gamma, instance)
-    expected_id = instance.instance_id() if instance is not None else None
-    # load scipy before the trajectories: imported while they are alive, it raises peak RSS
-    import scipy.linalg
-    trajs, S, instance_id = simgen.load_trajectories(args.trajectories)
-    counts = count_transitions(trajs.states, S)
-    del trajs  # only the counts are read from here on
-    if instance is not None and instance_id != expected_id:
+    counts, instance_id = _read_counts(args.trajectories)
+    if instance is not None and instance_id != (expected_id := instance.instance_id()):
         raise InvalidSpec(f"{args.trajectories} was not sampled from {args.instance}: "
                           f"its sidecar names instance {instance_id}, not {expected_id}")
     cfg = SpectralConfig(delta=args.delta, gamma_ps=gamma, c_sigma=args.c_sigma,
@@ -174,9 +177,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_refine(args) -> int:
     out = _output_path(args, ".stage2.json")
-    trajs, S, _ = simgen.load_trajectories(args.trajectories)
-    counts = count_transitions(trajs.states, S)
-    del trajs
+    counts, _ = _read_counts(args.trajectories)
     stage1 = load_stage1(args.stage1)
     res = refine(counts, stage1.labels, stage1.K_hat, args.smoothing)
     save_stage2(res, out, dump_loglik=args.dump_loglik)
@@ -234,8 +235,6 @@ def _sweep_point(payload: tuple) -> tuple:
     """Run one (T, H, delta, lambda, seed) point on the instance, its columns
     and the stage-1 config that ``run_sweep`` built; returns (key, row list)."""
     start = time.perf_counter()
-    # load scipy before the point allocates: imported while its arrays are alive, it raises peak RSS
-    import scipy.linalg
     instance, columns, stage1_cfg, lam, seed = payload
     counts = count_transitions(simgen.sample_trajectories(instance, seed).states, instance.S)
     # W-hat reads its rows from the counts a block at a time, and the truth
@@ -292,7 +291,7 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
               for instance in instances
               for stage1_cfg in stage1_cfgs for lam in lams for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_mmap_threshold) as pool:
             results = list(pool.map(_sweep_point, points))
     else:
         results = [_sweep_point(p) for p in points]
@@ -475,7 +474,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:  # OSError: a file it cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,7 +1,9 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -9,6 +11,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,9 @@ from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
 from mmclab.spectral import load_stage1
 from tests.conftest import STAGE1_EIGEN_FAILURES
 from tests.test_golden_outputs import GOLDEN, SAMPLE_SPEC
+from tests.test_imports import run_fresh
+
+HAS_MALLINFO2 = platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallinfo2")
 
 
 def strip_walltime(csv_text: str) -> str:
@@ -46,6 +52,26 @@ def field_place(path, key: str) -> str:
     return f"{path}: field {key!r}"
 
 
+def mapped_blocks_after_a_free() -> int:
+    """The mmapped blocks glibc adds for a 512 KiB array made after a 1 MiB array
+    is freed in this process: 1 while the mmap threshold is held at 128 KiB, 0
+    once the free has lifted it to 1 MiB."""
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in
+                    ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                     "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+    mallinfo2.argtypes, mallinfo2.restype = [], MallInfo2
+    big = np.ones(1 << 20, dtype=np.uint8)
+    del big
+    blocks = mallinfo2().hblks
+    half = np.ones(1 << 19, dtype=np.uint8)
+    added = mallinfo2().hblks - blocks
+    del half
+    return added
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Records each sampling call and each process pool made; neither runs."""
@@ -60,6 +86,21 @@ def no_work(monkeypatch):
 
 
 P2_MODEL = {"S": 2, "P": [[0.9, 0.1], [0.2, 0.8]], "mu": [0.5, 0.5]}
+
+# 270 bytes as json.dumps writes it, more than a file name may hold
+LONG_INLINE_SPEC = {
+    "type": "inline",
+    "models": [{"S": 3, "P": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+                "mu": [1, 0, 0]},
+               {"S": 3, "P": [[0.1, 0.45, 0.45], [0.45, 0.1, 0.45], [0.45, 0.45, 0.1]],
+                "mu": [0, 1, 0]}],
+    "alpha": [0.5, 0.5], "shuffle": True, "T": 200, "H": 100,
+}
+
+# the README walkthrough's sweep
+WALKTHROUGH_SWEEP = {"instance": {"type": "separation", "S_prime": 2}, "T": [40, 60],
+                     "H": [200, 400], "delta": [0.1], "lambda": [0.5], "seeds": [1, 2],
+                     "c_sigma": 0.15, "c_rho": 2.0}
 
 SWEEP_CFG = {
     "instance": {"type": "separation", "S_prime": 1},
@@ -218,6 +259,24 @@ class TestGenerate:
                            "T": 10, "H": 10})
         assert main(["generate", spec, "--out", str(tmp_path)]) == 2
         assert "generator spec models[0] lacks key(s) ['mu']" in capsys.readouterr().err
+
+    # an inline spec longer than a file name may be (255 bytes) used to be probed
+    # as a path, which raised "File name too long"
+    @pytest.mark.parametrize("padding", [0, 4000], ids=["270-bytes", "over-4096-bytes"])
+    def test_long_inline_spec_gives_the_instance_of_its_file(self, tmp_path, padding):
+        spec = json.dumps(LONG_INLINE_SPEC)
+        spec = spec[:-1] + " " * padding + "}"
+        assert len(spec) == 270 + padding
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        assert main(["generate", spec, "--out", str(tmp_path), "--name", "inline"]) == 0
+        assert main(["generate", str(path), "--out", str(tmp_path), "--name", "file"]) == 0
+        assert ((tmp_path / "inline.instance.json").read_bytes()
+                == (tmp_path / "file.instance.json").read_bytes())
+
+    def test_inline_spec_not_json_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "{not json", "--out", str(tmp_path)]) == 2
+        assert "generator spec is not valid JSON" in capsys.readouterr().err
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(_):
@@ -379,6 +438,42 @@ class TestPipeline:
         assert main(["cluster", str(path), "--gamma", "1.0", "--out", str(tmp_path)]) == 2
         assert f"{path}.json is missing" in capsys.readouterr().err
         assert not (tmp_path / "cluster.stage1.json").exists()
+
+    # each reader of an input file given a directory; "{bad}" marks it, and the
+    # sidecar cases put the directory where the trajectory file's sidecar goes
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "{bad}", "--out", "{out}"],
+        ["sample", "{bad}", "--seed", "1", "--out", "{out}"],
+        ["evaluate", "--instance", "{bad}", "{stage1}"],
+        ["evaluate", "--instance", "{instance}", "{bad}"],
+        ["cluster", "{bad}", "--gamma", "1.0", "--out", "{out}"],
+        ["refine", "{bad}", "{stage1}", "--out", "{out}"],
+        ["cluster", "{traj}", "--gamma", "1.0", "--out", "{out}"],
+        ["refine", "{traj}", "{stage1}", "--out", "{out}"],
+        ["refine", "{traj}", "{bad}", "--out", "{out}"],
+        ["sweep", "{bad}", "--out", "{out}"],
+        ["report", "{bad}", "--out", "{out}"],
+        ["generate", "{bad}", "--out", "{out}"],
+    ], ids=["gaps-instance", "sample-instance", "evaluate-instance", "evaluate-labels",
+            "cluster-trajectories", "refine-trajectories", "cluster-sidecar",
+            "refine-sidecar", "refine-stage1", "sweep-config", "report-csv",
+            "generate-spec"])
+    def test_input_path_naming_a_directory_exits_2(self, tmp_path, instance_file, capsys,
+                                                   argv):
+        traj, out = tmp_path / "sample.traj.bin", tmp_path / "out"
+        assert main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
+        if "{bad}" in argv:
+            bad = tmp_path / "dir"
+        else:
+            bad = Path(f"{traj}.json")
+            bad.unlink()
+        bad.mkdir()
+        names = {"bad": bad, "out": out, "traj": traj, "instance": instance_file,
+                 "stage1": tmp_path / "cluster.stage1.json"}
+        capsys.readouterr()
+        assert main([arg.format(**names) for arg in argv]) == 2
+        assert str(bad) in capsys.readouterr().err
 
     @staticmethod
     def reader(tmp_path, instance_file, kind) -> tuple[Path, list]:
@@ -617,6 +712,54 @@ class TestSweep:
         two = strip_walltime(run_sweep(cfg, jobs=2)).splitlines()
         assert len(one) == 1 + 2 * len(seeds)
         assert one == two
+
+    # fork copies the parent, where spawn and forkserver start each worker from
+    # a fresh interpreter; a fresh interpreter here too, as the start method
+    # can be set once per process
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_rows_do_not_depend_on_the_start_method(self, tmp_path, method):
+        code = f"""
+            import json, multiprocessing
+            from mmclab.cli import run_sweep
+            multiprocessing.set_start_method({method!r})
+            print(json.dumps(run_sweep({WALKTHROUGH_SWEEP!r}, jobs=2)))
+        """
+        assert (strip_walltime(run_fresh(code, tmp_path))
+                == strip_walltime(run_sweep(WALKTHROUGH_SWEEP, jobs=1)))
+
+    def test_pool_workers_pin_the_mmap_threshold(self, monkeypatch):
+        import mmclab.cli as cli_mod
+
+        initializers = []
+
+        def recording(*args, **kwargs):
+            initializers.append(kwargs.get("initializer"))
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", recording)
+        run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1, 2]), jobs=2)
+        assert initializers == [cli_mod._pin_mmap_threshold]
+
+    # a spawned worker inherits no mallopt setting from the parent, so it holds
+    # the threshold only if the pool's initializer sets it
+    @pytest.mark.skipif(not HAS_MALLINFO2, reason="mallinfo2 is glibc's")
+    def test_spawned_workers_keep_large_arrays_out_of_the_heap(self, monkeypatch):
+        import mmclab.cli as cli_mod
+
+        added = []
+
+        class Spawning(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=multiprocessing.get_context("spawn"),
+                                 **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                added.append(self.submit(mapped_blocks_after_a_free).result())
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", Spawning)
+        run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1]), jobs=2)
+        assert added == [1]
 
     def test_counts_computed_once_per_point(self, monkeypatch):
         import mmclab.cli as cli_mod

@@ -3,10 +3,9 @@
 scipy serves only stage 1's eigensolvers, so importing the package and every
 subcommand that does not cluster must leave it unloaded, no subcommand loads
 ``scipy.optimize``, and a Gram matrix small enough for the dense solver leaves
-``scipy.sparse.linalg`` unloaded. ``sweep`` and ``cluster`` load ``scipy.linalg``
-before they allocate, which keeps their peak RSS. This module's process has
-scipy loaded already (``conftest`` imports it), so each check runs in a fresh
-interpreter on the checkout's ``src``.
+``scipy.sparse.linalg`` unloaded. This module's process has scipy loaded
+already (``conftest`` imports it), so each check runs in a fresh interpreter on
+the checkout's ``src``.
 """
 
 import json
@@ -16,7 +15,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from mmclab.cli import SWEEP_COLUMNS, main
+from mmclab.cli import SWEEP_COLUMNS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,45 +76,6 @@ def test_scipy_free_subcommands_load_no_scipy(tmp_path):
             assert main(argv) == 0, argv
     """
     assert scipy_loaded_after(code, tmp_path) == []
-
-
-# records, at each call that makes or reads trajectories, whether scipy was
-# loaded by then, and prints the record as its last stdout line
-_RECORD_LOAD_ORDER = """
-    import json, sys
-    import mmclab.simgen as simgen
-    from mmclab.cli import main
-
-    seen = []
-
-    def recording(fn):
-        def wrapper(*args, **kwargs):
-            seen.append("scipy.linalg" in sys.modules)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    simgen.sample_trajectories = recording(simgen.sample_trajectories)
-    simgen.load_trajectories = recording(simgen.load_trajectories)
-    assert main({argv}) == 0
-    print(json.dumps(seen))
-"""
-
-
-def test_sweep_loads_scipy_before_it_samples(tmp_path):
-    cfg = {"instance": {"type": "separation", "S_prime": 1}, "T": [10], "H": [20],
-           "delta": [0.1], "lambda": [0.5], "seeds": [1, 2], "c_sigma": 0.15, "c_rho": 2.0}
-    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
-    argv = ["sweep", "sweep.json", "--jobs", "1"]
-    assert run_fresh(_RECORD_LOAD_ORDER.format(argv=argv), tmp_path) == [True, True]
-
-
-def test_cluster_loads_scipy_before_it_reads_trajectories(tmp_path):
-    spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
-    assert main(["generate", spec, "--out", str(tmp_path)]) == 0
-    assert main(["sample", str(tmp_path / "instance.instance.json"), "--seed", "1",
-                 "--out", str(tmp_path)]) == 0
-    argv = ["cluster", "sample.traj.bin", "--gamma", "0.5"]
-    assert run_fresh(_RECORD_LOAD_ORDER.format(argv=argv), tmp_path) == [True]
 
 
 def test_decay_shape_sweep_point_loads_no_sparse_linalg(tmp_path):

@@ -446,3 +446,24 @@ class TestPipelinePermutation:
         assert np.array_equal(sigma[p1.labels], s1.labels[perm])
         assert np.array_equal(sigma[p2.labels], s2.labels[perm])
         assert np.array_equal(p2.loglik[:, np.argsort(sigma)], s2.loglik[perm])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the peel breaks a tie for the largest gain by the lowest trajectory "
+        "index: trajectories 5, 6 and 7 tie at gain 4, and 5's neighbourhood "
+        "is its own chain's four trajectories while 6's also holds trajectory "
+        "1 of the other chain, so swapping 5 and 6 makes 6 the first center "
+        "and misassigns trajectory 1 (E = 1), where the original order "
+        "recovers the decoding"))
+    def test_permutation_of_a_recovered_draw_keeps_stage1_labels(self):
+        # a draw of the property test above on which stage 1 recovers the
+        # decoding in the original order and not in the permuted one
+        models = random_models(2, 2, seed0=128)
+        inst = make_instance(models, np.full(2, 0.5), 8, 600)
+        states = sample_trajectories(inst, 686).states
+        perm = np.array([0, 1, 2, 3, 4, 6, 5, 7])
+        cfg = SpectralConfig(delta=0.1, gamma_ps=min(m.gamma_ps for m in models),
+                             c_sigma=0.15, c_rho=2.0)
+        s1, p1 = (spectral_cluster(empirical_matrix(count_transitions(x, inst.S)), cfg)
+                  for x in (states, states[perm]))
+        assert s1.K_hat == 2 and misclassification(s1.labels, inst.decoding) == 0
+        assert misclassification(p1.labels, inst.decoding[perm]) == 0
