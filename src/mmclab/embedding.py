@@ -45,11 +45,12 @@ class Counts:
 
     ``visits`` counts occupations over h in [H]; ``transitions`` counts pairs
     (s_h, s_{h+1}) over h in [H-1], so each trajectory's block sums to H-1.
-    Counts are int32: none exceeds H, which ``count_transitions`` bounds.
+    Counts are held in ``np.min_scalar_type(H)``, the narrowest unsigned dtype
+    that holds H: no count, and no sum of one trajectory's counts, exceeds it.
     """
 
-    visits: np.ndarray       # (T, S) int32
-    transitions: np.ndarray  # (T, S, S) int32
+    visits: np.ndarray       # (T, S) np.min_scalar_type(H)
+    transitions: np.ndarray  # (T, S, S) np.min_scalar_type(H)
     H: int
 
     def __post_init__(self):
@@ -97,12 +98,13 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     if states.ndim != 2 or states.shape[1] < 2:
         raise DimensionMismatch("states must be a (T, H) array with H >= 2")
     T, H = states.shape
-    # a constant trajectory visits one state H times, so H itself must fit in int32
+    # a constant trajectory visits one state H times; H is capped where int32
+    # ends, so a count fits int32 wherever a reader widens it
     if H > np.iinfo(np.int32).max:
         raise InvalidRange(f"H = {H} exceeds the int32 count range")
     if states.size and (states.min() < 0 or states.max() >= S):
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
-    transitions = np.empty((T, S, S), dtype=np.int32)
+    transitions = np.empty((T, S, S), dtype=np.min_scalar_type(H))
     # a pass's int64 flat index has H - 1 entries per trajectory and its int64
     # bincount S * S; each stays within its budget, or one trajectory's worth
     rows = max(1, min(_BLOCK_ELEMENTS // (H - 1), _COUNT_BINS // (S * S)))
@@ -119,7 +121,7 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
         flat += block[:, 1:]
         transitions[lo:lo + n] = np.bincount(flat.ravel(), minlength=n * S * S).reshape(n, S, S)
     # every visit but the last is the source of one transition
-    visits = transitions.sum(axis=2, dtype=np.int32)
+    visits = transitions.sum(axis=2, dtype=transitions.dtype)
     visits[np.arange(T), states[:, -1]] += 1
     return Counts(visits=visits, transitions=transitions, H=H)
 

@@ -104,10 +104,11 @@ def trajectory_loglik(counts: Counts, kernels: np.ndarray) -> np.ndarray:
     logk = np.log(kernels.reshape(K, S * S), out=np.zeros(dead.shape), where=~dead)
     N = counts.transitions.reshape(counts.T, S * S)
     # optimize=False keeps einsum's own loop, which sums a row's terms in the same
-    # order wherever the row sits and casts the int32 counts in small buffers;
+    # order wherever the row sits and casts the narrow counts in small buffers;
     # optimize=True hands the product to BLAS, whose rounding depends on the row
     scores = np.einsum("ts,ks->tk", N, logk, optimize=False)
     if dead.any():
+        # summed in the counts' dtype, which holds a row's total of H - 1
         scores[np.einsum("ts,ks->tk", N, dead, optimize=False) > 0] = -np.inf
     return scores
 

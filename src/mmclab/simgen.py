@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,9 +86,14 @@ class MixtureInstance:
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """T state sequences of length H plus the seed that produced them."""
+    """T state sequences of length H plus the seed that produced them.
 
-    states: np.ndarray  # (T, H) int32, 0-based state indices
+    States are held in ``np.min_scalar_type(S - 1)``, the narrowest unsigned
+    dtype that holds every index in [0, S): uint8 up to S = 256, uint16 up to
+    the 65535 states a trajectory file can hold.
+    """
+
+    states: np.ndarray  # (T, H) np.min_scalar_type(S - 1), 0-based state indices
     seed: int
 
     def __post_init__(self):
@@ -194,7 +200,7 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     steps = [row_len >> k for k in range(1, row_len.bit_length())]  # P/2, ..., 1
     probes = [(step, flat[step - 1:]) for step in steps]
     ptr = (f * (S + 1) + S) * row_len
-    states = np.empty((T, H), dtype=np.int32)
+    states = np.empty((T, H), dtype=np.min_scalar_type(S - 1))
     Ut = np.empty((min(_CHUNK, H), T))  # one buffer of uniforms, step-major, refilled per chunk
     for h in range(0, H, _CHUNK):
         width = min(_CHUNK, H - h)
@@ -295,10 +301,10 @@ def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int, instance_i
     if trajs.states.size and (trajs.states.min() < 0 or trajs.states.max() >= S):
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
     path = Path(path)
-    states = trajs.states.astype(np.uint16) + 1
     with open(path, "wb") as fh:
         fh.write(struct.pack("<III", trajs.T, trajs.H, S))
-        fh.write(states.astype("<u2").tobytes(order="C"))
+        # one u16 copy of the states; the range check makes the cast exact
+        np.add(trajs.states, 1, dtype="<u2", casting="unsafe").tofile(fh)
     sidecar = {"seed": trajs.seed, "instance_id": instance_id, "index_base": 1}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
 
@@ -312,11 +318,11 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int, str]:
         if len(header) < 12:
             raise DimensionMismatch(f"{path} is shorter than its 12-byte header")
         T, H, S = struct.unpack("<III", header)
-        payload = fh.read()
-    if len(payload) != 2 * T * H:
-        raise DimensionMismatch(f"{path} holds {len(payload)} state bytes; "
-                                f"its header (T={T}, H={H}) needs {2 * T * H}")
-    states = np.frombuffer(payload, dtype="<u2").reshape(T, H)
+        size = os.fstat(fh.fileno()).st_size - 12
+        if size != 2 * T * H:
+            raise DimensionMismatch(f"{path} holds {size} state bytes; "
+                                    f"its header (T={T}, H={H}) needs {2 * T * H}")
+        raw = np.fromfile(fh, dtype="<u2", count=T * H).reshape(T, H)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     try:
         sidecar = read_object(sidecar_path, ("seed", "instance_id"))
@@ -324,6 +330,16 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int, str]:
         raise InputError(f"{sidecar_path} is missing: it holds the seed and index base "
                          f"of {path}") from exc
     where = str(sidecar_path)
-    states = np.subtract(states, field(sidecar, "index_base", integer, where, 1), dtype=np.int32)
+    base = field(sidecar, "index_base", integer, where, 1)
+    # checked before narrowing: in a narrow dtype a state below the base would
+    # wrap to the top of the dtype's range (a 0 in a 1-based file to 255 in
+    # uint8), where a count's own range check at S = 256 would not see it
+    if raw.size and (raw.min() < base or raw.max() >= base + S):
+        raise StateOutOfRange(f"{path}: state indices must lie in [{base}, {base + S - 1}] "
+                              f"(S={S}, index base {base})")
+    states = np.empty((T, H), dtype=np.min_scalar_type(S - 1))
+    # each difference lies in [0, S), so narrowing it is exact; the int64 loop
+    # takes a base of either sign
+    np.subtract(raw, base, out=states, dtype=np.int64, casting="unsafe")
     return (TrajectorySet(states=states, seed=field(sidecar, "seed", integer, where)), S,
             sidecar["instance_id"])

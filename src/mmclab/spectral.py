@@ -3,7 +3,7 @@
 The stage works on the smaller Gram matrix G of the T x S^2 data matrix
 (S^2 x S^2, or T x T when T < S^2), summed from blocks of the data matrix's
 rows, as the rows of X below are formed, so the data matrix is never held
-whole: a sweep point reads it straight from the int32 counts. Its working
+whole: a sweep point reads it straight from the integer counts. Its working
 rank R is the count of singular values at or above sigma_thres, the
 eigenvalues of G at or above sigma_thres^2; Sylvester's law of inertia gives
 that count exactly from one symmetric indefinite (Bunch-Kaufman)

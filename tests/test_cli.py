@@ -417,6 +417,20 @@ class TestPipeline:
         assert not (tmp_path / "bad.stage1.json").exists()
         assert not (tmp_path / "bad.stage2.json").exists()
 
+    @pytest.mark.parametrize("S", [256, 300])
+    def test_zero_in_a_one_based_file_exits_2(self, tmp_path, capsys, S):
+        # narrowed before its range check, the 0 would load as state 255 at
+        # S = 256 and be counted as that state without an error
+        path = tmp_path / "zero.traj.bin"
+        raw = np.array([[1, 0, S], [S, 1, 2]], dtype="<u2")
+        path.write_bytes(struct.pack("<III", 2, 3, S) + raw.tobytes())
+        Path(f"{path}.json").write_text(json.dumps({"seed": 0, "instance_id": "x",
+                                                    "index_base": 1}))
+        capsys.readouterr()
+        assert main(["cluster", str(path), "--gamma", "1.0", "--out", str(tmp_path)]) == 2
+        assert f"state indices must lie in [1, {S}]" in capsys.readouterr().err
+        assert not (tmp_path / "cluster.stage1.json").exists()
+
     def test_stage1_label_out_of_range_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "4", "--out", str(tmp_path)])
         traj = tmp_path / "sample.traj.bin"

@@ -87,11 +87,26 @@ class TestCountStats:
         with pytest.raises(DimensionMismatch):
             count_transitions(np.zeros(shape, dtype=np.int32), 2)
 
-    def test_counts_are_read_only_int32(self):
-        cs = count_transitions(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int32), 2)
-        assert cs.visits.dtype == cs.transitions.dtype == np.int32
-        for arr in (cs.visits, cs.transitions):
-            assert not arr.flags.writeable
+    def test_counts_are_read_only_and_narrow(self):
+        for H, dtype in [(3, np.uint8), (300, np.uint16)]:
+            states = np.random.default_rng(H).integers(0, 2, size=(2, H)).astype(np.int32)
+            cs = count_transitions(states, 2)
+            assert cs.visits.dtype == cs.transitions.dtype == np.min_scalar_type(H) == dtype
+            for arr in (cs.visits, cs.transitions):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("H, dtype", [(255, np.uint8), (256, np.uint16),
+                                          (65_535, np.uint16), (65_536, np.uint32)])
+    def test_count_dtype_holds_H_at_its_edges(self, H, dtype):
+        # a constant trajectory visits one state H times, the largest count
+        # there is; the second row alternates, so its counts are about H / 2
+        constant = np.broadcast_to(np.uint8(1), (1, H))
+        alternating = np.arange(H, dtype=np.uint8)[None, :] % 2
+        cs = count_transitions(np.vstack([constant, alternating]), 2)
+        assert cs.transitions.dtype == cs.visits.dtype == dtype
+        assert cs.visits.tolist() == [[0, H], [(H + 1) // 2, H // 2]]
+        assert cs.transitions.tolist() == [[[0, 0], [0, H - 1]],
+                                           [[0, H // 2], [(H - 1) // 2, 0]]]
 
     def test_horizon_beyond_int32_counts_rejected(self):
         # a zero-stride view: 2^31 + 1 states without allocating them; they are

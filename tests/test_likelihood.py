@@ -26,6 +26,7 @@ from mmclab import (
 )
 from mmclab.errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
                            ZeroProbabilityTransition)
+from mmclab.embedding import Counts
 from mmclab.likelihood import _POOL_ROWS, save_stage2
 from tests.conftest import gen_separation_instance, random_labels, random_models, reference_counts
 
@@ -262,6 +263,36 @@ class TestTrajectoryLoglik:
         scores = trajectory_loglik(counts_of(states, S), kernels)
         permuted = trajectory_loglik(counts_of(states[perm], S), kernels)
         assert permuted.tobytes() == scores[perm].tobytes()  # -inf cells included
+
+
+class TestNarrowCounts:
+    """``count_transitions`` holds counts in ``np.min_scalar_type(H)``; scores
+    read from them must be those of the same counts widened to int32."""
+
+    @staticmethod
+    def widened(counts):
+        return Counts(visits=counts.visits.astype(np.int32),
+                      transitions=counts.transitions.astype(np.int32), H=counts.H)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_scores_equal_int32_scores_bit_for_bit(self, case):
+        states, S, kernels, _ = case
+        counts = counts_of(states, S)
+        assert counts.transitions.dtype == np.min_scalar_type(counts.H)
+        scores = trajectory_loglik(counts, kernels)
+        # -inf cells included
+        assert scores.tobytes() == trajectory_loglik(self.widened(counts), kernels).tobytes()
+
+    @pytest.mark.parametrize("H", [255, 256, 65_535, 65_536])
+    def test_a_row_of_H_minus_1_dead_transitions_scores_neg_inf(self, H):
+        # a constant trajectory makes H - 1 transitions through one cell, the
+        # most one row can sum in the dtype; kernel 0 gives that cell zero
+        counts = count_transitions(np.zeros((1, H), dtype=np.uint8), 2)
+        kernels = np.array([[[0.0, 1.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]])
+        scores = trajectory_loglik(counts, kernels)
+        assert scores[0, 0] == -np.inf and scores[0, 1] == (H - 1) * math.log(0.5)
+        assert scores.tobytes() == trajectory_loglik(self.widened(counts), kernels).tobytes()
 
 
 class TestRefine:

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 from unittest import mock
 
 import numpy as np
@@ -181,6 +182,19 @@ class TestSampling:
         got = self.sample_with_constant_uniforms(monkeypatch, u, [0.25, 0.0, 0.25, 0.5])
         assert got == [expected, expected]
 
+    @pytest.mark.parametrize("S, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_states_take_the_narrowest_dtype_that_holds_S(self, S, dtype):
+        # every trajectory starts on the top state S - 1, which a dtype one
+        # size too narrow would wrap to 0
+        mu = np.zeros(S)
+        mu[-1] = 1.0
+        m = validate_model(np.full((S, S), 1.0 / S), mu)
+        inst = make_instance([m, m], [0.5, 0.5], 4, 30)
+        states = sample_trajectories(inst, 3).states
+        assert states.dtype == np.min_scalar_type(S - 1) == dtype
+        assert (states[:, 0] == S - 1).all()
+        assert np.array_equal(states, reference_sample_trajectories(inst, 3).states)
+
     def test_different_seeds_differ(self):
         inst = gen_separation_instance(1, T=12, H=40)
         assert not np.array_equal(sample_trajectories(inst, 1).states,
@@ -301,6 +315,45 @@ class TestPersistence:
         with pytest.raises(StateOutOfRange):
             save_trajectories(trajs, path, S, "x")
         assert not path.exists()
+
+    @pytest.mark.parametrize("S", [256, 257])
+    def test_narrow_states_write_the_bytes_of_int32_states(self, tmp_path, S):
+        states = np.array([[0, S - 1, 1], [S - 1, 0, S - 2]], dtype=np.min_scalar_type(S - 1))
+        narrow, wide = tmp_path / "narrow.traj.bin", tmp_path / "wide.traj.bin"
+        save_trajectories(TrajectorySet(states=states, seed=0), narrow, S, "x")
+        save_trajectories(TrajectorySet(states=states.astype(np.int32), seed=0), wide, S, "x")
+        assert narrow.read_bytes() == wide.read_bytes()
+        assert narrow.stat().st_size == 12 + 2 * states.size
+        again, _, _ = load_trajectories(narrow)
+        assert again.states.dtype == states.dtype and np.array_equal(again.states, states)
+
+    @staticmethod
+    def write_raw(path, raw, S, base):
+        """A trajectory file holding ``raw`` as its disk states, at index base ``base``."""
+        raw = np.asarray(raw, dtype="<u2")
+        path.write_bytes(struct.pack("<III", *raw.shape, S) + raw.tobytes())
+        sidecar = {"seed": 0, "instance_id": "x", "index_base": base}
+        path.with_suffix(".bin.json").write_text(json.dumps(sidecar))
+
+    @pytest.mark.parametrize("base", [0, 1])
+    @pytest.mark.parametrize("S", [4, 256, 257])
+    def test_load_narrows_states_at_either_index_base(self, tmp_path, S, base):
+        path = tmp_path / "t.traj.bin"
+        self.write_raw(path, [[base, base + S - 1, base + 1]], S, base)
+        trajs, _, _ = load_trajectories(path)
+        assert trajs.states.dtype == np.min_scalar_type(S - 1)
+        assert trajs.states.tolist() == [[0, S - 1, 1]]
+
+    @pytest.mark.parametrize("base, bad", [(1, 0), (0, "S"), (1, "S+1")])
+    @pytest.mark.parametrize("S", [4, 256, 257])
+    def test_load_range_checks_states_before_narrowing(self, tmp_path, S, base, bad):
+        # narrowed unchecked, a 0 in a 1-based file at S = 256 would load as
+        # 255 and a disk state one past the last as 0, both inside [0, S)
+        bad = {0: 0, "S": S, "S+1": S + 1}[bad]
+        path = tmp_path / "t.traj.bin"
+        self.write_raw(path, [[base, bad, base]], S, base)
+        with pytest.raises(StateOutOfRange, match=re.escape(f"[{base}, {base + S - 1}]")):
+            load_trajectories(path)
 
     @pytest.mark.parametrize("keep", [0, 5, 12, 12 + 2 * 7 * 13 - 1])
     def test_truncated_file_raises(self, tmp_path, keep):
