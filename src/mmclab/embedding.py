@@ -28,15 +28,10 @@ __all__ = [
     "build_matrices",
 ]
 
-# int64 flat-index entries a counting pass may hold: a pass takes at most
-# max(1, _BLOCK_ELEMENTS // (H - 1)) trajectories, so its index holds
-# O(max(_BLOCK_ELEMENTS, H)) entries whatever T is
-_BLOCK_ELEMENTS = 1 << 18
-# int64 bins a counting pass's bincount may return: 120 KiB, under 128 KiB,
-# the least size from which glibc gives a block a mapping of its own, so each
-# pass reuses heap memory instead of faulting in fresh pages; at S = 40,
-# H = 1000 that halved the counting time with the threshold held at 128 KiB
-_COUNT_BINS = 15 << 10
+# bytes a pass over per-trajectory counts may allocate: 120 KiB, under the 128 KiB
+# mmap threshold that ``cli`` pins, so every pass reuses heap memory instead of
+# faulting in a fresh mapping
+_PASS_BYTES = 120 << 10
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,8 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
     transitions = np.empty((T, S, S), dtype=np.min_scalar_type(H))
     # a pass's int64 flat index has H - 1 entries per trajectory and its int64
-    # bincount S * S; each stays within its budget, or one trajectory's worth
-    rows = max(1, min(_BLOCK_ELEMENTS // (H - 1), _COUNT_BINS // (S * S)))
+    # bincount S * S; the larger stays within _PASS_BYTES, or one trajectory's worth
+    rows = max(1, _PASS_BYTES // (8 * max(H - 1, S * S)))
     # the flat index (t, s, s') of every transition of a pass, built in place
     # in one int64 buffer that every pass reuses
     index = np.empty((min(rows, T), H - 1), dtype=np.int64)

@@ -18,14 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .chains import MarkovModel
-from .embedding import Counts
+from .embedding import _PASS_BYTES, Counts
 from .errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
                      ZeroProbabilityTransition)
 
 __all__ = ["TransitionEstimate", "Stage2Result", "pool_estimates",
            "trajectory_loglik", "refine", "oracle_classify", "save_stage2"]
-
-_POOL_ROWS = 256  # most trajectories whose counts one pooling step copies
 
 
 @dataclass(frozen=True)
@@ -73,13 +71,14 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
         raise EmptyCluster(f"cluster {empty} has no trajectories")
 
     # a cluster's rows are summed in pieces of the label-sorted order, each one
-    # run of equal labels cut every _POOL_ROWS rows, so no copy of a whole
-    # cluster's counts exists; integer sums are exact, so the kernels do not
+    # run of equal labels cut so that its copy of the counts fits _PASS_BYTES,
+    # or holds one trajectory; integer sums are exact, so the kernels do not
     # depend on the pooling order
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
+    step = max(1, _PASS_BYTES // counts.transitions[0].nbytes)
     cuts = np.union1d(np.flatnonzero(np.diff(sorted_labels)) + 1,
-                      np.arange(0, counts.T, _POOL_ROWS)).tolist()
+                      np.arange(0, counts.T, step)).tolist()
     trans = np.zeros((K, S, S), dtype=np.int64)
     for lo, hi in zip(cuts, cuts[1:] + [counts.T]):
         trans[sorted_labels[lo]] += counts.transitions[order[lo:hi]].sum(axis=0, dtype=np.int64)

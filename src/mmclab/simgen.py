@@ -58,6 +58,19 @@ class MixtureInstance:
     H: int
 
     def __post_init__(self):
+        if len(self.models) < 2:
+            raise DimensionMismatch("an instance needs K >= 2 models")
+        if any(m.S != self.S for m in self.models):
+            raise StateSpaceMismatch("all models must share the same state space")
+        if self.H < 2:
+            raise DimensionMismatch("H must be >= 2")
+        if self.T < 1:
+            raise DimensionMismatch("an instance needs T >= 1 trajectories")
+        if self.decoding.ndim != 1 or self.decoding.shape[0] != self.T:
+            raise DimensionMismatch("decoding length does not match T")
+        # named 1-based, as an instance file holds the decoding
+        if self.decoding.min() < 0 or self.decoding.max() >= self.K:
+            raise DimensionMismatch("decoding values outside [1, K]")
         self.decoding.setflags(write=False)
 
     @property
@@ -141,13 +154,6 @@ def make_instance(models: Sequence[MarkovModel], alpha: np.ndarray, T: int, H: i
     equivariant in t, which the tests check).
     """
     models = tuple(models)
-    if len(models) < 2:
-        raise DimensionMismatch("an instance needs K >= 2 models")
-    S = models[0].S
-    if any(m.S != S for m in models):
-        raise StateSpaceMismatch("all models must share the same state space")
-    if H < 2:
-        raise DimensionMismatch("H must be >= 2")
     sizes = cluster_sizes(np.asarray(alpha, dtype=np.float64), T)
     decoding = np.repeat(np.arange(len(models)), sizes)
     if shuffle:
@@ -271,14 +277,11 @@ def instance_from_json(doc: dict, where: str = "instance document") -> MixtureIn
     models = tuple(model_from_json(m, f"{where} models[{i}]")
                    for i, m in enumerate(field(doc, "models", list, where)))
     decoding = field(doc, "decoding", int_vector, where) - 1
-    instance = MixtureInstance(models=models, decoding=decoding,
-                               T=field(doc, "T", integer, where),
-                               H=field(doc, "H", integer, where))
-    if decoding.shape[0] != instance.T:
-        raise DimensionMismatch("decoding length does not match T")
-    if decoding.min() < 0 or decoding.max() >= instance.K:
-        raise DimensionMismatch("decoding values outside [1, K]")
-    return instance
+    T, H = field(doc, "T", integer, where), field(doc, "H", integer, where)
+    try:
+        return MixtureInstance(models=models, decoding=decoding, T=T, H=H)
+    except InputError as exc:  # keep the type, name the document
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def save_instance(instance: MixtureInstance, path: str | Path) -> None:
@@ -318,6 +321,8 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int, str]:
         if len(header) < 12:
             raise DimensionMismatch(f"{path} is shorter than its 12-byte header")
         T, H, S = struct.unpack("<III", header)
+        if S == 0:
+            raise DimensionMismatch(f"{path}: its header has S = 0 states")
         size = os.fstat(fh.fileno()).st_size - 12
         if size != 2 * T * H:
             raise DimensionMismatch(f"{path} holds {size} state bytes; "

@@ -43,10 +43,9 @@ __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "spectral_cluste
 
 _STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma_thres",
                 "forced_first_cluster")
-_ROW_BLOCK = 256  # rows of G mirrored, or of the peel's gains lowered, per pass, so that work stays O(T)
-# float64 bytes that one block of W-hat's rows, or the neighbour fill's two
-# distance buffers, may take: at the `wide` shape (S = 40, T = 4000) a block
-# is 163 rows of W-hat and 32 rows of the fill
+# bytes that one block of W-hat's rows, of G's rows mirrored, of the neighbour fill's two
+# distance buffers or of the peel's int64 gather index may take: at the `wide` shape
+# (S = 40, T = 4000) a block is 163 rows of W-hat or of G, and 32 rows of the fill
 _BLOCK_BYTES = 1 << 21
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
@@ -118,10 +117,11 @@ def _block_rows(row_bytes: int) -> int:
 
 def _mirror_lower(G: np.ndarray) -> None:
     """Copy the strict lower triangle of the C-ordered G into its upper
-    triangle, _ROW_BLOCK rows at a time, so no second n x n array exists."""
+    triangle a block of rows at a time, so no second n x n array exists."""
     n = G.shape[0]
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
+    step = _block_rows(8 * n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         G[lo:hi, hi:] = G[hi:, lo:hi].T
         square = G[lo:hi, lo:hi]
         upper = np.triu_indices(hi - lo, 1)
@@ -173,8 +173,8 @@ def _count_below(G: np.ndarray, shift: float) -> int:
     (alpha^2 - 1) d21^2 < 0 and it has exactly one negative eigenvalue
     (Bunch & Kaufman 1977). G.T is the same matrix F-ordered, so dsytrf
     factors it in place, in G's diagonal and upper triangle.
-    G is then rebuilt from its untouched strict lower triangle, _ROW_BLOCK
-    rows at a time, and a saved diagonal, so no second n x n array exists.
+    G is then rebuilt from its untouched strict lower triangle, by
+    ``_mirror_lower``, and a saved diagonal, so no second n x n array exists.
     """
     import scipy.linalg
 
@@ -301,12 +301,12 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         if forced:
             break
         # lower each uncarved row's gain by |Q_t & carve|, read from row t's own bits (Q need
-        # not be symmetric bit for bit) in only the carve's bytes, _ROW_BLOCK rows' worth a pass
+        # not be symmetric bit for bit) in only the carve's bytes, a block of rows a pass
         gains[carve] = -1
         cols = np.unique(np.flatnonzero(carve) >> 3)
         mask = np.packbits(carve)[cols]
         free = np.flatnonzero(gains >= 0)
-        step = _ROW_BLOCK * neighbors.shape[1] // cols.size
+        step = _block_rows(8 * cols.size)
         for lo in range(0, free.size, step):
             rows = free[lo:lo + step]
             carved_bytes = neighbors.take(rows[:, None] * neighbors.shape[1] + cols)

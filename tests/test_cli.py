@@ -431,6 +431,39 @@ class TestPipeline:
         assert f"state indices must lie in [1, {S}]" in capsys.readouterr().err
         assert not (tmp_path / "cluster.stage1.json").exists()
 
+    def test_trajectory_header_with_no_states_exits_2(self, tmp_path, capsys):
+        # T = 0 leaves no state for the range check to reject
+        path = tmp_path / "empty.traj.bin"
+        path.write_bytes(struct.pack("<III", 0, 3, 0))
+        Path(f"{path}.json").write_text(json.dumps({"seed": 0, "instance_id": "x",
+                                                    "index_base": 1}))
+        capsys.readouterr()
+        assert main(["cluster", str(path), "--gamma", "1.0", "--out", str(tmp_path)]) == 2
+        assert f"{path}: its header has S = 0 states" in capsys.readouterr().err
+        assert not (tmp_path / "cluster.stage1.json").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "gaps"])
+    @pytest.mark.parametrize("case, message", [
+        ("mixed-S", "all models must share the same state space"),
+        ("empty-decoding", "an instance needs T >= 1 trajectories"),
+        ("one-model", "an instance needs K >= 2 models"),
+        ("H-1", "H must be >= 2")], ids=["mixed-S", "empty-decoding", "one-model", "H-1"])
+    def test_malformed_instance_file_exits_2(self, tmp_path, instance_file, capsys, command,
+                                             case, message):
+        doc = json.loads(instance_file.read_text())
+        three_states = {"S": 3, "P": [[0.5, 0.25, 0.25]] * 3, "mu": [1, 0, 0]}
+        doc.update({"mixed-S": {"models": [doc["models"][0], three_states]},
+                    "empty-decoding": {"decoding": [], "T": 0},
+                    "one-model": {"models": doc["models"][:1], "decoding": [1] * doc["T"]},
+                    "H-1": {"H": 1}}[case])
+        path = tmp_path / "bad.instance.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        seed = ["--seed", "0"] if command == "sample" else []
+        assert main([command, str(path), *seed, "--out", str(tmp_path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, instance_file.name]
+
     def test_stage1_label_out_of_range_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "4", "--out", str(tmp_path)])
         traj = tmp_path / "sample.traj.bin"

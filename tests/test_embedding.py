@@ -16,7 +16,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab.embedding import _BLOCK_ELEMENTS
+from mmclab.embedding import _PASS_BYTES
 from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from tests.conftest import (
     gen_separation_instance,
@@ -118,9 +118,9 @@ class TestCountStats:
 
     @pytest.mark.parametrize("T", [255, 256, 257, 513])
     def test_block_edges_match_reference(self, T):
-        # at this H a counting pass takes 256 trajectories; these T end a
-        # block exactly, one short of it or one past it
-        S, H = 5, _BLOCK_ELEMENTS // 256 + 1
+        # at this H the budget holds the int64 index, H - 1 entries each, of 256
+        # trajectories; these T end a pass exactly, one short of it or one past it
+        S, H = 5, _PASS_BYTES // (8 * 256) + 1
         states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
         cs = count_transitions(states, S)
         for t in range(T):
@@ -133,8 +133,12 @@ class TestCountStats:
     def test_counts_do_not_depend_on_the_block_budget(self, monkeypatch, dtype, budget):
         T, H, S = 7, 40, 5
         states = np.random.default_rng(1).integers(0, S, size=(T, H)).astype(dtype)
-        budget = {"1": 1, "H-2": H - 2, "H-1": H - 1, "H": H, "3H+1": 3 * H + 1}[budget]
-        monkeypatch.setattr("mmclab.embedding._BLOCK_ELEMENTS", budget)
+        # one trajectory's pass index takes 8 (H - 1) bytes; the budget is a byte,
+        # those bytes less one, exactly or plus one (ids H-2, H-1 and H, after
+        # the index's H - 1 entries), or three trajectories' bytes
+        one = 8 * (H - 1)
+        budget = {"1": 1, "H-2": one - 1, "H-1": one, "H": one + 1, "3H+1": 3 * one}[budget]
+        monkeypatch.setattr("mmclab.embedding._PASS_BYTES", budget)
         cs = count_transitions(states, S)
         for t in range(T):
             visits, transitions = reference_counts(states[t], S)
@@ -152,10 +156,10 @@ class TestCountStats:
             tracemalloc.stop()
         assert peak < T * (H - 1) * 8
 
-    # the decay shape, where the whole int64 flat index would take 32 MB and
-    # a pass of 13 trajectories takes 2.1 MB; and one with many states, where
-    # a pass over all T would make a 24 MB int64 bincount, against 80 KB for
-    # a pass of one trajectory
+    # a pass allocates its int64 index and bincount within the budget, or within
+    # one trajectory's 8 (H - 1) or 8 S^2 bytes: at the decay shape, where the
+    # whole index would take 32 MB, a pass of one trajectory takes 160 KB; with
+    # many states a pass over all T would make a 24 MB bincount, against 80 KB
     @pytest.mark.parametrize("T, H, S, budgets", [(200, 20_000, 4, 2), (300, 3, 100, 5)])
     def test_pass_buffers_within_the_budget(self, T, H, S, budgets):
         states = np.random.default_rng(0).integers(0, S, size=(T, H)).astype(np.int64)
@@ -166,7 +170,7 @@ class TestCountStats:
         finally:
             tracemalloc.stop()
         kept = cs.visits.nbytes + cs.transitions.nbytes
-        assert peak - kept < budgets * _BLOCK_ELEMENTS * 8
+        assert peak - kept < budgets * max(_PASS_BYTES, 8 * (H - 1), 8 * S * S)
 
     @given(state_arrays())
     @settings(max_examples=100, deadline=None)

@@ -27,7 +27,7 @@ from mmclab import (
 from mmclab.errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
                            ZeroProbabilityTransition)
 from mmclab.embedding import Counts
-from mmclab.likelihood import _POOL_ROWS, save_stage2
+from mmclab.likelihood import save_stage2
 from tests.conftest import gen_separation_instance, random_labels, random_models, reference_counts
 
 
@@ -175,13 +175,16 @@ class TestPoolEstimates:
         assert np.array_equal(est.kernels, expected)
 
 
-    @pytest.mark.parametrize("T", [_POOL_ROWS - 1, _POOL_ROWS, _POOL_ROWS + 1,
-                                   3 * _POOL_ROWS + 7])
+    ROWS = 256
+
+    @pytest.mark.parametrize("T", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 7])
     @pytest.mark.parametrize("K", [1, 3, 200])
-    def test_pooling_pieces_match_whole_cluster_sums(self, T, K):
-        # the label-sorted order is cut every _POOL_ROWS rows and at every
-        # change of label; these T end a cut exactly, one short of it or past it
+    def test_pooling_pieces_match_whole_cluster_sums(self, monkeypatch, T, K):
+        # the label-sorted order is cut at every change of label and every
+        # _PASS_BYTES // (a trajectory's S^2 one-byte counts) rows, here every
+        # ROWS; these T end a cut exactly, one short of it or past it
         S = 4
+        monkeypatch.setattr("mmclab.likelihood._PASS_BYTES", (self.ROWS + 1) * S * S - 1)
         states = np.random.default_rng(T).integers(0, S, size=(T, 30)).astype(np.int32)
         counts = counts_of(states, S)
         labels = random_labels(np.random.default_rng(K), T, K)
@@ -200,6 +203,22 @@ class TestPoolEstimates:
         finally:
             tracemalloc.stop()
         assert peak < counts.transitions.nbytes / 4
+
+    def test_pooling_step_within_the_pass_budget(self):
+        # the `wide` shape, whose one cluster's uint16 counts take 12.8 MB: a
+        # step within _PASS_BYTES copies 38 trajectories' counts, 122 KB
+        T, S = 4_000, 40
+        states = np.random.default_rng(0).integers(0, S, size=(T, 1_000), dtype=np.uint8)
+        counts = count_transitions(states, S)
+        labels = np.zeros(T, dtype=np.int64)
+        pool_estimates(counts, labels, 1, 0.5)  # its first call imports numpy.ma (np.union1d)
+        tracemalloc.start()
+        try:
+            pool_estimates(counts, labels, 1, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10
 
 
 class TestTrajectoryLoglik:

@@ -415,7 +415,7 @@ class TestSpectralCluster:
         ("square", 601, 0.008, 1e-9),
         ("lattice", 601, lattice_c_sigma(601, 2.5), 1e-9),
     ])
-    def test_gram_route_matches_svd_reference(self, kind, T, c_sigma, c_rho):
+    def test_gram_route_matches_svd_reference(self, monkeypatch, kind, T, c_sigma, c_rho):
         # T = 500 < S^2 = 1600 takes the T x T Gram matrix, every other case
         # the S^2 x S^2 one; separation at T = 2000 collapses to K_hat = 1, and
         # the analysis constants force the first carve; the square's radius of
@@ -423,8 +423,18 @@ class TestSpectralCluster:
         # must count only uncarved neighbours; so do the lattice's radius of
         # sqrt(2.5), and its ties between equal gains
         W_hat, gamma = equivalence_case(kind, T)
-        assert_matches_svd_reference(W_hat, SpectralConfig(delta=0.1, gamma_ps=gamma,
-                                                           c_sigma=c_sigma, c_rho=c_rho))
+        cfg = SpectralConfig(delta=0.1, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
+        res = assert_matches_svd_reference(W_hat, cfg)
+        # a 1-byte budget takes one row per block: of W-hat, of G mirrored, of
+        # the neighbour fill and of each peel pass
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1)
+        row_by_row = spectral_cluster(W_hat, cfg)
+        assert (row_by_row.K_hat, row_by_row.R_hat, row_by_row.forced_first_cluster) == \
+            (res.K_hat, res.R_hat, res.forced_first_cluster)
+        assert np.array_equal(row_by_row.labels, res.labels)
+        assert np.array_equal(row_by_row.centers, res.centers)
+        np.testing.assert_allclose(row_by_row.singular_values, res.singular_values,
+                                   rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("S_prime", [1, 4], ids=["column-gram", "row-gram"])
     @pytest.mark.parametrize("T", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
