@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import simgen
 from .embedding import Counts, build_matrices, count_transitions, empirical_matrix
-from .errors import InputError, InvalidRange, InvalidSpec, NumericalError
+from .errors import DimensionMismatch, InputError, InvalidRange, InvalidSpec, NumericalError
 from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, number,
                       read_object, require_keys)
 from .likelihood import oracle_classify, refine, save_stage2
@@ -79,6 +79,8 @@ def _build_instances(spec: dict, where: str, shapes) -> list[simgen.MixtureInsta
     are generated and validated once, and its ``alpha``, ``shuffle`` and
     ``shuffle_seed``. ``where`` names the spec in the errors of its fields."""
     models = _models_from_spec(spec, where)
+    if len(models) < 2:  # MixtureInstance's check, made before the default alpha divides by K
+        raise DimensionMismatch(f"{where}: an instance needs K >= 2 models")
     alpha = field(spec, "alpha", float_list, where, None) or [1.0 / len(models)] * len(models)
     if len(alpha) != len(models):
         raise InvalidSpec(f"{where}: field 'alpha' needs {len(models)} entries, one per model")

@@ -68,18 +68,21 @@ class DataMatrix:
     The stack itself is not stored: the matrix keeps only what its rows are
     made from (the counts, or the models and the decoding) and
     ``rows(lo, hi)`` builds rows lo..hi-1 on demand, so a caller that reads
-    it in row blocks never holds a T x S^2 float array. ``values`` builds
+    it in row blocks never holds a T x S^2 float array; one that passes the
+    same ``out`` to every block allocates no block either. ``values`` builds
     the whole stack.
     """
 
     T: int
     S: int
     H: int
-    build: Callable[[slice], np.ndarray] = field(repr=False)
+    build: Callable[[slice, np.ndarray | None], np.ndarray] = field(repr=False)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..min(hi, T)-1 as a (rows, S^2) float64 array."""
-        return self.build(slice(lo, hi))
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows lo..min(hi, T)-1 as a (rows, S^2) float64 array: a new one, or,
+        given a C-ordered float64 ``out`` with at least that many rows, its
+        leading rows, written in place."""
+        return self.build(slice(lo, hi), out)
 
     @property
     def values(self) -> np.ndarray:
@@ -134,12 +137,17 @@ def empirical_matrix(counts: Counts) -> DataMatrix:
     outgoing transition), exactly as the population embedding's weight does
     in the limit.
     """
-    def build(rows: slice) -> np.ndarray:
+    S = counts.S
+
+    def build(rows: slice, out: np.ndarray | None) -> np.ndarray:
         transitions = counts.transitions[rows]
-        denom = np.sqrt(counts.H * counts.visits[rows].astype(np.float64))[:, :, None]
-        out = np.zeros(transitions.shape, dtype=np.float64)
-        np.divide(transitions, denom, out=out, where=denom > 0)
-        return out.reshape(transitions.shape[0], -1)
+        n = transitions.shape[0]
+        out = np.empty((n, S * S)) if out is None else out[:n]
+        denom = np.sqrt(counts.H * counts.visits[rows].astype(np.float64))
+        # a state never visited has no transitions either: 0 / 1 is the row's +0.0
+        denom[denom == 0.0] = 1.0
+        np.divide(transitions, denom[:, :, None], out=out.reshape(n, S, S))
+        return out
 
     return DataMatrix(T=counts.T, S=counts.S, H=counts.H, build=build)
 
@@ -151,8 +159,9 @@ def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatri
         raise DimensionMismatch("trajectory counts do not match the instance shape")
     model_rows = np.stack([embed_model(m) for m in instance.models])
 
-    def build(rows: slice) -> np.ndarray:
-        return model_rows[instance.decoding[rows]]
+    def build(rows: slice, out: np.ndarray | None) -> np.ndarray:
+        decoding = instance.decoding[rows]
+        return model_rows.take(decoding, axis=0, out=None if out is None else out[:len(decoding)])
 
     W = DataMatrix(T=instance.T, S=instance.S, H=instance.H, build=build)
     return W, empirical_matrix(counts)

@@ -86,8 +86,11 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
 
     denom = sources + lam * S
     undefined = denom == 0.0
-    kernels = np.zeros((K, S, S), dtype=np.float64)
-    np.divide(trans + lam, denom[:, :, None], out=kernels, where=~undefined[:, :, None])
+    # the kernels are divided in place from trans + lam, so no third (K, S, S)
+    # array exists; an undefined row is lam = 0 and no counts, 0 / 1 = +0.0
+    kernels = np.add(trans, lam, dtype=np.float64)
+    denom[undefined] = 1.0
+    kernels /= denom[:, :, None]
     return TransitionEstimate(kernels=kernels, undefined_rows=undefined)
 
 

@@ -3,7 +3,8 @@
 The stage works on the smaller Gram matrix G of the T x S^2 data matrix
 (S^2 x S^2, or T x T when T < S^2), summed from blocks of the data matrix's
 rows, as the rows of X below are formed, so the data matrix is never held
-whole: a sweep point reads it straight from the integer counts. Its working
+whole: a sweep point reads it straight from the integer counts, each pass
+into one block buffer that it reuses. Its working
 rank R is the count of singular values at or above sigma_thres, the
 eigenvalues of G at or above sigma_thres^2; Sylvester's law of inertia gives
 that count exactly from one symmetric indefinite (Bunch-Kaufman)
@@ -14,8 +15,9 @@ and the rest of the spectrum is never computed. The stage builds the
 spectral representation X = U_{1:R} Sigma_{1:R} (up to the sign of each
 column) from the top R eigenvectors, and greedily peels maximal
 neighborhoods of squared radius sigma_thres^2 until a carve falls below the
-size guard c_rho * R * T / log(TH/delta). Leftover trajectories attach to
-the nearest carved center.
+size guard c_rho * R * T / log(TH/delta). The neighborhoods are held as
+packed bits, and every gain is a popcount of those bytes. Leftover
+trajectories attach to the nearest carved center.
 
 scipy, whose BLAS and LAPACK wrappers and ARPACK do the Gram sum, the
 factorization and the eigenproblems, is imported by the functions that call
@@ -45,9 +47,10 @@ _STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma
                 "forced_first_cluster")
 # bytes that one block of W-hat's rows, of G's rows mirrored, of the neighbour fill's two
 # distance buffers or of the peel's int64 gather index may take: at the `wide` shape
-# (S = 40, T = 4000) a block is 163 rows of W-hat or of G, and 32 rows of the fill
+# (S = 40, T = 4000) a block is 163 rows of W-hat or of G, and 32 rows of the fill. Each
+# pass over W-hat reads its blocks into one buffer of this size (the row Gram into two),
+# and the fill reuses its buffers, so a pass maps no fresh memory per block
 _BLOCK_BYTES = 1 << 21
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
 
 @dataclass(frozen=True)
@@ -135,29 +138,34 @@ def _gram(W_hat: DataMatrix, of_columns: bool) -> np.ndarray:
     The column Gram accumulates in place in G's lower triangle, one BLAS
     dsyrk call per block with beta = 1, so no block leaves a temporary the
     size of G; the row Gram fills its lower triangle a pair of row blocks at
-    a time. Either triangle is then mirrored. When W-hat fits one block, G is
-    numpy's A^T A or A A^T bit for bit; over several blocks it can differ
-    from that in the last bits.
+    a time. Either triangle is then mirrored. The blocks are read into one
+    buffer, and the row Gram's left blocks into a second, so no pass maps
+    fresh memory per block. When W-hat fits one block, G is numpy's A^T A or
+    A A^T bit for bit; over several blocks it can differ from that in the
+    last bits.
     """
     import scipy.linalg
 
     T, width = W_hat.T, W_hat.S * W_hat.S
     step = _block_rows(8 * width)
+    buffer = np.empty((min(step, T), width))
     if of_columns:
         G = np.zeros((width, width))
         for lo in range(0, T, step):
             # G.T is G F-ordered, so dsyrk's upper triangle of it is G's lower
             # one; the call returns that same memory, which nothing keeps
-            scipy.linalg.blas.dsyrk(1.0, W_hat.rows(lo, lo + step).T, beta=1.0, c=G.T,
+            scipy.linalg.blas.dsyrk(1.0, W_hat.rows(lo, lo + step, buffer).T, beta=1.0, c=G.T,
                                     lower=0, overwrite_c=1)
     else:
         G = np.empty((T, T))
+        left_buffer = np.empty_like(buffer)
         for lo in range(0, T, step):
-            block = W_hat.rows(lo, lo + step)
+            block = W_hat.rows(lo, lo + step, buffer)
             hi = lo + block.shape[0]
             np.matmul(block, block.T, out=G[lo:hi, lo:hi])
             for left in range(0, lo, step):
-                np.matmul(block, W_hat.rows(left, left + step).T, out=G[lo:hi, left:left + step])
+                np.matmul(block, W_hat.rows(left, left + step, left_buffer).T,
+                          out=G[lo:hi, left:left + step])
     _mirror_lower(G)
     return G
 
@@ -251,8 +259,9 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     if gram_of_columns:
         X = np.empty((T, R_hat))
         step = _block_rows(8 * S * S)
+        buffer = np.empty((min(step, T), S * S))
         for lo in range(0, T, step):
-            np.matmul(W_hat.rows(lo, lo + step), V, out=X[lo:lo + step])
+            np.matmul(W_hat.rows(lo, lo + step, buffer), V, out=X[lo:lo + step])
     else:
         X = V * sv[:R_hat]
 
@@ -273,14 +282,19 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         n = min(step, T - lo)
         dist_n, dots_n = dist[:n], dots[:n]
         np.add(sq_norms[rows, None], sq_norms[None, :], out=dist_n)
-        np.matmul(X[rows], X.T, out=dots_n)
+        if R_hat == 1:
+            # numpy's matmul skips BLAS for an inner size of 1; each dot product
+            # is one correctly rounded product either way
+            np.multiply(X[rows], X[:, 0], out=dots_n)
+        else:
+            np.matmul(X[rows], X.T, out=dots_n)
         dots_n *= 2.0
         dist_n -= dots_n
         block = np.less_equal(dist_n, r2, out=within[:n])
         own = np.arange(n)
         block[own, lo + own] = True
-        gains[rows] = np.count_nonzero(block, axis=1)
         neighbors[rows] = np.packbits(block, axis=1)
+        gains[rows] = np.bitwise_count(neighbors[rows]).sum(axis=1, dtype=np.int64)
 
     # gains[t] = |Q_t minus the carved set| for every uncarved t, and -1 for
     # carved t (centers come from the uncarved pool)
@@ -310,7 +324,7 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         for lo in range(0, free.size, step):
             rows = free[lo:lo + step]
             carved_bytes = neighbors.take(rows[:, None] * neighbors.shape[1] + cols)
-            gains[rows] -= _POPCOUNT[carved_bytes & mask].sum(axis=1, dtype=np.int64)
+            gains[rows] -= np.bitwise_count(carved_bytes & mask).sum(axis=1, dtype=np.int64)
 
     center_arr = np.asarray(centers, dtype=np.int64)
     leftover = np.flatnonzero(labels < 0)

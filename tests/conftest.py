@@ -30,12 +30,21 @@ def gen_separation_instance(S_prime, T=2, H=2, alpha=(0.5, 0.5)):
 
 def matrix_from_values(values, S, H):
     """The data matrix whose rows are the given (T, S^2) array, read through a
-    read-only view of it."""
+    read-only view of it, or copied into the leading rows of ``out``."""
     values = np.asarray(values, dtype=np.float64).view()
     if values.ndim != 2 or values.shape[1] != S * S:
         raise DimensionMismatch(f"values must be a (T, {S * S}) array; got {values.shape}")
     values.setflags(write=False)
-    return DataMatrix(T=values.shape[0], S=S, H=H, build=values.__getitem__)
+
+    def build(rows, out):
+        block = values[rows]
+        if out is None:
+            return block
+        out = out[:block.shape[0]]
+        out[...] = block
+        return out
+
+    return DataMatrix(T=values.shape[0], S=S, H=H, build=build)
 
 
 def random_labels(rng, T, K):

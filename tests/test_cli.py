@@ -140,6 +140,17 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "K" in err and "floor" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "inline", "models": []},
+        {"type": "random", "S": 5, "K": 0, "floor": 0.02, "seed": 7},
+    ], ids=["inline-no-models", "random-K-0"])
+    def test_spec_without_models_exits_2(self, tmp_path, capsys, spec):
+        # the default alpha, 1/K per model, must not be formed before K is checked
+        rc = main(["generate", json.dumps({**spec, "T": 10, "H": 10}), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "generator spec: an instance needs K >= 2 models" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_non_object_spec_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "spec.json"

@@ -315,6 +315,23 @@ class TestDataMatrices:
         model_rows = np.stack([embed_model(m) for m in inst.models])
         assert np.array_equal(W.rows(1_000, 1_010), model_rows[inst.decoding[1_000:1_010]])
         assert np.array_equal(W_hat.rows(T - 3, T + 5), W_hat.values[T - 3:])
+        # at H = S most states go unvisited, and their coordinates are +0.0
+        visits = counts.visits[1_000:1_010]
+        assert (visits == 0).any()
+        expected = np.zeros((10, S, S))
+        np.divide(counts.transitions[1_000:1_010], np.sqrt(H * visits.astype(float))[:, :, None],
+                  out=expected, where=visits[:, :, None] > 0)
+        assert W_hat.rows(1_000, 1_010).tobytes() == expected.tobytes()
+        # rows read into the leading rows of a larger buffer are written in place,
+        # are the fresh rows bit for bit, and leave the spare rows alone
+        values = matrix_from_values(W_hat.rows(0, 40), S, H)
+        for matrix, lo in ((W, 1_000), (W_hat, 1_000), (W_hat, T - 3), (values, 35)):
+            fresh = matrix.rows(lo, lo + 10)
+            out = np.full((12, S * S), np.nan)
+            block = matrix.rows(lo, lo + 10, out)
+            assert np.shares_memory(block, out)
+            assert block.tobytes() == fresh.tobytes()
+            assert np.isnan(out[block.shape[0]:]).all()
 
     def test_values_must_have_S_squared_columns(self):
         with pytest.raises(DimensionMismatch):

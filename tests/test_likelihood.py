@@ -220,6 +220,22 @@ class TestPoolEstimates:
             tracemalloc.stop()
         assert peak < 512 << 10
 
+    def test_pooling_holds_two_kernel_sized_arrays(self):
+        # the pooled int64 counts and the kernels, divided in place; a float
+        # temporary of trans + lam would make it three
+        K, S = 500, 40
+        states = np.random.default_rng(0).integers(0, S, size=(2 * K, 50), dtype=np.uint8)
+        counts = count_transitions(states, S)
+        labels = np.arange(2 * K) % K
+        pool_estimates(counts, labels, K, 0.5)  # its first call imports numpy.ma (np.union1d)
+        tracemalloc.start()
+        try:
+            pool_estimates(counts, labels, K, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * K * S * S * 8
+
 
 class TestTrajectoryLoglik:
     def test_hand_example(self):

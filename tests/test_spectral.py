@@ -20,7 +20,7 @@ from mmclab import (
     spectral_cluster,
     SpectralConfig,
 )
-from mmclab.embedding import embed_model
+from mmclab.embedding import DataMatrix, embed_model
 from mmclab.errors import EmptyInput, NonpositiveLogArgument, SvdFailure
 from mmclab import spectral
 from mmclab.spectral import Stage1Result, save_stage1, load_stage1
@@ -105,13 +105,15 @@ def equivalence_case(kind, T):
     """(W-hat, gamma_ps) of the separation instance (S'=2, H=2000), of the
     random S=40, K=8, H=1000 instance of the `wide` benchmark shape, seed 0,
     of T uniform points in the unit square (S=2, H=100), or of T points of
-    the integer cube {0..5}^3 (S=2, H=100)."""
+    the integer cube {0..5}^3 or of the integer line {0..29} (S=2, H=100)."""
     if kind == "square":
         values = np.zeros((T, 4))
         values[:, :2] = np.random.default_rng(0).random((T, 2))
         return matrix_from_values(values, S=2, H=100), 1.0
     if kind == "lattice":
         return lattice_matrix(np.random.default_rng(0).integers(0, 6, (T, 3))), 1.0
+    if kind == "line":
+        return lattice_matrix(np.random.default_rng(0).integers(0, 30, (T, 1))), 1.0
     if kind == "separation":
         inst = gen_separation_instance(2, T=T, H=2_000)
     else:
@@ -414,6 +416,7 @@ class TestSpectralCluster:
         ("random", 2_000, 0.02, 0.2),
         ("square", 601, 0.008, 1e-9),
         ("lattice", 601, lattice_c_sigma(601, 2.5), 1e-9),
+        ("line", 601, lattice_c_sigma(601, 2.5), 1e-9),
     ])
     def test_gram_route_matches_svd_reference(self, monkeypatch, kind, T, c_sigma, c_rho):
         # T = 500 < S^2 = 1600 takes the T x T Gram matrix, every other case
@@ -421,7 +424,8 @@ class TestSpectralCluster:
         # the analysis constants force the first carve; the square's radius of
         # about 0.1 and near-zero guard make dozens of carves, each of which
         # must count only uncarved neighbours; so do the lattice's radius of
-        # sqrt(2.5), and its ties between equal gains
+        # sqrt(2.5), and its ties between equal gains, and on the line they
+        # do so at R_hat = 1, where the fill's product has an inner size of 1
         W_hat, gamma = equivalence_case(kind, T)
         cfg = SpectralConfig(delta=0.1, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
         res = assert_matches_svd_reference(W_hat, cfg)
@@ -435,6 +439,27 @@ class TestSpectralCluster:
         assert np.array_equal(row_by_row.centers, res.centers)
         np.testing.assert_allclose(row_by_row.singular_values, res.singular_values,
                                    rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("S_prime", [1, 4], ids=["column-gram", "row-gram"])
+    def test_passes_read_w_hat_into_reused_buffers(self, monkeypatch, S_prime):
+        # every block of W-hat is read into a buffer the pass allocated once:
+        # the column Gram's and X's one each, the row Gram's two
+        S = 2 * S_prime
+        inst = gen_separation_instance(S_prime, T=3 * BLOCK + 7, H=2_000)
+        W_hat = empirical_matrix(count_transitions(sample_trajectories(inst, 0).states, S))
+        outs = []
+
+        def build(rows, out):
+            outs.append(out)
+            return W_hat.build(rows, out)
+
+        recorded = DataMatrix(T=W_hat.T, S=S, H=W_hat.H, build=build)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
+        spectral_cluster(recorded, SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15,
+                                                  c_rho=2.0))
+        assert len(outs) > 4  # four blocks a pass
+        assert all(out is not None for out in outs)
+        assert len({id(out) for out in outs}) <= 2
 
     @pytest.mark.parametrize("S_prime", [1, 4], ids=["column-gram", "row-gram"])
     @pytest.mark.parametrize("T", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
