@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import memory
 from .errors import (
     DimensionMismatch,
     EigenFailure,
@@ -38,10 +39,6 @@ MIXING_T_MAX = 100_000  # steps after which mixing_time gives up
 # in [0, 1], and rounding takes eigvalsh's lambda_2 about S * 1e-16 below 0 at
 # most: term k of the pseudo-spectral gap is at most (1 + GAP_TERM_MARGIN)/k
 GAP_TERM_MARGIN = 1e-9
-# matrix elements in one stacked eigensolve of the gap terms: 8 MB, and as
-# much again for the products, where all k at once would take
-# 2 k_max S^2 doubles (8 GB at k_max = 200 for a doublet chain of S = 40)
-_BATCH_ELEMENTS = 1 << 20
 
 __all__ = [
     "MarkovModel",
@@ -185,11 +182,12 @@ def _conjugate(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 def _terms(B: np.ndarray, Bk: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The gap terms for k = k_lo..k_hi, given Bk = B^(k_lo - 1); returns them
-    with B^k_hi. Each eigensolve takes a stack of (B^k)^T B^k within
-    _BATCH_ELEMENTS, so every k of a chain with S^2 (k_hi - k_lo + 1) up to
-    that budget goes through one call."""
+    with B^k_hi. Each eigensolve takes a stack of (B^k)^T B^k within the
+    block budget, not all k at once (8 GB at k_max = 200 for a doublet chain
+    of S = 40)."""
     terms = np.empty(k_hi - k_lo + 1)
-    stack = np.empty((min(len(terms), max(1, _BATCH_ELEMENTS // B.size)), *B.shape))
+    batch = memory.rows_within(memory.BLOCK_BYTES, B.nbytes)
+    stack = np.empty((min(len(terms), batch), *B.shape))
     for lo in range(0, len(terms), len(stack)):
         n = min(len(stack), len(terms) - lo)
         for i in range(n):

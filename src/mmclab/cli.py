@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import csv
 import io
 import json
@@ -19,7 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import simgen
+from . import memory, simgen
 from .embedding import Counts, build_matrices, count_transitions, empirical_matrix
 from .errors import DimensionMismatch, InputError, InvalidRange, InvalidSpec, NumericalError
 from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, number,
@@ -293,7 +292,7 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
               for instance in instances
               for stage1_cfg in stage1_cfgs for lam in lams for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_mmap_threshold) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=memory.pin_mmap_threshold) as pool:
             results = list(pool.map(_sweep_point, points))
     else:
         results = [_sweep_point(p) for p in points]
@@ -358,8 +357,9 @@ def cmd_report(args) -> int:
         frac_o = [r["e_t_oracle"] / T for r in grp]
         n = len(grp)
         ci = 1.96 * (statistics.pstdev(frac2) / math.sqrt(n)) if n > 1 else 0.0
-        envelope = predicted_error_rate(T, key[1], grp[0]["gamma_ps"], grp[0]["D_pi"],
-                                        args.c_eta)
+        D_pi = grp[0]["D_pi"]  # +inf where chains differ in support: the envelope's limit is 0
+        envelope = 0.0 if D_pi == math.inf else predicted_error_rate(
+            T, key[1], grp[0]["gamma_ps"], D_pi, args.c_eta)
         lines.append(",".join(_fmt(x) for x in [
             key[0], key[1], key[2], key[3], n,
             statistics.fmean(frac1), statistics.fmean(frac2), statistics.fmean(frac_o),
@@ -449,30 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_M_MMAP_THRESHOLD = -3       # glibc's mallopt parameter number
-_MMAP_THRESHOLD = 128 * 1024  # glibc's initial value, held from here on
-
-
-def _pin_mmap_threshold() -> None:
-    """Hold glibc's mmap threshold at 128 KiB.
-
-    glibc raises the threshold to the size of each large block it frees (up
-    to 32 MiB), so after one sweep point every array below that size comes
-    from the heap, and whether the heap shrinks again depends on which small
-    object ends up at its top: a ``wide`` point's peak RSS read either 222 or
-    244 MB from run to run. A fixed threshold keeps every array of 128 KiB or
-    more in a mapping of its own, returned to the system when freed, so the
-    peak is the same on every point. Other C libraries are left as they are.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no C library, or one without mallopt
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-
-
 def main(argv=None) -> int:
-    _pin_mmap_threshold()
+    memory.pin_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

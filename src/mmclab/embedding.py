@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import memory
 from .chains import MarkovModel
 from .errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from .simgen import MixtureInstance
@@ -27,12 +28,6 @@ __all__ = [
     "empirical_matrix",
     "build_matrices",
 ]
-
-# bytes a pass over per-trajectory counts may allocate: 120 KiB, under the 128 KiB
-# mmap threshold that ``cli`` pins, so every pass reuses heap memory instead of
-# faulting in a fresh mapping
-_PASS_BYTES = 120 << 10
-
 
 @dataclass(frozen=True)
 class Counts:
@@ -104,8 +99,8 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
         raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
     transitions = np.empty((T, S, S), dtype=np.min_scalar_type(H))
     # a pass's int64 flat index has H - 1 entries per trajectory and its int64
-    # bincount S * S; the larger stays within _PASS_BYTES, or one trajectory's worth
-    rows = max(1, _PASS_BYTES // (8 * max(H - 1, S * S)))
+    # bincount S * S; the larger stays within the pass budget, or one trajectory's worth
+    rows = memory.rows_within(memory.PASS_BYTES, 8 * max(H - 1, S * S))
     # the flat index (t, s, s') of every transition of a pass, built in place
     # in one int64 buffer that every pass reuses
     index = np.empty((min(rows, T), H - 1), dtype=np.int64)

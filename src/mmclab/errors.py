@@ -17,7 +17,7 @@ class NumericalError(MMCLabError):
     """A numerical routine failed to produce a usable result (CLI exit code 3)."""
 
 
-# --- chain validation ---
+# --- chain validation and eigensolves (stage 1's included) ---
 
 class DimensionMismatch(InputError):
     pass
@@ -62,10 +62,6 @@ class StateOutOfRange(InputError):
 
 
 # --- spectral stage ---
-
-class SvdFailure(NumericalError):
-    pass
-
 
 class EmptyInput(InputError):
     pass

@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import memory
 from .chains import MarkovModel
-from .embedding import _PASS_BYTES, Counts
+from .embedding import Counts
 from .errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
                      ZeroProbabilityTransition)
 
@@ -71,12 +72,12 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
         raise EmptyCluster(f"cluster {empty} has no trajectories")
 
     # a cluster's rows are summed in pieces of the label-sorted order, each one
-    # run of equal labels cut so that its copy of the counts fits _PASS_BYTES,
+    # run of equal labels cut so that its copy of the counts fits the pass budget,
     # or holds one trajectory; integer sums are exact, so the kernels do not
     # depend on the pooling order
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
-    step = max(1, _PASS_BYTES // counts.transitions[0].nbytes)
+    step = memory.rows_within(memory.PASS_BYTES, counts.transitions[0].nbytes)
     cuts = np.union1d(np.flatnonzero(np.diff(sorted_labels)) + 1,
                       np.arange(0, counts.T, step)).tolist()
     trans = np.zeros((K, S, S), dtype=np.int64)
@@ -139,16 +140,16 @@ def refine(counts: Counts, labels_f0: np.ndarray, K: int, lam: float) -> Stage2R
 def oracle_classify(counts: Counts, models: Sequence[MarkovModel]) -> np.ndarray:
     """Known-kernel maximum-likelihood labels (reference classifier).
 
-    Scores sum log p_k(s_{h+1}|s_h) over transitions. Raises if any model
-    assigns probability zero to an observed transition; ties break to the
-    lowest model index.
+    Scores sum log p_k(s_{h+1}|s_h) over transitions. Raises only for a
+    trajectory that every model scores -inf, so chains may differ in support;
+    ties break to the lowest model index.
     """
     if any(m.S != counts.S for m in models):
         raise StateSpaceMismatch(f"every model must have the counts' S={counts.S}")
     scores = trajectory_loglik(counts, np.stack([m.P for m in models]))
-    if np.isneginf(scores).any():
+    if np.isneginf(scores).all(axis=1).any():
         raise ZeroProbabilityTransition(
-            "a model assigns probability 0 to an observed transition")
+            "every model assigns probability 0 to a transition of one trajectory")
     return np.argmax(scores, axis=1).astype(np.int64)
 
 

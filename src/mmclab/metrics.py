@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import memory
 from .chains import MarkovModel, pi_min as chains_pi_min, v_min as chains_v_min
 from .embedding import embed_model
 from .errors import InvalidRange, LengthMismatch, StateSpaceMismatch
@@ -40,9 +41,6 @@ __all__ = [
     "predicted_error_rate",
     "c_eta_explicit",
 ]
-
-_ACC_BLOCK = 4096  # fixed-point steps added per np.add.accumulate pass
-
 
 # --- misclassification metric -------------------------------------------
 
@@ -196,11 +194,12 @@ def visitation_weights(model: MarkovModel, H: int) -> np.ndarray:
         acc = nxt
     if steps:
         # row 0 holds the running total and rows 1.. the fixed acc
-        rows = np.empty((min(steps, _ACC_BLOCK) + 1, model.S))
+        block = memory.rows_within(memory.BLOCK_BYTES, acc.nbytes)
+        rows = np.empty((min(steps, block) + 1, model.S))
         rows[1:] = acc
         sums = np.empty_like(rows)
         while steps:
-            n = min(steps, _ACC_BLOCK)
+            n = min(steps, block)
             rows[0] = total
             np.add.accumulate(rows[:n + 1], axis=0, out=sums[:n + 1])
             total = sums[n].copy()

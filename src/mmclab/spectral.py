@@ -36,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import memory
 from .embedding import DataMatrix
-from .errors import EmptyInput, InvalidRange, NonpositiveLogArgument, SvdFailure
+from .errors import EigenFailure, EmptyInput, InvalidRange, NonpositiveLogArgument
 from .jsondoc import boolean, field, float_array, int_vector, integer, number, read_object
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "spectral_cluster",
@@ -45,12 +46,6 @@ __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "spectral_cluste
 
 _STAGE1_KEYS = ("K_hat", "labels", "centers", "R_hat", "singular_values", "sigma_thres",
                 "forced_first_cluster")
-# bytes that one block of W-hat's rows, of G's rows mirrored, of the neighbour fill's two
-# distance buffers or of the peel's int64 gather index may take: at the `wide` shape
-# (S = 40, T = 4000) a block is 163 rows of W-hat or of G, and 32 rows of the fill. Each
-# pass over W-hat reads its blocks into one buffer of this size (the row Gram into two),
-# and the fill reuses its buffers, so a pass maps no fresh memory per block
-_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -112,17 +107,11 @@ def sigma_threshold(T: int, S: int, H: int, cfg: SpectralConfig) -> float:
     return cfg.c_sigma * math.sqrt(float(ratio) * log_term)
 
 
-def _block_rows(row_bytes: int) -> int:
-    """Rows per block when a row takes ``row_bytes``: as many as fit
-    _BLOCK_BYTES, and at least one."""
-    return max(1, _BLOCK_BYTES // row_bytes)
-
-
 def _mirror_lower(G: np.ndarray) -> None:
     """Copy the strict lower triangle of the C-ordered G into its upper
     triangle a block of rows at a time, so no second n x n array exists."""
     n = G.shape[0]
-    step = _block_rows(8 * n)
+    step = memory.rows_within(memory.BLOCK_BYTES, 8 * n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         G[lo:hi, hi:] = G[hi:, lo:hi].T
@@ -147,7 +136,7 @@ def _gram(W_hat: DataMatrix, of_columns: bool) -> np.ndarray:
     import scipy.linalg
 
     T, width = W_hat.T, W_hat.S * W_hat.S
-    step = _block_rows(8 * width)
+    step = memory.rows_within(memory.BLOCK_BYTES, 8 * width)
     buffer = np.empty((min(step, T), width))
     if of_columns:
         G = np.zeros((width, width))
@@ -251,14 +240,14 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         R_hat = max(1, n - _count_below(G, r2)) if r2 > 0.0 else n
         eigvals, V = _top_eigenpairs(G, min(R_hat + 1, n))
     except np.linalg.LinAlgError as exc:
-        raise SvdFailure("eigendecomposition of the Gram matrix did not converge") from exc
+        raise EigenFailure("eigendecomposition of the Gram matrix did not converge") from exc
     del G
     sv = np.sqrt(np.clip(eigvals, 0.0, None))
     V = V[:, :R_hat]  # descending; column order sets the distances' rounding
     # U Sigma up to the sign of each column, which no distance below sees
     if gram_of_columns:
         X = np.empty((T, R_hat))
-        step = _block_rows(8 * S * S)
+        step = memory.rows_within(memory.BLOCK_BYTES, 8 * S * S)
         buffer = np.empty((min(step, T), S * S))
         for lo in range(0, T, step):
             np.matmul(W_hat.rows(lo, lo + step, buffer), V, out=X[lo:lo + step])
@@ -273,7 +262,7 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     gains = np.empty(T, dtype=np.int64)
     # the squared distances ||x_t||^2 + ||x_j||^2 - 2 x_t.x_j of a block, in
     # that order of rounding, are built in two buffers that every block reuses
-    step = _block_rows(16 * T)
+    step = memory.rows_within(memory.BLOCK_BYTES, 16 * T)
     dist = np.empty((min(step, T), T))
     dots = np.empty_like(dist)
     within = np.empty(dist.shape, dtype=bool)
@@ -320,7 +309,7 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         cols = np.unique(np.flatnonzero(carve) >> 3)
         mask = np.packbits(carve)[cols]
         free = np.flatnonzero(gains >= 0)
-        step = _block_rows(8 * cols.size)
+        step = memory.rows_within(memory.BLOCK_BYTES, 8 * cols.size)
         for lo in range(0, free.size, step):
             rows = free[lo:lo + step]
             carved_bytes = neighbors.take(rows[:, None] * neighbors.shape[1] + cols)

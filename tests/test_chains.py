@@ -17,7 +17,7 @@ from mmclab import (
     pseudo_spectral_gap,
     validate_model,
 )
-from mmclab import chains
+from mmclab import chains, memory
 from mmclab.chains import mixing_time, stationary_distribution
 from mmclab.errors import (
     DimensionMismatch,
@@ -275,6 +275,12 @@ class TestStationary:
         with pytest.raises(SingularSystem):
             stationary_distribution(np.eye(3))
 
+    def test_residual_above_tolerance_raises(self):
+        # row 0 sums to 1.1: the solve succeeds with pi = (1/2, 1/2), but
+        # pi P - pi = (0, 0.05)
+        with pytest.raises(SingularSystem, match="residual 5.000e-02 exceeds 1e-10"):
+            stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
+
 
 class TestTimeReversal:
     def test_two_state_reversible(self, two_state):
@@ -349,11 +355,12 @@ class TestPseudoSpectralGap:
 
     @pytest.mark.parametrize("batch, calls", [(4, 50), (16, 13), (28, 8), (1 << 20, 1)])
     def test_terms_split_into_batches_within_the_budget(self, monkeypatch, batch, calls):
-        # the budget counts matrix elements: 4 per term of this 2-state chain
+        # ``batch`` counts matrix elements, 4 per term of this 2-state chain,
+        # and the block budget their bytes
         P = gen_random_ergodic(2, seed=9, floor=0.05).P
         pi = stationary_distribution(P)
         ref = reference_pseudo_spectral_gap_terms(P, pi, 50)
-        monkeypatch.setattr(chains, "_BATCH_ELEMENTS", batch)
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 8 * batch)
         counter = EigvalshCalls(monkeypatch)
         assert batched_terms(P, pi, 50).tobytes() == ref.tobytes()
         assert (counter.calls, counter.matrices) == (calls, 50)

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmclab import count_transitions, pool_estimates, predicted_error_rate, trajectory_loglik
+from mmclab import (count_transitions, memory, pool_estimates, predicted_error_rate,
+                    trajectory_loglik)
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
 from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
                            MMCLabError, NumericalError)
@@ -101,6 +102,16 @@ LONG_INLINE_SPEC = {
 WALKTHROUGH_SWEEP = {"instance": {"type": "separation", "S_prime": 2}, "T": [40, 60],
                      "H": [200, 400], "delta": [0.1], "lambda": [0.5], "seeds": [1, 2],
                      "c_sigma": 0.15, "c_rho": 2.0}
+
+# two chains that differ in support, so D = D_pi = inf: each trajectory scores
+# -inf under the other chain and finitely under its own
+SUPPORT_SWEEP = {
+    "instance": {"type": "inline", "models": [
+        {"S": 3, "P": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]], "mu": [1, 0, 0]},
+        {"S": 3, "P": [[0.5, 0, 0.5], [0.5, 0.5, 0], [0, 0.5, 0.5]], "mu": [1, 0, 0]}]},
+    "T": [40], "H": [200], "delta": [0.1], "lambda": [0.5], "seeds": [1],
+    "c_sigma": 0.15, "c_rho": 2.0,
+}
 
 SWEEP_CFG = {
     "instance": {"type": "separation", "S_prime": 1},
@@ -796,7 +807,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", recording)
         run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1, 2]), jobs=2)
-        assert initializers == [cli_mod._pin_mmap_threshold]
+        assert initializers == [memory.pin_mmap_threshold]
 
     # a spawned worker inherits no mallopt setting from the parent, so it holds
     # the threshold only if the pool's initializer sets it
@@ -911,7 +922,7 @@ class TestSweep:
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import mmclab.cli as cli_mod
-        from mmclab.errors import SvdFailure
+        from mmclab.errors import EigenFailure
 
         spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
         main(["generate", spec, "--out", str(tmp_path)])
@@ -919,7 +930,7 @@ class TestSweep:
               "--out", str(tmp_path)])
 
         def boom(*_args, **_kwargs):
-            raise SvdFailure("synthetic failure")
+            raise EigenFailure("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "spectral_cluster", boom)
         rc = main(["cluster", str(tmp_path / "sample.traj.bin"),
@@ -946,6 +957,20 @@ class TestSweep:
         expected = predicted_error_rate(int(first["T"]), int(first["H"]),
                                  float(first["gamma_ps"]), float(first["D_pi"]), 0.5)
         assert float(row["predicted_envelope"]) == pytest.approx(expected, rel=1e-9)
+
+    def test_chains_differing_in_support_sweep_and_report(self, tmp_path):
+        cfg_path = tmp_path / "support.json"
+        cfg_path.write_text(json.dumps(SUPPORT_SWEEP))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path)]) == 0
+        row = dict(zip(SWEEP_COLUMNS, (tmp_path / "run.sweep.csv").read_text()
+                       .splitlines()[1].split(",")))
+        assert (row["D"], row["D_pi"], row["K_hat"]) == ("inf", "inf", "2")
+        assert row["e_t_stage1"] == row["e_t_stage2"] == row["e_t_oracle"] == "0"
+        # T exp(-C gamma H D_pi) at D_pi = +inf is its limit, 0
+        assert main(["report", str(tmp_path / "run.sweep.csv"), "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "summary.report.csv").read_text().splitlines()
+        assert dict(zip(report[0].split(","), report[1].split(",")))["predicted_envelope"] \
+            == "0.0"
 
     def test_single_row_report_mean_equals_row(self, tmp_path):
         cfg = dict(SWEEP_CFG)

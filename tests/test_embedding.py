@@ -16,7 +16,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab.embedding import _PASS_BYTES
+from mmclab.memory import PASS_BYTES
 from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
 from tests.conftest import (
     gen_separation_instance,
@@ -120,7 +120,7 @@ class TestCountStats:
     def test_block_edges_match_reference(self, T):
         # at this H the budget holds the int64 index, H - 1 entries each, of 256
         # trajectories; these T end a pass exactly, one short of it or one past it
-        S, H = 5, _PASS_BYTES // (8 * 256) + 1
+        S, H = 5, PASS_BYTES // (8 * 256) + 1
         states = np.random.default_rng(T).integers(0, S, size=(T, H)).astype(np.int32)
         cs = count_transitions(states, S)
         for t in range(T):
@@ -138,7 +138,7 @@ class TestCountStats:
         # the index's H - 1 entries), or three trajectories' bytes
         one = 8 * (H - 1)
         budget = {"1": 1, "H-2": one - 1, "H-1": one, "H": one + 1, "3H+1": 3 * one}[budget]
-        monkeypatch.setattr("mmclab.embedding._PASS_BYTES", budget)
+        monkeypatch.setattr("mmclab.memory.PASS_BYTES", budget)
         cs = count_transitions(states, S)
         for t in range(T):
             visits, transitions = reference_counts(states[t], S)
@@ -170,7 +170,7 @@ class TestCountStats:
         finally:
             tracemalloc.stop()
         kept = cs.visits.nbytes + cs.transitions.nbytes
-        assert peak - kept < budgets * max(_PASS_BYTES, 8 * (H - 1), 8 * S * S)
+        assert peak - kept < budgets * max(PASS_BYTES, 8 * (H - 1), 8 * S * S)
 
     @given(state_arrays())
     @settings(max_examples=100, deadline=None)

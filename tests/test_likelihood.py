@@ -181,10 +181,10 @@ class TestPoolEstimates:
     @pytest.mark.parametrize("K", [1, 3, 200])
     def test_pooling_pieces_match_whole_cluster_sums(self, monkeypatch, T, K):
         # the label-sorted order is cut at every change of label and every
-        # _PASS_BYTES // (a trajectory's S^2 one-byte counts) rows, here every
+        # PASS_BYTES // (a trajectory's S^2 one-byte counts) rows, here every
         # ROWS; these T end a cut exactly, one short of it or past it
         S = 4
-        monkeypatch.setattr("mmclab.likelihood._PASS_BYTES", (self.ROWS + 1) * S * S - 1)
+        monkeypatch.setattr("mmclab.memory.PASS_BYTES", (self.ROWS + 1) * S * S - 1)
         states = np.random.default_rng(T).integers(0, S, size=(T, 30)).astype(np.int32)
         counts = counts_of(states, S)
         labels = random_labels(np.random.default_rng(K), T, K)
@@ -206,7 +206,7 @@ class TestPoolEstimates:
 
     def test_pooling_step_within_the_pass_budget(self):
         # the `wide` shape, whose one cluster's uint16 counts take 12.8 MB: a
-        # step within _PASS_BYTES copies 38 trajectories' counts, 122 KB
+        # step within PASS_BYTES copies 38 trajectories' counts, 122 KB
         T, S = 4_000, 40
         states = np.random.default_rng(0).integers(0, S, size=(T, 1_000), dtype=np.uint8)
         counts = count_transitions(states, S)
@@ -441,13 +441,23 @@ class TestOracleClassify:
         assert (labels == 0).all()
 
     def test_zero_probability_transition_raises(self):
-        P_pos = np.array([[0.5, 0.5], [0.5, 0.5]])
-        m_pos = validate_model(P_pos, [0.5, 0.5])
-        P_zero = np.array([[0.0, 1.0], [0.5, 0.5]])  # ergodic, one structural zero
-        m_zero = validate_model(P_zero, [0.5, 0.5])
-        counts = counts_of([[0, 0, 1]], S=2)  # uses the (0 -> 0) transition
+        # both chains are ergodic with a structural zero at (0 -> 0), which the
+        # second trajectory uses: no model can have produced it
+        m_a = validate_model(np.array([[0.0, 1.0], [0.5, 0.5]]), [0.5, 0.5])
+        m_b = validate_model(np.array([[0.0, 1.0], [0.3, 0.7]]), [0.5, 0.5])
+        counts = counts_of([[0, 1, 1], [0, 0, 1]], S=2)
         with pytest.raises(ZeroProbabilityTransition):
-            oracle_classify(counts, [m_pos, m_zero])
+            oracle_classify(counts, [m_a, m_b])
+
+    def test_chains_differing_in_support_label_each_trajectory(self):
+        # each trajectory scores -inf under the chain that lacks one of its
+        # transitions and finitely under its own
+        m_up = validate_model(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+                              np.ones(3) / 3)
+        m_down = validate_model(np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+                                np.ones(3) / 3)
+        counts = counts_of([[0, 1, 2, 0], [0, 2, 1, 0], [1, 1, 2, 2]], S=3)
+        assert oracle_classify(counts, [m_up, m_down]).tolist() == [0, 1, 0]
 
     def test_model_state_space_must_match_counts(self):
         m = gen_random_ergodic(3, seed=0, floor=0.05)

@@ -28,8 +28,8 @@ from mmclab import (
     validate_model,
 )
 from mmclab.errors import InvalidRange, LengthMismatch, StateSpaceMismatch
+from mmclab import memory
 from mmclab.metrics import (
-    _ACC_BLOCK,
     LOG_E_OVER_2,
     InequalityCheck,
     c_eta_explicit,
@@ -443,23 +443,38 @@ class TestVisitationAgainstLoop:
     """visitation_weights stops the recurrence at an exact fixed point and adds
     the remaining steps by accumulation; it must equal the plain loop byte for byte."""
 
+    # the block budget is patched to hold ``steps`` settled steps per accumulate pass
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 12), st.booleans(),
            st.one_of(st.sampled_from([2, 3]), st.integers(4, 300),
-                     st.integers(_ACC_BLOCK + 1, 3 * _ACC_BLOCK)))
+                     st.integers(4_097, 12_288)),
+           st.integers(1, 4_096))
     @settings(max_examples=120, deadline=None)
-    def test_random_chains_match_loop(self, seed, S, zeros, H):
+    def test_random_chains_match_loop(self, seed, S, zeros, H, steps):
         model = random_ergodic_set(np.random.default_rng(seed), 1, S, zeros)[0]
-        assert visitation_weights(model, H).tobytes() == \
-            reference_visitation_weights(model, H).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memory, "BLOCK_BYTES", steps * 8 * S)
+            weights = visitation_weights(model, H)
+        assert weights.tobytes() == reference_visitation_weights(model, H).tobytes()
 
     @pytest.mark.parametrize("S_prime, fixed_at", [(1, 0), (2, 0), (5, None)])
-    @pytest.mark.parametrize("H", [2, 3, 100, _ACC_BLOCK + 1, 2 * _ACC_BLOCK + 7, 20_000])
+    @pytest.mark.parametrize("H", [2, 3, 100, 4_097, 8_199, 20_000])
     def test_separation_chains_match_loop(self, S_prime, fixed_at, H):
         # S' = 1, 2 start at their fixed point (mu = pi is a row of P); the
         # first S' = 5 chain ends in a 2-cycle of last-bit values, so it never
         # stops early and takes the plain loop all the way
         model = gen_separation_models(S_prime)[0]
         assert first_fixed_step(model, H) == fixed_at
+        assert visitation_weights(model, H).tobytes() == \
+            reference_visitation_weights(model, H).tobytes()
+
+    @pytest.mark.parametrize("passes, extra", [(1, -1), (1, 0), (1, 1), (3, 0), (3, 7)])
+    def test_pass_edges_match_loop(self, monkeypatch, passes, extra):
+        # S' = 1 settles at step 0, which leaves H - 2 steps to accumulate; the
+        # budget holds 16 of them per pass, so these H end a pass exactly, one
+        # short of it or past it
+        model = gen_separation_models(1)[0]
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 16 * model.pi.nbytes)
+        H = 16 * passes + extra + 2
         assert visitation_weights(model, H).tobytes() == \
             reference_visitation_weights(model, H).tobytes()
 

@@ -21,8 +21,8 @@ from mmclab import (
     SpectralConfig,
 )
 from mmclab.embedding import DataMatrix, embed_model
-from mmclab.errors import EmptyInput, NonpositiveLogArgument, SvdFailure
-from mmclab import spectral
+from mmclab.errors import EigenFailure, EmptyInput, NonpositiveLogArgument
+from mmclab import memory, spectral
 from mmclab.spectral import Stage1Result, save_stage1, load_stage1
 from tests.conftest import (STAGE1_EIGEN_FAILURES, gen_separation_instance,
                             matrix_from_values, random_models)
@@ -349,7 +349,7 @@ class TestSpectralCluster:
         # the budget makes the fill's blocks 256 rows, so hubs 255 and 256 sit
         # on either side of a block edge; T = 601 leaves 7 pad bits in each
         # packed neighbour row
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * T * 256)
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 16 * T * 256)
         H, delta = 100, 0.1
         base = math.sqrt(T * 2 / H * math.log(T * H / delta))
         cfg = SpectralConfig(delta=delta, gamma_ps=1.0, c_sigma=1.0 / base, c_rho=1e-9)
@@ -399,10 +399,10 @@ class TestSpectralCluster:
         assert peak < T * S * S * 8
 
     @STAGE1_EIGEN_FAILURES
-    def test_eigensolver_failure_raises_svd_failure(self, monkeypatch, module, name, breaker, n):
+    def test_eigensolver_failure_raises(self, monkeypatch, module, name, breaker, n):
         monkeypatch.setattr(module, name, breaker(getattr(module, name)))
         W = matrix_from_values(np.eye(n), S=math.isqrt(n), H=10)
-        with pytest.raises(SvdFailure, match="did not converge"):
+        with pytest.raises(EigenFailure, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
     @pytest.mark.parametrize("kind, T, c_sigma, c_rho", [
@@ -431,7 +431,7 @@ class TestSpectralCluster:
         res = assert_matches_svd_reference(W_hat, cfg)
         # a 1-byte budget takes one row per block: of W-hat, of G mirrored, of
         # the neighbour fill and of each peel pass
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 1)
         row_by_row = spectral_cluster(W_hat, cfg)
         assert (row_by_row.K_hat, row_by_row.R_hat, row_by_row.forced_first_cluster) == \
             (res.K_hat, res.R_hat, res.forced_first_cluster)
@@ -454,7 +454,7 @@ class TestSpectralCluster:
             return W_hat.build(rows, out)
 
         recorded = DataMatrix(T=W_hat.T, S=S, H=W_hat.H, build=build)
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 8 * S * S * BLOCK)
         spectral_cluster(recorded, SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=0.15,
                                                   c_rho=2.0))
         assert len(outs) > 4  # four blocks a pass
@@ -474,7 +474,7 @@ class TestSpectralCluster:
         W_hat = empirical_matrix(count_transitions(sample_trajectories(inst, 0).states, S))
         cfg = SpectralConfig(delta=0.1, gamma_ps=1.0, c_sigma=c_sigma, c_rho=c_rho)
         one_block = spectral_cluster(W_hat, cfg)
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 8 * S * S * BLOCK)
         res = assert_matches_svd_reference(W_hat, cfg)
         ref = reference_spectral_cluster(W_hat, cfg)
         np.testing.assert_allclose(res.singular_values, ref.singular_values[:ref.R_hat + 1],
@@ -488,7 +488,7 @@ class TestSpectralCluster:
     def test_gram_from_row_blocks(self, monkeypatch, of_columns, T):
         # one block is numpy's product bit for bit; more sum in another order
         S = 2 if of_columns else 8
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * S * S * BLOCK)
+        monkeypatch.setattr(memory, "BLOCK_BYTES", 8 * S * S * BLOCK)
         A = np.random.default_rng(T).random((T, S * S))
         G = spectral._gram(matrix_from_values(A, S=S, H=100), of_columns)
         expected = A.T @ A if of_columns else A @ A.T
