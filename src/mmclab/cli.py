@@ -271,6 +271,11 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     deltas, lams = (field(cfg, axis, float_list, where) for axis in ("delta", "lambda"))
     if len(set(seeds)) != len(seeds):
         raise InvalidSpec(f"{where}: sweep seeds must be distinct")
+    try:
+        for seed in seeds:
+            simgen.check_seed(seed)
+    except InvalidRange as exc:
+        raise InvalidRange(f"{where}: {exc}") from exc
     if not all(0.0 <= lam < math.inf for lam in lams):
         raise InvalidRange(f"{where}: lambda must be finite and >= 0; got {lams}")
     instances = _build_instances(require_keys(cfg, ("instance",), where)["instance"],

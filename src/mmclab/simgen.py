@@ -2,8 +2,10 @@
 
 An instance bundles K chains over a common state space with a ground-truth
 decoding (trajectory index -> chain index). Sampling draws each trajectory
-from its own counter-based RNG stream keyed by (seed, t), so results are
-bit-identical regardless of iteration order or worker count.
+from its own counter-based Philox stream keyed by (seed, t), for a seed in
+[0, 2**64), so results are bit-identical regardless of iteration order or
+worker count. One bit generator serves all T streams: each refill of the
+sampler's uniform buffer re-keys it per trajectory.
 """
 
 from __future__ import annotations
@@ -162,19 +164,49 @@ def make_instance(models: Sequence[MarkovModel], alpha: np.ndarray, T: int, H: i
     return MixtureInstance(models=models, decoding=decoding, T=T, H=H)
 
 
-def _trajectory_rngs(seed: int, T: int) -> list[np.random.Generator]:
-    """One Philox stream per trajectory, keyed by (seed, t)."""
-    return [np.random.Generator(np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, t],
-                                                              dtype=np.uint64)))
-            for t in range(T)]
+def check_seed(seed: int) -> None:
+    """Raise ``InvalidRange`` unless 0 <= seed < 2**64, the range of the key
+    word that a seed fills in each trajectory's Philox stream."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidRange(f"seed must be in [0, 2**64), the range of one Philox key word; "
+                           f"got {seed}")
+
+
+def _refill(out: np.ndarray, gen: np.random.Generator, template: dict, h: int) -> None:
+    """Write uniforms h, h+1, ... of stream (seed, t) down column t of ``out``.
+
+    ``gen`` draws from the one Philox bit generator of a ``sample_trajectories``
+    call, and ``template`` is that generator's state dict before its first
+    draw, whose key is (seed, 0); its counter and key[1] are set in place.
+    Philox is counter-based (Salmon et al., SC 2011): a stream is fixed by its
+    key and counter alone, so each column re-keys the generator to (seed, t)
+    through its ``state`` property. Each increment of the counter yields a
+    block of four 64-bit draws, and ``random`` takes one draw per double, so
+    setting the counter to h // 4 and discarding h % 4 draws resumes the
+    stream at uniform h, exactly as a generator built with key (seed, t) that
+    has drawn h uniforms.
+    """
+    bit_gen = gen.bit_generator
+    key = template["state"]["key"]
+    template["state"]["counter"][0] = h // 4
+    skip = h % 4
+    for t in range(out.shape[1]):
+        key[1] = t
+        bit_gen.state = template
+        if skip:
+            bit_gen.random_raw(skip, output=False)
+        out[:, t] = gen.random(out.shape[0])
 
 
 def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
-    """Sample all T trajectories; trajectory t uses the (seed, t) sub-stream.
+    """Sample all T trajectories; trajectory t uses the Philox stream keyed by
+    (seed, t), for a seed in [0, 2**64) (``InvalidRange`` otherwise).
 
     The walk is vectorized across trajectories (inverse-CDF steps on
     per-trajectory uniforms), which leaves the per-trajectory streams intact:
-    trajectory t consumes exactly H uniforms from its own stream.
+    trajectory t consumes exactly H uniforms from its own stream. All T streams
+    come from one bit generator, re-keyed per trajectory by ``_refill`` each
+    time the (chunk, T) buffer of uniforms is refilled.
 
     Each state, the first included, is the count of CDF entries strictly below
     u, found by a branchless bisection (Devroye 1986, section III.2). Chain k
@@ -185,14 +217,17 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     the entry step - 1 past it. The predicate u > cdf_k holds on a prefix of
     the row (a cumsum of nonnegatives never decreases, and the forced final
     1.0 follows only entries that u < 1 cannot exceed), so the pointer's
-    offset in its row is that count, the next state.
+    offset in its row is that count, the next state. At step 1 the probe is
+    the pointer's own entry, and the comparison's bool is added as is.
     """
+    check_seed(seed)
     T, H, S = instance.T, instance.H, instance.S
     f = instance.decoding
     cdf = np.cumsum(np.stack([np.vstack([m.P, m.mu]) for m in instance.models]), axis=2)
     # uniforms live in [0,1); an exact 1.0 endpoint keeps inverse-CDF indices in range
     cdf[:, :, -1] = 1.0
-    gens = _trajectory_rngs(seed, T)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    template = gen.bit_generator.state  # the fresh state every refill re-keys
 
     row_len = 1 << (S - 1).bit_length()  # P, the padded row width
     offset = row_len - 1  # mask of a pointer's offset in its row, i.e. its state
@@ -203,19 +238,21 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     # pointer (f*(S+1) + r)*P + s sits on state s; its next row starts at (f*(S+1) + s)*P
     ptrs = np.arange(flat.size)
     next_row = (ptrs // (row_len * (S + 1)) * (S + 1) + (ptrs & offset)) * row_len
-    steps = [row_len >> k for k in range(1, row_len.bit_length())]  # P/2, ..., 1
+    steps = [row_len >> k for k in range(1, row_len.bit_length() - 1)]  # P/2, ..., 2
     probes = [(step, flat[step - 1:]) for step in steps]
+    last = row_len > 1  # a step-1 level; at P = 1 (S = 1) there is none
     ptr = (f * (S + 1) + S) * row_len
     states = np.empty((T, H), dtype=np.min_scalar_type(S - 1))
     Ut = np.empty((min(_CHUNK, H), T))  # one buffer of uniforms, step-major, refilled per chunk
     for h in range(0, H, _CHUNK):
         width = min(_CHUNK, H - h)
-        for t, g in enumerate(gens):
-            Ut[:width, t] = g.random(width)
+        _refill(Ut[:width], gen, template, h)
         for j in range(width):
             u = Ut[j]
             for step, probe in probes:
                 ptr += (u > probe[ptr]) * step
+            if last:
+                ptr += u > flat[ptr]
             states[:, h + j] = ptr & offset
             ptr = next_row[ptr]
     return TrajectorySet(states=states, seed=int(seed))

@@ -99,8 +99,7 @@ def reference_sample_trajectories(instance, seed, chunk=2048):
     P_cdf = np.cumsum(np.stack([m.P for m in instance.models]), axis=2)
     mu_cdf[:, -1] = 1.0
     P_cdf[:, :, -1] = 1.0
-    gens = [np.random.Generator(np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, t],
-                                                              dtype=np.uint64)))
+    gens = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
             for t in range(T)]
     states = np.empty((T, H), dtype=np.int32)
     u0 = np.array([g.random() for g in gens])

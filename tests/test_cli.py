@@ -372,6 +372,16 @@ class TestPipeline:
         assert f"--json-out {tmp_path} is a directory" in err
         assert "E_T" not in out
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_sample_seed_outside_one_philox_key_word_exits_2(self, tmp_path, instance_file,
+                                                             capsys, seed):
+        # outside [0, 2**64) a seed would alias another's trajectories: 2**64
+        # those of seed 0, and -1 those of 2**64 - 1
+        assert main(["sample", str(instance_file), "--seed", seed, "--out", str(tmp_path)]) == 2
+        assert f"seed must be in [0, 2**64), the range of one Philox key word; got {seed}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "sample.traj.bin").exists()
+
     def test_sample_files_name_the_instance(self, tmp_path):
         # the golden sample: its states as recorded, and a sidecar holding the
         # hash of the instance file it was drawn from
@@ -885,6 +895,19 @@ class TestSweep:
         path.write_text(json.dumps(SWEEP_CFG))
         assert main(["sweep", str(path), "--jobs", str(jobs), "--out", str(tmp_path)]) == 2
         assert f"jobs must be >= 1; got {jobs}" in capsys.readouterr().err
+        assert no_work == []
+        assert not (tmp_path / "run.sweep.csv").exists()
+
+    @pytest.mark.parametrize("seeds", [[0, 2**64], [-1, 2]])
+    def test_seeds_outside_one_philox_key_word_fail_before_any_point(self, tmp_path, capsys,
+                                                                      no_work, seeds):
+        # distinct seeds, yet 2**64 would repeat the rows of seed 0
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(SWEEP_CFG, seeds=seeds)))
+        assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
+        bad = next(seed for seed in seeds if not 0 <= seed < 2**64)
+        assert (f"{path}: seed must be in [0, 2**64), the range of one Philox key word; "
+                f"got {bad}") in capsys.readouterr().err
         assert no_work == []
         assert not (tmp_path / "run.sweep.csv").exists()
 

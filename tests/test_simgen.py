@@ -158,11 +158,10 @@ class TestSampling:
     def sample_with_constant_uniforms(monkeypatch, u, mu):
         """Both trajectories of a 4-state pair whose every uniform is u; row 0's
         CDF (0.25, 0.25, 0.5, 1) repeats 0.25, the other rows are uniform."""
-        class ConstantStream:
-            def random(self, size):
-                return np.full(size, u)
+        def constant_refill(out, gen, template, h):
+            out[:] = u
 
-        monkeypatch.setattr(simgen, "_trajectory_rngs", lambda seed, T: [ConstantStream()] * T)
+        monkeypatch.setattr(simgen, "_refill", constant_refill)
         P = np.array([[0.25, 0.0, 0.25, 0.5]] + [[0.25] * 4] * 3)
         m = validate_model(P, mu)
         return sample_trajectories(make_instance([m, m], [0.5, 0.5], 2, 4), 0).states.tolist()
@@ -181,6 +180,34 @@ class TestSampling:
         # u of 0.25 is 0 and that of a u of 0.5 is 2
         got = self.sample_with_constant_uniforms(monkeypatch, u, [0.25, 0.0, 0.25, 0.5])
         assert got == [expected, expected]
+
+    @given(T=st.integers(1, 5), width=st.integers(1, 9), seed=st.sampled_from([0, 2**64 - 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_refill_resumes_each_stream_at_uniform_h(self, T, width, seed):
+        # one generator and one template serve every refill, at every offset
+        # h % 4 into a Philox block, in turn after draws left the generator
+        # mid-block; column t must be stream (seed, t) from uniform h on
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        template = gen.bit_generator.state
+        streams = [np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+                   .random(13 + width) for t in range(T)]
+        out = np.empty((width, T))
+        for h in range(14):
+            simgen._refill(out, gen, template, h)
+            for t in range(T):
+                assert np.array_equal(out[:, t], streams[t][h:h + width])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_one_philox_key_word_raises(self, seed):
+        # a seed is one 64-bit key word: 2**64 would alias seed 0, and -1 seed 2**64 - 1
+        inst = gen_separation_instance(1, T=4, H=6)
+        with pytest.raises(InvalidRange, match=rf"seed must be in \[0, 2\*\*64\).*got {seed}$"):
+            sample_trajectories(inst, seed)
+
+    def test_top_seed_keys_its_own_streams(self):
+        inst = gen_separation_instance(1, T=4, H=6)
+        assert np.array_equal(sample_trajectories(inst, 2**64 - 1).states,
+                              reference_sample_trajectories(inst, 2**64 - 1).states)
 
     @pytest.mark.parametrize("S, dtype", [(256, np.uint8), (257, np.uint16)])
     def test_states_take_the_narrowest_dtype_that_holds_S(self, S, dtype):
