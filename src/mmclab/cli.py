@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -378,7 +379,11 @@ def cmd_report(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse's parsers,
+    actions and formatters hold reference cycles, which a parser per call
+    would leave to the cyclic collector."""
     parser = argparse.ArgumentParser(prog="mmclab",
                                      description="Markov-chain mixture clustering lab")
     sub = parser.add_subparsers(dest="command", required=True)

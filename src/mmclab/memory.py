@@ -21,6 +21,7 @@ budget; stage 1's blocks can move the last bits of its floats.
 """
 
 import ctypes
+import functools
 
 _M_MMAP_THRESHOLD = -3      # glibc's mallopt parameter number
 MMAP_THRESHOLD = 128 << 10  # glibc's initial value, held from here on
@@ -28,13 +29,21 @@ PASS_BYTES = MMAP_THRESHOLD - (8 << 10)
 BLOCK_BYTES = 2 << 20
 
 
+@functools.cache
+def _mallopt():
+    """The C library's ``mallopt``, or None. Looked up once per process: each
+    ``CDLL`` builds a function-pointer class of its own, cyclic garbage."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or one without mallopt
+        return None
+
+
 def pin_mmap_threshold() -> None:
     """Hold glibc's mmap threshold at MMAP_THRESHOLD; without glibc, do nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no C library, or one without mallopt
-        return
-    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 def rows_within(budget: int, row_bytes: int) -> int:

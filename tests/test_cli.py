@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -1290,3 +1291,20 @@ def test_main_keeps_large_arrays_out_of_the_heap(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) >= 1 << 20
+
+
+def test_warm_sweep_point_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # a sweep point through main, as the benchmark runs it: after a first call
+    # has built the parser and imported what the point needs, a call must
+    # leave nothing that only the cyclic collector can free
+    config = tmp_path / "point.json"
+    config.write_text(json.dumps(dict(SWEEP_CFG, H=[60], seeds=[1])))
+    argv = ["sweep", str(config), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

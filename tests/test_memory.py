@@ -28,5 +28,13 @@ def no_c_library(_name):
 @pytest.mark.parametrize("cdll", [no_c_library, lambda _name: NoMallopt()],
                          ids=["no-c-library", "no-mallopt"])
 def test_pin_without_glibc_does_nothing(monkeypatch, cdll):
+    # the lookup is cached per process: look up again under the stand-in
+    # library, and again after it, under the real one
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    assert memory.pin_mmap_threshold() is None
+    memory._mallopt.cache_clear()
+    try:
+        assert memory.pin_mmap_threshold() is None
+        assert memory._mallopt() is None
+    finally:
+        monkeypatch.undo()
+        memory._mallopt.cache_clear()

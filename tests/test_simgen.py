@@ -15,7 +15,7 @@ from mmclab import (
     sample_trajectories,
     validate_model,
 )
-from mmclab import simgen
+from mmclab import memory, simgen
 from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError, InvalidRange,
                           StateOutOfRange, StateSpaceMismatch)
 from mmclab.metrics import eta_params
@@ -121,7 +121,8 @@ class TestSampling:
         b = sample_trajectories(inst, seed=5)
         assert np.array_equal(a.states, b.states)
 
-    @given(S=st.one_of(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
+    @given(S=st.one_of(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                                        127, 128, 129, 300]),
                        st.integers(1, 70)),
            K=st.integers(2, 4), T=st.integers(4, 12), H=st.integers(2, 60),
            chunk=st.integers(1, 70), overshoot=st.booleans(),
@@ -132,7 +133,8 @@ class TestSampling:
         # sparse rows repeat CDF entries; with overshoot, every row of P whose
         # last entry is 0, and mu when its last entry is 0, sums to 1 + 5e-13,
         # so its CDF passes 1.0 before the forced final 1.0; S runs over powers
-        # of two and their neighbours, where the padded row width P changes
+        # of two and their neighbours, where the padded row width P changes,
+        # and from 129 on the guide table's byte cap sets its bucket count
         rng = np.random.default_rng(model_seed)
         models = []
         for _ in range(K):
@@ -154,15 +156,17 @@ class TestSampling:
             got = sample_trajectories(inst, seed).states
         assert np.array_equal(got, reference_sample_trajectories(inst, seed, chunk=chunk).states)
 
+    # row 0's CDF (0.25, 0.25, 0.5, 1) repeats 0.25, the other rows are uniform
+    P4 = np.array([[0.25, 0.0, 0.25, 0.5]] + [[0.25] * 4] * 3)
+
     @staticmethod
-    def sample_with_constant_uniforms(monkeypatch, u, mu):
-        """Both trajectories of a 4-state pair whose every uniform is u; row 0's
-        CDF (0.25, 0.25, 0.5, 1) repeats 0.25, the other rows are uniform."""
+    def sample_with_constant_uniforms(monkeypatch, u, P, mu):
+        """Both trajectories, of length 4, of a pair of the chain (P, mu)
+        whose every uniform is u."""
         def constant_refill(out, gen, template, h):
             out[:] = u
 
         monkeypatch.setattr(simgen, "_refill", constant_refill)
-        P = np.array([[0.25, 0.0, 0.25, 0.5]] + [[0.25] * 4] * 3)
         m = validate_model(P, mu)
         return sample_trajectories(make_instance([m, m], [0.5, 0.5], 2, 4), 0).states.tolist()
 
@@ -170,7 +174,7 @@ class TestSampling:
     def test_uniform_on_a_cdf_entry_counts_entries_strictly_below(self, monkeypatch, u, expected):
         # every uniform is u, exactly a CDF entry: a u of 0.25 must stay on
         # state 0 and a u of 0.5 go to 2
-        got = self.sample_with_constant_uniforms(monkeypatch, u, [0.5, 0.5, 0.0, 0.0])
+        got = self.sample_with_constant_uniforms(monkeypatch, u, self.P4, [0.5, 0.5, 0.0, 0.0])
         assert got == [expected, expected]
 
     @pytest.mark.parametrize("u, expected", [(0.25, [0, 0, 0, 0]), (0.5, [2, 1, 1, 1])])
@@ -178,8 +182,54 @@ class TestSampling:
                                                                          u, expected):
         # mu's CDF (0.25, 0.25, 0.5, 1) repeats 0.25 too: the first state of a
         # u of 0.25 is 0 and that of a u of 0.5 is 2
-        got = self.sample_with_constant_uniforms(monkeypatch, u, [0.25, 0.0, 0.25, 0.5])
+        got = self.sample_with_constant_uniforms(monkeypatch, u, self.P4,
+                                                 [0.25, 0.0, 0.25, 0.5])
         assert got == [expected, expected]
+
+    # a 16-state chain whose row 0, and mu, have the CDF (1, 2, 2, 2, 6, 10,
+    # ..., 46, 64)/64: states 2 and 3 have probability 0, so bucket 2 of 64,
+    # [2/64, 3/64), holds three entries; the other rows are uniform, with
+    # entries 4/64, 8/64, ..., on bucket edges too
+    ROW16 = np.array([1, 1, 0, 0] + [4] * 11 + [18]) / 64
+    P16 = np.vstack([ROW16] + [np.full(16, 1 / 16)] * 15)
+
+    def test_guide_of_the_edge_chain_has_64_buckets_and_two_levels(self):
+        m = validate_model(self.P16, self.ROW16)
+        table = simgen._cdf_table(make_instance([m, m], [0.5, 0.5], 2, 4))
+        assert (table.buckets, table.levels, table.row_len) == (64, 2, 32)
+
+    @pytest.mark.parametrize("u, expected", [
+        (1 / 64, [0, 0, 0, 0]),  # on row 0's first entry: none below it
+        (2 / 64, [1, 0, 1, 0]),  # on the entry that states 2 and 3 repeat: one below it
+        (5 / 128, [4, 0, 4, 0]),  # inside bucket 2: the walk from its guide entry takes both levels
+        (3 / 64, [4, 0, 4, 0]),  # on the edge past the repeats, in a bucket with no entries
+        (4 / 64, [4, 0, 4, 0]),  # on an edge and on the uniform rows' first entry
+        (8 / 64, [5, 1, 1, 1]),  # on an edge between row 0's entries, on a uniform one
+    ])
+    def test_uniform_on_a_bucket_edge_counts_entries_strictly_below(self, monkeypatch,
+                                                                    u, expected):
+        got = self.sample_with_constant_uniforms(monkeypatch, u, self.P16, self.ROW16)
+        assert got == [expected, expected]
+
+    @pytest.mark.parametrize("models, buckets, levels", [
+        (lambda: gen_separation_models(2), 1, 2),  # decay's shape: the guide would save 1 level
+        (lambda: [gen_random_ergodic(40, k, 0.005) for k in range(8)], 256, 1),  # wide's shape
+    ], ids=["decay", "wide"])
+    def test_guide_is_on_only_where_it_removes_two_levels(self, models, buckets, levels):
+        models = models()
+        inst = make_instance(models, np.full(len(models), 1 / len(models)), 8, 2)
+        table = simgen._cdf_table(inst)
+        assert (table.buckets, table.levels) == (buckets, levels)
+        assert table.guide.size == len(models) * (inst.S + 1) * buckets
+
+    def test_guide_table_fits_the_block_budget(self):
+        # at S = 300, K = 8, 4P = 2048 buckets would take 39 MB; the cap halves
+        # M until the table fits
+        models = [gen_random_ergodic(300, k, 0.001) for k in range(8)]
+        table = simgen._cdf_table(make_instance(models, np.full(8, 1 / 8), 8, 2))
+        assert table.guide.dtype == np.int64
+        assert table.guide.nbytes <= memory.BLOCK_BYTES < 2 * table.guide.nbytes
+        assert table.buckets == 64
 
     @given(T=st.integers(1, 5), width=st.integers(1, 9), seed=st.sampled_from([0, 2**64 - 1]))
     @settings(max_examples=40, deadline=None)
