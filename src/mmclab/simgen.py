@@ -203,9 +203,9 @@ class _CdfTable(NamedTuple):
     """The search tables of ``sample_trajectories``, built by ``_cdf_table``."""
 
     flat: np.ndarray   # the K*(S+1) CDF rows, padded with 2.0 to row_len, end to end
-    row_len: int       # W, a power of two, so a pointer's state is ptr & (W - 1)
-    buckets: int       # M, a power of two; at M = 1 a walk starts on its row's first entry
-    guide: np.ndarray  # int64, at r*M + k: the flat index of row r's first entry >= k/M
+    row_len: int       # W, the power of two at or above S, so a pointer's state is ptr & (W - 1)
+    buckets: int       # M, a power of two
+    guide: np.ndarray  # int64, at r*M + k: the flat index where a walk in row r's bucket k starts
     levels: int        # L, the bisection levels a walk takes from its start
 
 
@@ -218,16 +218,16 @@ def _cdf_table(instance: MixtureInstance) -> _CdfTable:
     and stores, for each row and bucket k, where the row's entries below k/M
     end; a uniform u in bucket k has as many entries below it as that, plus
     at most the n_k entries the row has in [k/M, (k+1)/M). So a walk from the
-    guide entry bisects L levels, L the bit length of the largest n_k. Each
-    entry is counted in its own bucket rather than found by a search that
-    assumes sorted rows: a row whose sum overshoots 1 ends in the forced 1.0
-    after an entry above 1.
+    guide entry bisects L levels, L the bit length of the largest n_k, and
+    probes at most 2^L - 2 entries past its start. Each entry is counted in
+    its own bucket rather than found by a search that assumes sorted rows: a
+    row whose sum overshoots 1 ends in the forced 1.0 after an entry above 1.
 
-    M is 4P, P the power of two at or above S, or less where the int64 guide
-    would outgrow ``memory.BLOCK_BYTES``; where that removes fewer than two of
-    the levels a walk from the row's start takes, M is 1, and a step costs no
-    multiply and no lookup. Rows are padded to a power-of-two width that holds
-    a walk's last probe, 2^L - 2 past its start.
+    M is 4W, W the power of two at or above S, or less where the int64 guide
+    would outgrow ``memory.BLOCK_BYTES``. Rows keep width W: a guide entry
+    past W - 2^L + 1 is moved back to it, where the walk's last probe is the
+    row's last entry and its L levels still reach the count, at most S - 1
+    (the forced 1.0 is below no uniform).
     """
     S = instance.S
     cdf = np.cumsum(np.stack([np.vstack([m.P, m.mu]) for m in instance.models]),
@@ -235,22 +235,20 @@ def _cdf_table(instance: MixtureInstance) -> _CdfTable:
     # uniforms live in [0,1); an exact 1.0 endpoint keeps inverse-CDF indices in range
     cdf[:, -1] = 1.0
     n_rows = cdf.shape[0]
-    fit = min(4 << (S - 1).bit_length(), memory.rows_within(memory.BLOCK_BYTES, 8 * n_rows))
+    row_len = 1 << (S - 1).bit_length()
+    fit = min(4 * row_len, memory.rows_within(memory.BLOCK_BYTES, 8 * n_rows))
     M = 1 << (fit.bit_length() - 1)
     # entry c lies in bucket floor(c*M), exactly as M is a power of two; the
     # entries at or above 1 fall in bucket M, which no uniform reaches
     bucket = np.minimum(cdf * M, M).astype(np.int64)
     bucket += np.arange(0, n_rows * (M + 1), M + 1)[:, None]
-    count = np.bincount(bucket.ravel(), minlength=n_rows * (M + 1)).reshape(n_rows, M + 1)
+    count = np.bincount(bucket.ravel(), minlength=n_rows * (M + 1)).reshape(n_rows, M + 1)[:, :M]
+    levels = int(count.max()).bit_length()
     below = np.cumsum(count, axis=1) - count  # at [r, k]: row r's entries below k/M
-    levels = int(count[:, :M].max()).bit_length()
-    unguided = int(below[:, M].max()).bit_length()  # the levels of a walk from the row start
-    if unguided - levels < 2:
-        M, levels = 1, unguided
-    row_len = 1 << (max(S, int(below[:, :M].max()) + (1 << levels) - 1) - 1).bit_length()
+    start = np.minimum(below, row_len - (1 << levels) + 1)
     rows = np.full((n_rows, row_len), 2.0)
     rows[:, :S] = cdf
-    guide = (below[:, :M] + np.arange(0, n_rows * row_len, row_len)[:, None]).ravel()
+    guide = (start + np.arange(0, n_rows * row_len, row_len)[:, None]).ravel()
     return _CdfTable(rows.ravel(), row_len, M, guide, levels)
 
 
@@ -269,15 +267,15 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     p^{(k)}(.|s) and row S is mu_k, from which the first state is drawn. The
     K*(S+1) rows lie end to end in one table (``_cdf_table``), padded with
     2.0, above every uniform, to a power-of-two width W. A step starts a
-    trajectory's pointer at its guide entry for bucket floor(u*M), exact as M
-    is a power of two (at M = 1, at its row's first entry), and bisects L
-    levels: the pointer adds step = 2^(L-1), ..., 1 wherever u exceeds the
-    entry step - 1 past it. The predicate u > cdf_k holds on a prefix of the
-    row (a cumsum of nonnegatives never decreases, and the forced final 1.0
-    follows only entries that u < 1 cannot exceed), so the pointer's offset
-    in its row is that count, the next state, and one table maps the pointer
-    to the next row. On ``wide`` (S = 40, K = 8) M = 256 and L = 1, against
-    six levels from the row start; on ``decay`` (S = 4) M = 1 and L = 2.
+    trajectory's pointer at its row's guide entry for bucket floor(u*M), exact
+    as M is a power of two, and bisects L levels: the pointer adds
+    step = 2^(L-1), ..., 1 wherever u exceeds the entry step - 1 past it. The
+    predicate u > cdf_k holds on a prefix of the row (a cumsum of nonnegatives
+    never decreases, and the forced final 1.0 follows only entries that u < 1
+    cannot exceed), so the pointer's offset in its row is that count, the next
+    state, and one table maps the pointer to the next row's first guide entry.
+    On ``wide`` (S = 40, K = 8) M = 256 and L = 1, against six levels from the
+    row start; on ``decay`` (S = 4) M = 16 and L = 1, against two.
     """
     check_seed(seed)
     T, H, S = instance.T, instance.H, instance.S
@@ -287,13 +285,13 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
 
     flat, row_len, M, guide, levels = _cdf_table(instance)
     offset = row_len - 1  # mask of a pointer's offset in its row, i.e. its state
-    stride = M if M > 1 else row_len  # a row's key: where its guide entries, or its entries, start
-    # pointer (f*(S+1) + r)*W + s sits on state s; its next row's key is (f*(S+1) + s)*stride
+    # pointer (f*(S+1) + r)*W + s sits on state s; its next row's guide entries start at
+    # (f*(S+1) + s)*M
     ptrs = np.arange(flat.size)
-    next_row = (ptrs // (row_len * (S + 1)) * (S + 1) + (ptrs & offset)) * stride
+    next_row = (ptrs // (row_len * (S + 1)) * (S + 1) + (ptrs & offset)) * M
     probes = [(step, flat[step - 1:]) for step in (1 << k for k in range(levels - 1, 0, -1))]
     last = levels > 0  # a step-1 level, whose probe is the pointer's own entry
-    ptr = (f * (S + 1) + S) * stride
+    ptr = (f * (S + 1) + S) * M
     bucket = np.empty(T, dtype=np.int64)
     states = np.empty((T, H), dtype=np.min_scalar_type(S - 1))
     Ut = np.empty((min(_CHUNK, H), T))  # one buffer of uniforms, step-major, refilled per chunk
@@ -302,10 +300,9 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
         _refill(Ut[:width], gen, template, h)
         for j in range(width):
             u = Ut[j]
-            if M > 1:
-                np.multiply(u, M, out=bucket, casting="unsafe")  # truncates u*M >= 0
-                bucket += ptr
-                ptr = guide[bucket]
+            np.multiply(u, M, out=bucket, casting="unsafe")  # truncates u*M >= 0
+            bucket += ptr
+            ptr = guide[bucket]
             for step, probe in probes:
                 ptr += (u > probe[ptr]) * step
             if last:

@@ -196,7 +196,10 @@ class TestSampling:
     def test_guide_of_the_edge_chain_has_64_buckets_and_two_levels(self):
         m = validate_model(self.P16, self.ROW16)
         table = simgen._cdf_table(make_instance([m, m], [0.5, 0.5], 2, 4))
-        assert (table.buckets, table.levels, table.row_len) == (64, 2, 32)
+        assert (table.buckets, table.levels, table.row_len) == (64, 2, 16)
+        # 15 entries of a uniform row lie below 61/64, but a two-level walk
+        # from entry 15 would probe entry 16, past its row: it starts at 13
+        assert table.guide[64 + 61] == 16 + 13
 
     @pytest.mark.parametrize("u, expected", [
         (1 / 64, [0, 0, 0, 0]),  # on row 0's first entry: none below it
@@ -205,17 +208,41 @@ class TestSampling:
         (3 / 64, [4, 0, 4, 0]),  # on the edge past the repeats, in a bucket with no entries
         (4 / 64, [4, 0, 4, 0]),  # on an edge and on the uniform rows' first entry
         (8 / 64, [5, 1, 1, 1]),  # on an edge between row 0's entries, on a uniform one
+        (61 / 64, [15, 15, 15, 15]),  # on an edge where each walk starts two entries back
     ])
     def test_uniform_on_a_bucket_edge_counts_entries_strictly_below(self, monkeypatch,
                                                                     u, expected):
         got = self.sample_with_constant_uniforms(monkeypatch, u, self.P16, self.ROW16)
         assert got == [expected, expected]
 
+    # a 64-state chain whose row 0 is uniform and whose other rows, and mu,
+    # have the CDF (2, 2, 3, ..., 63, 64)/64: state 1 has probability 0 there,
+    # so one of 256 buckets holds two entries and every walk takes two levels,
+    # and 62 or 63 entries lie below a uniform in the top buckets
+    ROW64 = np.array([2, 0] + [1] * 62) / 64
+    P64 = np.vstack([np.full(64, 1 / 64)] + [ROW64] * 63)
+
+    def test_rows_keep_width_64_at_s_64_with_two_levels(self):
+        m = validate_model(self.P64, self.ROW64)
+        table = simgen._cdf_table(make_instance([m, m], [0.5, 0.5], 2, 4))
+        assert (table.buckets, table.levels, table.row_len) == (256, 2, 64)
+        assert table.flat.size == 2 * 65 * 64
+
+    @pytest.mark.parametrize("u, expected", [
+        (2 / 64, [0, 1, 0, 1]),  # on the repeated entry, and on uniform row 0's second one
+        (63 / 64, [62, 62, 62, 62]),  # on the last entry below 1: 62 below it
+        (1 - 1 / 1024, [63, 63, 63, 63]),  # above it, in the top bucket
+    ])
+    def test_uniform_in_a_top_bucket_counts_entries_strictly_below(self, monkeypatch,
+                                                                  u, expected):
+        got = self.sample_with_constant_uniforms(monkeypatch, u, self.P64, self.ROW64)
+        assert got == [expected, expected]
+
     @pytest.mark.parametrize("models, buckets, levels", [
-        (lambda: gen_separation_models(2), 1, 2),  # decay's shape: the guide would save 1 level
-        (lambda: [gen_random_ergodic(40, k, 0.005) for k in range(8)], 256, 1),  # wide's shape
+        (lambda: gen_separation_models(2), 16, 1),  # decay's shape, two levels from the row start
+        (lambda: [gen_random_ergodic(40, k, 0.005) for k in range(8)], 256, 1),  # wide's: six
     ], ids=["decay", "wide"])
-    def test_guide_is_on_only_where_it_removes_two_levels(self, models, buckets, levels):
+    def test_guide_at_the_benchmark_shapes(self, models, buckets, levels):
         models = models()
         inst = make_instance(models, np.full(len(models), 1 / len(models)), 8, 2)
         table = simgen._cdf_table(inst)
