@@ -45,8 +45,10 @@ SWEEP_COLUMNS = ["T", "H", "delta", "lambda", "seed", "K_hat", "e_t_stage1",
 _SPEC_KEYS = {"separation": ("S_prime",), "random": ("S", "K", "floor", "seed"),
               "inline": ("models",)}
 _SHARED_SPEC_KEYS = ("type", "alpha", "shuffle", "shuffle_seed")
-_REPORT_INPUTS = {"T": int, "H": int, "delta": float, "lambda": float, "e_t_stage1": int,
-                  "e_t_stage2": int, "e_t_oracle": int, "gamma_ps": float, "D_pi": float}
+# the five columns that key a row first
+_REPORT_INPUTS = {"T": int, "H": int, "delta": float, "lambda": float, "seed": int,
+                  "e_t_stage1": int, "e_t_stage2": int, "e_t_oracle": int,
+                  "gamma_ps": float, "D_pi": float}
 
 
 def _fmt(x) -> str:
@@ -224,9 +226,9 @@ def cmd_bounds(args) -> int:
                           f"missing {', '.join(missing)}")
     rate = None if missing else predicted_error_rate(args.T, args.H, args.gamma, args.d_pi,
                                                      args.c_eta)
-    rep = lower_bound_check(args.eps, args.delta, args.T, args.H, args.D,
-                            args.alpha_min, predicted=rate)
-    doc = rep.to_json()
+    doc = lower_bound_check(args.eps, args.delta, args.T, args.H, args.D,
+                            args.alpha_min).to_json()
+    doc["predicted_error_rate"] = rate
     print(json.dumps(doc, indent=2))
     if json_out is not None:
         json_out.write_text(json.dumps(doc, indent=2))
@@ -268,10 +270,13 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     for axis in SWEEP_KEYS[:5]:
         if not cfg.get(axis):
             raise InvalidSpec(f"{where} needs a nonempty axis {axis!r}")
-    Ts, Hs, seeds = (field(cfg, axis, int_list, where) for axis in ("T", "H", "seeds"))
-    deltas, lams = (field(cfg, axis, float_list, where) for axis in ("delta", "lambda"))
-    if len(set(seeds)) != len(seeds):
-        raise InvalidSpec(f"{where}: sweep seeds must be distinct")
+    Ts, Hs, deltas, lams, seeds = axes = [
+        field(cfg, axis, float_list if axis in ("delta", "lambda") else int_list, where)
+        for axis in SWEEP_KEYS[:5]]
+    # a repeated value, compared as read (200 and 200.0 alike), repeats every row it is in
+    for axis, values in zip(SWEEP_KEYS, axes):
+        if len(set(values)) != len(values):
+            raise InvalidSpec(f"{where}: axis {axis!r} repeats a value; got {values}")
     try:
         for seed in seeds:
             simgen.check_seed(seed)
@@ -324,6 +329,7 @@ def cmd_report(args) -> int:
         raise InvalidRange(f"--c-eta must be finite and > 0; got {args.c_eta}")
     out = _output_path(args, ".report.csv")
     rows = []
+    seen: dict[tuple, str] = {}  # each (T, H, delta, lambda, seed) key and the row that has it
     for path in args.csv:
         with open(path, newline="") as fh:
             try:
@@ -341,6 +347,11 @@ def cmd_report(args) -> int:
                         if parsed[c] < 1:
                             raise InvalidSpec(f"{path} row {n}: {c} must be >= 1; "
                                               f"got {parsed[c]}")
+                    key = tuple(parsed.values())[:5]
+                    if key in seen:
+                        raise InvalidSpec(f"{path} row {n} repeats the (T, H, delta, "
+                                          f"lambda, seed) of {seen[key]}")
+                    seen[key] = f"{path} row {n}"
                     rows.append(parsed)
             except UnicodeDecodeError as exc:
                 raise InvalidSpec(f"{path} is not a text file: {exc}") from exc

@@ -91,8 +91,9 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     if states.ndim != 2 or states.shape[1] < 2:
         raise DimensionMismatch("states must be a (T, H) array with H >= 2")
     T, H = states.shape
-    # a constant trajectory visits one state H times; H is capped where int32
-    # ends, so a count fits int32 wherever a reader widens it
+    # a constant trajectory visits one state H times, so the counts' dtype,
+    # np.min_scalar_type(H), must hold H; H is capped where int32 ends, which
+    # keeps that dtype at uint32 or narrower
     if H > np.iinfo(np.int32).max:
         raise InvalidRange(f"H = {H} exceeds the int32 count range")
     if states.size and (states.min() < 0 or states.max() >= S):

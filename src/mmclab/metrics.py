@@ -16,7 +16,6 @@ import numpy as np
 
 from . import memory
 from .chains import MarkovModel, pi_min as chains_pi_min, v_min as chains_v_min
-from .embedding import embed_model
 from .errors import InvalidRange, LengthMismatch, StateSpaceMismatch
 from .simgen import MixtureInstance
 
@@ -240,17 +239,17 @@ def _upper_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.tri(K, dtype=bool))
 
 
-def _delta_W_sq(E: np.ndarray) -> float:
-    """Minimum pairwise squared l2 distance between the rows of E."""
+def _delta_W_sq(P: np.ndarray, pi: np.ndarray) -> float:
+    """delta_W_sq from the stacked P and pi: each model's embedding row holds
+    sqrt(pi(s)) P(s, s'), row-major, as embedding.embed_model forms it."""
+    E = (np.sqrt(pi)[:, :, None] * P).reshape(len(P), -1)
     return float(_l2_rows(E[:, None], E[None])[_upper_pairs(len(E))].min())
 
 
 def delta_W_sq(models: list[MarkovModel] | tuple[MarkovModel, ...]) -> float:
     """Minimum pairwise squared l2 distance between model embeddings."""
-    models = tuple(models)
-    if len(models) < 2:
-        raise InvalidRange("need at least two models")
-    return _delta_W_sq(np.stack([embed_model(m) for m in models]))
+    P, _, pi = _stack(models)
+    return _delta_W_sq(P, pi)
 
 
 def _witness(pi: np.ndarray, sep: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -329,8 +328,7 @@ def _worst_row(slack: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> tuple[flo
     return float(slack[i]), float(lhs[i]), float(rhs[i])
 
 
-def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
-                           M_rho: tuple[float, float] | None = None,
+def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...]
                            ) -> list[InequalityCheck]:
     """Evaluate the KL/L2 sandwich and the gap inequalities with explicit constants.
 
@@ -338,19 +336,16 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
     c/(pmax v qmax) L2 <= KL <= L2/min q with c = log(e/2); (ii)
     D_pi >= c alpha Delta^2 / p_max; (iii) Delta_W^2 <= min over ordered pairs
     of (2 p_max / c) D_pi(k,k') + 4 Hellinger^2(pi_k, pi_k'); (iv)
-    Delta_W^2 >= alpha Delta^2 / 2 - max((sqrt(eta_pi)-1)^2, (1-1/sqrt(eta_pi))^2);
-    and, when uniform-ergodicity constants (M, rho) are supplied, (v) the
-    relaxed factor-7 form of (iii). Infinite quantities make the affected
-    inequality pass vacuously with slack +inf.
+    Delta_W^2 >= alpha Delta^2 / 2 - max((sqrt(eta_pi)-1)^2, (1-1/sqrt(eta_pi))^2).
+    Infinite quantities make the affected inequality pass vacuously with
+    slack +inf.
     """
-    models = tuple(models)
     P, _, pi = _stack(models)
     kl = _kl_rows(P[:, None], P[None])
     l2 = _l2_rows(P[:, None], P[None])
     pair_dpi = _pairwise_weighted_kl(kl, pi)
     d_pi = _off_min(pair_dpi)
-    # the rows embed_model forms for each model, from the stacks
-    dW2 = _delta_W_sq((np.sqrt(pi)[:, :, None] * P).reshape(len(P), -1))
+    dW2 = _delta_W_sq(P, pi)
     alpha, delta_sq, _ = _witness(pi, l2)
     eta_pi_val = _max_ratio(pi)
     pmax = float(P.max())
@@ -386,16 +381,6 @@ def check_gap_inequalities(models: list[MarkovModel] | tuple[MarkovModel, ...],
     checks.append(InequalityCheck("deltaW_lower_witness", dW2 >= rhs_iv - tol,
                                   dW2 - rhs_iv, dW2, rhs_iv))
 
-    # (v) relaxed uniform-ergodicity bound, factor 7
-    if M_rho is not None:
-        M_const, rho = M_rho
-        if not (0.0 < rho < 1.0 and M_const > 0.0):
-            raise InvalidRange("need rho in (0,1) and M > 0")
-        pimin = chains_pi_min(models)
-        contraction = math.ceil(math.log(1.0 / M_const) / math.log(rho)) + 1.0 / (1.0 - rho)
-        rhs_v = 7.0 * (pmax * d_pi + contraction * math.sqrt(d_pi / (2.0 * pimin)))
-        checks.append(InequalityCheck("deltaW_upper_uniform_ergodic", dW2 <= rhs_v + tol,
-                                      rhs_v - dW2, dW2, rhs_v))
     return checks
 
 
@@ -452,11 +437,10 @@ class BoundReport(_JsonReport):
     rhs_eq2: float
     min_H_necessary: int | None
     asymptotic_ratio: float
-    predicted_error_rate: float | None = None
 
 
 def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,
-                      alpha_min: float, *, predicted: float | None = None) -> BoundReport:
+                      alpha_min: float) -> BoundReport:
     """Evaluate the necessary condition 4(H-1)D >= log(1/(2 delta))/(eps T)
     + log(alpha_min/(16 e eps)) and the minimal integer H >= 2 satisfying it.
 
@@ -491,8 +475,7 @@ def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,
     denom = math.log(alpha_min / (16.0 * math.e * eps))
     ratio = math.inf if denom == 0.0 else 2.0 * (H - 1) * D / denom
     return BoundReport(necessary_holds=holds, lhs_4HD=lhs, rhs_eq2=rhs,
-                       min_H_necessary=min_H, asymptotic_ratio=ratio,
-                       predicted_error_rate=predicted)
+                       min_H_necessary=min_H, asymptotic_ratio=ratio)
 
 
 def predicted_error_rate(T: int, H: int, gamma_ps: float, D_pi: float, C_eta: float) -> float:

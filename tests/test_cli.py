@@ -24,7 +24,7 @@ from mmclab import (count_transitions, memory, pool_estimates, predicted_error_r
                     trajectory_loglik)
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
 from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
-                           MMCLabError, NumericalError)
+                           InvalidSpec, MMCLabError, NumericalError)
 from mmclab.metrics import GapReport
 from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
 from mmclab.spectral import load_stage1
@@ -912,11 +912,24 @@ class TestSweep:
         assert no_work == []
         assert not (tmp_path / "run.sweep.csv").exists()
 
-    def test_duplicate_seeds_rejected(self):
-        cfg = dict(SWEEP_CFG)
-        cfg["seeds"] = [1, 1]
-        with pytest.raises(Exception):
+    # a repeated value would repeat every row it is in; values compare as read,
+    # so 24 and 24.0 are one T
+    @pytest.mark.parametrize("axis, values, read", [
+        pytest.param(axis, values, read, id=axis) for axis, values, read in [
+            ("T", [24, 24.0], [24, 24]), ("H", [60, 120, 60], [60, 120, 60]),
+            ("delta", [0.1, 0.1], [0.1, 0.1]), ("lambda", [0.5, 0.5], [0.5, 0.5]),
+            ("seeds", [1, 2, 1], [1, 2, 1])]])
+    def test_repeated_axis_value_rejected(self, tmp_path, capsys, no_work, axis, values, read):
+        cfg = dict(SWEEP_CFG, **{axis: values})
+        message = f"axis {axis!r} repeats a value; got {read}"
+        with pytest.raises(InvalidSpec, match=re.escape(f"sweep config: {message}")):
             run_sweep(cfg, jobs=1)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert no_work == []
+        assert not (tmp_path / "run.sweep.csv").exists()
 
     def test_gamma_override_lands_in_rows(self):
         cfg = dict(SWEEP_CFG)
@@ -1019,6 +1032,15 @@ class TestSweep:
                      "--out", str(out)]) == 2
         assert f"--c-eta must be finite and > 0; got {float(c_eta)}" in capsys.readouterr().err
         assert not out.exists()
+
+    # the same CSV twice would count each seed twice and shrink the interval
+    def test_report_repeated_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.sweep.csv"
+        path.write_text(run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1, 2]), jobs=1))
+        assert main(["report", str(path), str(path), "--out", str(tmp_path)]) == 2
+        assert (f"{path} row 1 repeats the (T, H, delta, lambda, seed) of {path} row 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "summary.report.csv").exists()
 
     def test_report_input_without_sweep_columns_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -58,8 +58,9 @@ def write_stage1(tmp_path):
 
 def test_scipy_free_subcommands_load_no_scipy(tmp_path):
     write_stage1(tmp_path)
-    row = dict.fromkeys(SWEEP_COLUMNS, "0.5") | {"T": "10", "H": "20", "e_t_stage1": "1",
-                                                  "e_t_stage2": "1", "e_t_oracle": "0"}
+    row = dict.fromkeys(SWEEP_COLUMNS, "0.5") | {"T": "10", "H": "20", "seed": "1",
+                                                  "e_t_stage1": "1", "e_t_stage2": "1",
+                                                  "e_t_oracle": "0"}
     (tmp_path / "s.sweep.csv").write_text(",".join(SWEEP_COLUMNS) + "\n"
                                           + ",".join(row.values()) + "\n")
     code = """
