@@ -18,17 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import memory
-from .errors import (
-    DimensionMismatch,
-    EigenFailure,
-    InvalidRange,
-    InvalidSpec,
-    NotIrreducible,
-    NotMixedWithinTMax,
-    Periodic,
-    RowNotStochastic,
-    SingularSystem,
-)
+from .errors import InputError, NumericalError
 from .jsondoc import field, float_array, integer, require_keys
 
 PROB_SUM_TOL = 1e-12
@@ -79,10 +69,10 @@ def check_prob_vector(v: np.ndarray, name: str = "vector") -> np.ndarray:
     """Return v as float64 after checking it is finite, nonnegative and sums to 1 (1e-12)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
+        raise InputError(f"{name} must be 1-D, got shape {v.shape}")
     fault = _row_fault(v[None, :])
     if fault:
-        raise RowNotStochastic(f"{name} {fault[1]}")
+        raise InputError(f"{name} {fault[1]}")
     return v
 
 
@@ -90,10 +80,10 @@ def check_stochastic_matrix(P: np.ndarray) -> np.ndarray:
     """Return P as float64 after checking it is square and row stochastic."""
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
+        raise InputError(f"transition matrix must be square, got shape {P.shape}")
     fault = _row_fault(P)
     if fault:
-        raise RowNotStochastic(f"row {fault[0]} {fault[1]}")
+        raise InputError(f"row {fault[0]} {fault[1]}")
     return P
 
 
@@ -153,7 +143,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Unique pi with pi P = pi, by a direct linear solve.
 
     Replaces the last balance equation with the normalization constraint;
-    raises SingularSystem if the solve fails or the residual exceeds 1e-10
+    raises NumericalError if the solve fails or the residual exceeds 1e-10
     (both indicate the chain is not irreducible).
     """
     P = np.asarray(P, dtype=np.float64)
@@ -165,10 +155,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     try:
         pi = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem("stationary solve failed (chain not irreducible?)") from exc
+        raise NumericalError("stationary solve failed (chain not irreducible?)") from exc
     residual = float(np.max(np.abs(pi @ P - pi)))
     if residual > STATIONARY_TOL or np.any(pi < -STATIONARY_TOL) or abs(pi.sum() - 1.0) > 1e-9:
-        raise SingularSystem(f"stationary solve residual {residual:.3e} exceeds {STATIONARY_TOL}")
+        raise NumericalError(f"stationary solve residual {residual:.3e} exceeds {STATIONARY_TOL}")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
 
@@ -196,7 +186,7 @@ def _terms(B: np.ndarray, Bk: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndar
         try:
             ev = np.linalg.eigvalsh(np.matmul(stack[:n].transpose(0, 2, 1), stack[:n]))
         except np.linalg.LinAlgError as exc:
-            raise EigenFailure(f"eigensolver failed at k={k_lo + lo}") from exc
+            raise NumericalError(f"eigensolver failed at k={k_lo + lo}") from exc
         # eigvalsh sorts ascending; a 1-state chain has no second eigenvalue
         lam2 = ev[:, -2] if B.shape[0] > 1 else np.zeros(n)
         terms[lo:lo + n] = (1.0 - np.minimum(lam2, 1.0)) / np.arange(k_lo + lo, k_lo + lo + n)
@@ -214,7 +204,7 @@ def pseudo_spectral_gap(P: np.ndarray, pi: np.ndarray, k_max: int) -> float:
     sets no bound, so a NaN gap stays NaN.
     """
     if k_max < 1:
-        raise InvalidRange("k_max must be >= 1")
+        raise InputError("k_max must be >= 1")
     B = _conjugate(P, pi)
     terms, Bk = _terms(B, np.eye(P.shape[0]), 1, 1)
     bound = (1.0 + GAP_TERM_MARGIN) / terms[0] if terms[0] > 0.0 else math.inf
@@ -231,7 +221,7 @@ def mixing_time(P: np.ndarray, pi: np.ndarray) -> int:
         if 0.5 * np.abs(Pt - pi[None, :]).sum(axis=1).max() <= MIXING_THRESHOLD:
             return t
         Pt = Pt @ P
-    raise NotMixedWithinTMax(f"chain did not mix to {MIXING_THRESHOLD} within t_max={MIXING_T_MAX}")
+    raise NumericalError(f"chain did not mix to {MIXING_THRESHOLD} within t_max={MIXING_T_MAX}")
 
 
 def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
@@ -256,23 +246,23 @@ def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
     S = P.shape[0]
     mu = check_prob_vector(mu, name="mu")
     if mu.shape[0] != S:
-        raise DimensionMismatch(f"mu has length {mu.shape[0]}, expected {S}")
+        raise InputError(f"mu has length {mu.shape[0]}, expected {S}")
 
     adj = P > 0.0
     depth = _depths(np.stack([adj, adj.T]))
     if depth.min() < 0:
-        raise NotIrreducible("positive-transition graph is not strongly connected")
+        raise InputError("positive-transition graph is not strongly connected")
     u, v = np.nonzero(adj)
     period = int(np.gcd.reduce(depth[0, u] + 1 - depth[0, v]))
     if period != 1:
-        raise Periodic(f"chain has period {period}")
+        raise InputError(f"chain has period {period}")
 
     pi = stationary_distribution(P)
     t_mix = mixing_time(P, pi)
     gamma = pseudo_spectral_gap(P, pi, max(10, 2 * t_mix))
     upper = 1.0 + 2.0 * math.log(2.0) + math.log(1.0 / float(pi.min()))
     if not (0.5 <= gamma * t_mix <= upper + 1e-9):
-        raise EigenFailure(
+        raise NumericalError(
             f"gamma_ps * t_mix = {gamma * t_mix:.6f} outside sandwich [0.5, {upper:.6f}]")
     return MarkovModel(P=P, mu=mu, pi=pi, gamma_ps=gamma, t_mix=t_mix, S=S)
 
@@ -326,14 +316,14 @@ def model_from_json(doc: dict, where: str = "model document") -> MarkovModel:
     """Rebuild a model from its JSON document, recomputing derived fields.
 
     The document holds exactly the keys ``S``, ``P`` and ``mu``; any other key
-    (a misspelt ``"Mu"``, a derived ``"pi"``) raises InvalidSpec naming it."""
+    (a misspelt ``"Mu"``, a derived ``"pi"``) raises InputError naming it."""
     require_keys(doc, _MODEL_KEYS, where)
     unknown = sorted(set(doc) - set(_MODEL_KEYS))
     if unknown:
-        raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
+        raise InputError(f"{where} has unknown key(s) {unknown}")
     P = field(doc, "P", float_array, where)
     mu = field(doc, "mu", float_array, where)
     S = field(doc, "S", integer, where)
     if P.ndim != 2 or S != P.shape[0]:
-        raise DimensionMismatch(f"S={S} does not match P shape {P.shape}")
+        raise InputError(f"S={S} does not match P shape {P.shape}")
     return validate_model(P, mu)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import memory, simgen
 from .embedding import Counts, build_matrices, count_transitions, empirical_matrix
-from .errors import DimensionMismatch, InputError, InvalidRange, InvalidSpec, NumericalError
+from .errors import InputError, NumericalError
 from .jsondoc import (boolean, field, float_list, int_list, int_vector, integer, number,
                       read_object, require_keys)
 from .likelihood import oracle_classify, refine, save_stage2
@@ -60,10 +60,10 @@ def _fmt(x) -> str:
 def _models_from_spec(spec: dict, where: str) -> tuple:
     kind = require_keys(spec, (), where).get("type")
     if kind not in _SPEC_KEYS:
-        raise InvalidSpec(f"{where}: unknown instance spec type {kind!r}")
+        raise InputError(f"{where}: unknown instance spec type {kind!r}")
     unknown = sorted(set(spec) - set(_SPEC_KEYS[kind]) - set(_SHARED_SPEC_KEYS))
     if unknown:
-        raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
+        raise InputError(f"{where} has unknown key(s) {unknown}")
     if kind == "separation":
         return simgen.gen_separation_models(field(spec, "S_prime", integer, where))
     if kind == "random":
@@ -82,17 +82,17 @@ def _build_instances(spec: dict, where: str, shapes) -> list[simgen.MixtureInsta
     ``shuffle_seed``. ``where`` names the spec in the errors of its fields."""
     models = _models_from_spec(spec, where)
     if len(models) < 2:  # MixtureInstance's check, made before the default alpha divides by K
-        raise DimensionMismatch(f"{where}: an instance needs K >= 2 models")
+        raise InputError(f"{where}: an instance needs K >= 2 models")
     alpha = field(spec, "alpha", float_list, where, None) or [1.0 / len(models)] * len(models)
     if len(alpha) != len(models):
-        raise InvalidSpec(f"{where}: field 'alpha' needs {len(models)} entries, one per model")
+        raise InputError(f"{where}: field 'alpha' needs {len(models)} entries, one per model")
     shuffle = field(spec, "shuffle", boolean, where, False)
     shuffle_seed = field(spec, "shuffle_seed", integer, where, 0)
     try:
         return [simgen.make_instance(models, alpha, T, H, shuffle=shuffle,
                                      shuffle_seed=shuffle_seed) for T, H in shapes]
-    except InputError as exc:  # alpha, T against K, H: keep the type, name the spec
-        raise type(exc)(f"{where}: {exc}") from exc
+    except InputError as exc:  # alpha, T against K, H: name the spec
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _output_path(args, suffix: str) -> Path:
@@ -100,7 +100,7 @@ def _output_path(args, suffix: str) -> Path:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InvalidSpec(f"--out {args.out} is not a usable directory: {exc}") from exc
+        raise InputError(f"--out {args.out} is not a usable directory: {exc}") from exc
     return Path(args.out) / (args.name + suffix)
 
 
@@ -110,11 +110,11 @@ def _json_out_path(path: str | None) -> Path | None:
         return None
     out = Path(path)
     if out.is_dir():
-        raise InvalidSpec(f"--json-out {path} is a directory")
+        raise InputError(f"--json-out {path} is a directory")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InvalidSpec(f"--json-out {path} has no usable directory: {exc}") from exc
+        raise InputError(f"--json-out {path} has no usable directory: {exc}") from exc
     return out
 
 
@@ -124,7 +124,7 @@ def _resolve_gamma(gamma, instance) -> float:
         return float(gamma)
     if instance is not None:
         return float(min(m.gamma_ps for m in instance.models))
-    raise InvalidSpec("supply --gamma or --instance for oracle gamma")
+    raise InputError("supply --gamma or --instance for oracle gamma")
 
 
 def _read_counts(path: str) -> tuple[Counts, str]:
@@ -142,7 +142,7 @@ def cmd_generate(args) -> int:
         try:
             spec = require_keys(json.loads(args.spec), (), where)
         except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"{where} is not valid JSON: {exc}") from exc
+            raise InputError(f"{where} is not valid JSON: {exc}") from exc
     else:
         spec, where = read_object(args.spec), args.spec
     T, H = (field(spec, k, integer, where) for k in ("T", "H"))
@@ -168,8 +168,8 @@ def cmd_cluster(args) -> int:
     gamma = _resolve_gamma(args.gamma, instance)
     counts, instance_id = _read_counts(args.trajectories)
     if instance is not None and instance_id != (expected_id := instance.instance_id()):
-        raise InvalidSpec(f"{args.trajectories} was not sampled from {args.instance}: "
-                          f"its sidecar names instance {instance_id}, not {expected_id}")
+        raise InputError(f"{args.trajectories} was not sampled from {args.instance}: "
+                         f"its sidecar names instance {instance_id}, not {expected_id}")
     cfg = SpectralConfig(delta=args.delta, gamma_ps=gamma, c_sigma=args.c_sigma,
                          c_rho=args.c_rho)
     res = spectral_cluster(empirical_matrix(counts), cfg)
@@ -183,6 +183,9 @@ def cmd_refine(args) -> int:
     out = _output_path(args, ".stage2.json")
     counts, _ = _read_counts(args.trajectories)
     stage1 = load_stage1(args.stage1)
+    if len(stage1.labels) != counts.T:
+        raise InputError(f"{args.stage1} holds {len(stage1.labels)} labels, not the "
+                         f"{counts.T} trajectories of {args.trajectories}")
     res = refine(counts, stage1.labels, stage1.K_hat, args.smoothing)
     save_stage2(res, out, dump_loglik=args.dump_loglik)
     print(f"wrote {out} (changed={res.changed})")
@@ -194,8 +197,14 @@ def cmd_evaluate(args) -> int:
     instance = simgen.load_instance(args.instance)
     results = {}
     for path in args.labels:
-        labels = field(read_object(path), "labels", int_vector, path) - 1
-        results[path] = misclassification(labels, instance.decoding)
+        labels = field(read_object(path), "labels", int_vector, path)
+        if len(labels) != instance.T:
+            raise InputError(f"{path} holds {len(labels)} labels, not the {instance.T} "
+                             f"trajectories of {args.instance}")
+        if labels.min() < 1:  # T >= 1, so there is a smallest label
+            raise InputError(f"{path}: labels are 1-based and must be >= 1; "
+                             f"got {labels.min()}")
+        results[path] = misclassification(labels - 1, instance.decoding)
     for path, e in results.items():
         print(f"E_T({path}) = {e} / {instance.T}")
     if json_out is not None:
@@ -222,8 +231,8 @@ def cmd_bounds(args) -> int:
     missing = [flag for flag, value in [("--gamma", args.gamma), ("--d-pi", args.d_pi),
                                         ("--c-eta", args.c_eta)] if value is None]
     if len(missing) in (1, 2):
-        raise InvalidSpec(f"the predicted rate needs --gamma, --d-pi and --c-eta together; "
-                          f"missing {', '.join(missing)}")
+        raise InputError(f"the predicted rate needs --gamma, --d-pi and --c-eta together; "
+                         f"missing {', '.join(missing)}")
     rate = None if missing else predicted_error_rate(args.T, args.H, args.gamma, args.d_pi,
                                                      args.c_eta)
     doc = lower_bound_check(args.eps, args.delta, args.T, args.H, args.D,
@@ -263,27 +272,27 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     generated once, and the points share one instance per (T, H), one D per
     H, one D_pi and delta_W_sq, and one stage-1 config per delta."""
     if jobs < 1:
-        raise InvalidRange(f"jobs must be >= 1; got {jobs}")
+        raise InputError(f"jobs must be >= 1; got {jobs}")
     unknown = sorted(set(cfg) - set(SWEEP_KEYS))
     if unknown:
-        raise InvalidSpec(f"{where} has unknown key(s) {unknown}")
+        raise InputError(f"{where} has unknown key(s) {unknown}")
     for axis in SWEEP_KEYS[:5]:
         if not cfg.get(axis):
-            raise InvalidSpec(f"{where} needs a nonempty axis {axis!r}")
+            raise InputError(f"{where} needs a nonempty axis {axis!r}")
     Ts, Hs, deltas, lams, seeds = axes = [
         field(cfg, axis, float_list if axis in ("delta", "lambda") else int_list, where)
         for axis in SWEEP_KEYS[:5]]
     # a repeated value, compared as read (200 and 200.0 alike), repeats every row it is in
     for axis, values in zip(SWEEP_KEYS, axes):
         if len(set(values)) != len(values):
-            raise InvalidSpec(f"{where}: axis {axis!r} repeats a value; got {values}")
+            raise InputError(f"{where}: axis {axis!r} repeats a value; got {values}")
     try:
         for seed in seeds:
             simgen.check_seed(seed)
-    except InvalidRange as exc:
-        raise InvalidRange(f"{where}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
     if not all(0.0 <= lam < math.inf for lam in lams):
-        raise InvalidRange(f"{where}: lambda must be finite and >= 0; got {lams}")
+        raise InputError(f"{where}: lambda must be finite and >= 0; got {lams}")
     instances = _build_instances(require_keys(cfg, ("instance",), where)["instance"],
                                  f"{where} instance", [(T, H) for T in Ts for H in Hs])
     gamma = _resolve_gamma(field(cfg, "gamma", number, where, None), instances[0])
@@ -292,8 +301,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
     try:
         stage1_cfgs = [SpectralConfig(delta=d, gamma_ps=gamma, c_sigma=c_sigma, c_rho=c_rho)
                        for d in deltas]
-    except InvalidRange as exc:
-        raise InvalidRange(f"{where}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
     # D depends on the models and H alone; D_pi and delta_W_sq on the models alone
     models = instances[0].models
     shared = (float(divergence_D_pi(models)[0]), float(delta_W_sq(models)))
@@ -326,7 +335,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     if not (math.isfinite(args.c_eta) and args.c_eta > 0.0):
-        raise InvalidRange(f"--c-eta must be finite and > 0; got {args.c_eta}")
+        raise InputError(f"--c-eta must be finite and > 0; got {args.c_eta}")
     out = _output_path(args, ".report.csv")
     rows = []
     seen: dict[tuple, str] = {}  # each (T, H, delta, lambda, seed) key and the row that has it
@@ -336,27 +345,33 @@ def cmd_report(args) -> int:
                 reader = csv.DictReader(fh)
                 missing = [c for c in _REPORT_INPUTS if c not in (reader.fieldnames or ())]
                 if missing:
-                    raise InvalidSpec(f"{path} lacks sweep column(s) {missing}")
+                    raise InputError(f"{path} lacks sweep column(s) {missing}")
                 for n, row in enumerate(reader, start=1):
                     # DictReader fills the fields of a short row with None
                     if any(row[c] is None for c in _REPORT_INPUTS):
-                        raise InvalidSpec(f"{path} row {n} has fewer fields than its header")
+                        raise InputError(f"{path} row {n} has fewer fields than its header")
                     parsed = {c: field(row, c, kind, f"{path} row {n}")
                               for c, kind in _REPORT_INPUTS.items()}
                     for c in ("T", "H"):
                         if parsed[c] < 1:
-                            raise InvalidSpec(f"{path} row {n}: {c} must be >= 1; "
-                                              f"got {parsed[c]}")
+                            raise InputError(f"{path} row {n}: {c} must be >= 1; "
+                                             f"got {parsed[c]}")
+                    if not 0.0 < parsed["gamma_ps"] <= 1.0:
+                        raise InputError(f"{path} row {n}: gamma_ps must be in (0, 1]; "
+                                         f"got {parsed['gamma_ps']}")
+                    if not parsed["D_pi"] >= 0.0:  # NaN fails it; +inf, a support gap, is valid
+                        raise InputError(f"{path} row {n}: D_pi must be >= 0 and not NaN; "
+                                         f"got {parsed['D_pi']}")
                     key = tuple(parsed.values())[:5]
                     if key in seen:
-                        raise InvalidSpec(f"{path} row {n} repeats the (T, H, delta, "
-                                          f"lambda, seed) of {seen[key]}")
+                        raise InputError(f"{path} row {n} repeats the (T, H, delta, "
+                                         f"lambda, seed) of {seen[key]}")
                     seen[key] = f"{path} row {n}"
                     rows.append(parsed)
             except UnicodeDecodeError as exc:
-                raise InvalidSpec(f"{path} is not a text file: {exc}") from exc
+                raise InputError(f"{path} is not a text file: {exc}") from exc
     if not rows:
-        raise InvalidSpec("no rows found in the given CSV files")
+        raise InputError("no rows found in the given CSV files")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         key = (row["T"], row["H"], row["delta"], row["lambda"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import memory
 from .chains import MarkovModel
-from .errors import DimensionMismatch, InvalidRange, StateOutOfRange
+from .errors import InputError
 from .simgen import MixtureInstance
 
 __all__ = [
@@ -89,15 +89,15 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
     """Exact visit and transition counts of every row of a (T, H) state array."""
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] < 2:
-        raise DimensionMismatch("states must be a (T, H) array with H >= 2")
+        raise InputError("states must be a (T, H) array with H >= 2")
     T, H = states.shape
     # a constant trajectory visits one state H times, so the counts' dtype,
     # np.min_scalar_type(H), must hold H; H is capped where int32 ends, which
     # keeps that dtype at uint32 or narrower
     if H > np.iinfo(np.int32).max:
-        raise InvalidRange(f"H = {H} exceeds the int32 count range")
+        raise InputError(f"H = {H} exceeds the int32 count range")
     if states.size and (states.min() < 0 or states.max() >= S):
-        raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
+        raise InputError(f"state indices must lie in [0, {S - 1}]")
     transitions = np.empty((T, S, S), dtype=np.min_scalar_type(H))
     # a pass's int64 flat index has H - 1 entries per trajectory and its int64
     # bincount S * S; the larger stays within the pass budget, or one trajectory's worth
@@ -152,7 +152,7 @@ def build_matrices(instance: MixtureInstance, counts: Counts) -> tuple[DataMatri
     """Ground-truth W (row t = model embedding of f(t)) and empirical W-hat,
     each built a block of rows at a time as it is read."""
     if counts.T != instance.T or counts.H != instance.H or counts.S != instance.S:
-        raise DimensionMismatch("trajectory counts do not match the instance shape")
+        raise InputError("trajectory counts do not match the instance shape")
     model_rows = np.stack([embed_model(m) for m in instance.models])
 
     def build(rows: slice, out: np.ndarray | None) -> np.ndarray:

@@ -1,7 +1,5 @@
-"""Exception types raised across the package.
-
-Grouped by failure mode so the CLI can map them onto exit codes:
-configuration/input errors exit with 2, numerical failures with 3.
+"""Exception types raised across the package, one per CLI exit code:
+invalid input data or configuration exits with 2, a numerical failure with 3.
 """
 
 
@@ -15,83 +13,3 @@ class InputError(MMCLabError):
 
 class NumericalError(MMCLabError):
     """A numerical routine failed to produce a usable result (CLI exit code 3)."""
-
-
-# --- chain validation and eigensolves (stage 1's included) ---
-
-class DimensionMismatch(InputError):
-    pass
-
-
-class RowNotStochastic(InputError):
-    pass
-
-
-class NotIrreducible(InputError):
-    pass
-
-
-class Periodic(InputError):
-    pass
-
-
-class SingularSystem(NumericalError):
-    pass
-
-
-class EigenFailure(NumericalError):
-    pass
-
-
-class NotMixedWithinTMax(NumericalError):
-    pass
-
-
-# --- instance generation / sampling ---
-
-class EmptyClusterAfterRounding(InputError):
-    pass
-
-
-class StateSpaceMismatch(InputError):
-    pass
-
-
-class StateOutOfRange(InputError):
-    pass
-
-
-# --- spectral stage ---
-
-class EmptyInput(InputError):
-    pass
-
-
-class NonpositiveLogArgument(InputError):
-    pass
-
-
-# --- likelihood stage ---
-
-class EmptyCluster(InputError):
-    pass
-
-
-class ZeroProbabilityTransition(NumericalError):
-    pass
-
-
-# --- metrics / bounds ---
-
-class LengthMismatch(InputError):
-    pass
-
-
-class InvalidRange(InputError):
-    pass
-
-
-# --- CLI ---
-
-class InvalidSpec(InputError):
-    pass

@@ -5,7 +5,7 @@ results, label files, generator specs, sweep configs) goes through
 ``read_object``, and every object given inline or nested in one through
 ``require_keys``, and their fields are converted through ``field``. A
 document of the wrong shape, or a field of the wrong type, fails with
-``InvalidSpec`` naming the file (or the object) and the key, never with a
+``InputError`` naming the file (or the object) and the key, never with a
 ``KeyError``, ``TypeError`` or ``ValueError`` from deep inside a loader.
 """
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InputError
 
 _REQUIRED = object()
 
@@ -24,10 +24,10 @@ _REQUIRED = object()
 def require_keys(doc, keys, where: str) -> dict:
     """Return ``doc`` if it is a JSON object holding every key in ``keys``."""
     if not isinstance(doc, dict):
-        raise InvalidSpec(f"{where} must hold a JSON object, not {type(doc).__name__}")
+        raise InputError(f"{where} must hold a JSON object, not {type(doc).__name__}")
     missing = [k for k in keys if k not in doc]
     if missing:
-        raise InvalidSpec(f"{where} lacks key(s) {missing}")
+        raise InputError(f"{where} lacks key(s) {missing}")
     return doc
 
 
@@ -36,23 +36,23 @@ def read_object(path: str | Path, keys=()) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InvalidSpec(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return require_keys(doc, keys, str(path))
 
 
 def field(doc: dict, key: str, convert, where: str, default=_REQUIRED):
     """``convert(doc[key])``; ``default``, unconverted, when a default is given
     and the key is absent or null. A value that ``convert`` rejects with a
-    ``TypeError``, ``ValueError`` or ``OverflowError`` raises ``InvalidSpec``
+    ``TypeError``, ``ValueError`` or ``OverflowError`` raises ``InputError``
     naming both."""
     if default is not _REQUIRED and doc.get(key) is None:
         return default
     if key not in doc:
-        raise InvalidSpec(f"{where} lacks key(s) {[key]}")
+        raise InputError(f"{where} lacks key(s) {[key]}")
     try:
         return convert(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"{where}: field {key!r} has the wrong type ({exc})") from exc
+        raise InputError(f"{where}: field {key!r} has the wrong type ({exc})") from exc
 
 
 def integer(value) -> int:

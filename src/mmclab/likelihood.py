@@ -20,8 +20,7 @@ import numpy as np
 from . import memory
 from .chains import MarkovModel
 from .embedding import Counts
-from .errors import (EmptyCluster, InvalidRange, LengthMismatch, StateSpaceMismatch,
-                     ZeroProbabilityTransition)
+from .errors import InputError, NumericalError
 
 __all__ = ["TransitionEstimate", "Stage2Result", "pool_estimates",
            "trajectory_loglik", "refine", "oracle_classify", "save_stage2"]
@@ -60,16 +59,16 @@ def pool_estimates(counts: Counts, labels: np.ndarray, K: int, lam: float) -> Tr
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != counts.T:
-        raise LengthMismatch("labels length does not match trajectory count")
+        raise InputError("labels length does not match trajectory count")
     if not 0.0 <= lam < math.inf:
-        raise InvalidRange(f"smoothing must be finite and >= 0; got {lam}")
+        raise InputError(f"smoothing must be finite and >= 0; got {lam}")
     S = counts.S
     if K < 1 or labels.min() < 0 or labels.max() >= K:
-        raise EmptyCluster(f"labels must lie in [0, {K - 1}]")
+        raise InputError(f"labels must lie in [0, {K - 1}]")
     counts_per_cluster = np.bincount(labels, minlength=K)
     if np.any(counts_per_cluster == 0):
         empty = int(np.argmin(counts_per_cluster))
-        raise EmptyCluster(f"cluster {empty} has no trajectories")
+        raise InputError(f"cluster {empty} has no trajectories")
 
     # a cluster's rows are summed in pieces of the label-sorted order, each one
     # run of equal labels cut so that its copy of the counts fits the pass budget,
@@ -145,10 +144,10 @@ def oracle_classify(counts: Counts, models: Sequence[MarkovModel]) -> np.ndarray
     ties break to the lowest model index.
     """
     if any(m.S != counts.S for m in models):
-        raise StateSpaceMismatch(f"every model must have the counts' S={counts.S}")
+        raise InputError(f"every model must have the counts' S={counts.S}")
     scores = trajectory_loglik(counts, np.stack([m.P for m in models]))
     if np.isneginf(scores).all(axis=1).any():
-        raise ZeroProbabilityTransition(
+        raise NumericalError(
             "every model assigns probability 0 to a transition of one trajectory")
     return np.argmax(scores, axis=1).astype(np.int64)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import memory
 from .chains import MarkovModel, pi_min as chains_pi_min, v_min as chains_v_min
-from .errors import InvalidRange, LengthMismatch, StateSpaceMismatch
+from .errors import InputError
 from .simgen import MixtureInstance
 
 __all__ = [
@@ -56,11 +56,11 @@ def misclassification(f_hat: np.ndarray, f: np.ndarray) -> int:
     f_hat = np.asarray(f_hat, dtype=np.int64)
     f = np.asarray(f, dtype=np.int64)
     if f_hat.shape != f.shape or f_hat.ndim != 1:
-        raise LengthMismatch(f"label shapes differ: {f_hat.shape} vs {f.shape}")
+        raise InputError(f"label shapes differ: {f_hat.shape} vs {f.shape}")
     if f.shape[0] == 0:
         return 0
     if f_hat.min() < 0 or f.min() < 0:
-        raise LengthMismatch("labels must be nonnegative")
+        raise InputError("labels must be nonnegative")
     # number the labels that occur 0, 1, ...: a label value far above T
     # (one read from a file, say) must not size the confusion matrix
     f_hat = np.unique(f_hat, return_inverse=True)[1]
@@ -136,7 +136,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise LengthMismatch(f"shape mismatch {p.shape} vs {q.shape}")
+        raise InputError(f"shape mismatch {p.shape} vs {q.shape}")
     return float(_kl_rows(p, q))
 
 
@@ -158,9 +158,9 @@ def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked (P, mu, pi) of two or more models on one state space."""
     models = tuple(models)
     if len(models) < 2:
-        raise InvalidRange("need at least two models")
+        raise InputError("need at least two models")
     if len({m.S for m in models}) > 1:
-        raise StateSpaceMismatch("all models must share the same state space")
+        raise InputError("all models must share the same state space")
     return (np.stack([m.P for m in models]), np.stack([m.mu for m in models]),
             np.stack([m.pi for m in models]))
 
@@ -180,7 +180,7 @@ def visitation_weights(model: MarkovModel, H: int) -> np.ndarray:
     (one that ends in a cycle of last-bit values) runs the loop to the end.
     """
     if H < 2:
-        raise InvalidRange("H must be >= 2")
+        raise InputError("H must be >= 2")
     acc = model.mu.copy()
     total = np.zeros(model.S)
     steps = H - 1
@@ -448,15 +448,15 @@ def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,
     quantity of the asymptotically-stable condition).
     """
     if not 0.0 < eps <= 1.0:
-        raise InvalidRange(f"eps must be in (0,1]; got {eps}")
+        raise InputError(f"eps must be in (0,1]; got {eps}")
     if not 0.0 < delta <= 0.5:
-        raise InvalidRange(f"delta must be in (0, 1/2]; got {delta}")
+        raise InputError(f"delta must be in (0, 1/2]; got {delta}")
     if not 0.0 < alpha_min <= 1.0:
-        raise InvalidRange(f"alpha_min must be in (0,1]; got {alpha_min}")
+        raise InputError(f"alpha_min must be in (0,1]; got {alpha_min}")
     if T < 1 or H < 2:
-        raise InvalidRange(f"need T >= 1 and H >= 2; got T = {T}, H = {H}")
+        raise InputError(f"need T >= 1 and H >= 2; got T = {T}, H = {H}")
     if not 0.0 <= D < math.inf:
-        raise InvalidRange(f"D must be finite and >= 0; got {D}")
+        raise InputError(f"D must be finite and >= 0; got {D}")
 
     rhs = math.log(1.0 / (2.0 * delta)) / (eps * T) + math.log(alpha_min / (16.0 * math.e * eps))
     lhs = 4.0 * (H - 1) * D
@@ -481,13 +481,13 @@ def lower_bound_check(eps: float, delta: float, T: int, H: int, D: float,
 def predicted_error_rate(T: int, H: int, gamma_ps: float, D_pi: float, C_eta: float) -> float:
     """Predicted error envelope T exp(-C_eta gamma_ps H D_pi)."""
     if T < 1 or H < 1:
-        raise InvalidRange(f"need T, H >= 1; got T = {T}, H = {H}")
+        raise InputError(f"need T, H >= 1; got T = {T}, H = {H}")
     if not 0.0 < gamma_ps <= 1.0:
-        raise InvalidRange(f"gamma_ps must be in (0,1]; got {gamma_ps}")
+        raise InputError(f"gamma_ps must be in (0,1]; got {gamma_ps}")
     if not 0.0 <= D_pi < math.inf:
-        raise InvalidRange(f"D_pi must be finite and >= 0; got {D_pi}")
+        raise InputError(f"D_pi must be finite and >= 0; got {D_pi}")
     if not 0.0 < C_eta < math.inf:
-        raise InvalidRange(f"C_eta must be finite and > 0; got {C_eta}")
+        raise InputError(f"C_eta must be finite and > 0; got {C_eta}")
     return T * math.exp(-C_eta * gamma_ps * H * D_pi)
 
 
@@ -495,5 +495,5 @@ def c_eta_explicit(eta_p: float) -> float:
     """The explicit constant 1 / (256 (4 eta_p^2 + 5 log eta_p)) from the
     likelihood-stage analysis."""
     if eta_p < 1.0:
-        raise InvalidRange("eta_p must be >= 1")
+        raise InputError("eta_p must be >= 1")
     return 1.0 / (256.0 * (4.0 * eta_p ** 2 + 5.0 * math.log(eta_p)))

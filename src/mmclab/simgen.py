@@ -22,14 +22,7 @@ import numpy as np
 
 from . import memory
 from .chains import MarkovModel, model_from_json, model_to_json, validate_model
-from .errors import (
-    DimensionMismatch,
-    EmptyClusterAfterRounding,
-    InputError,
-    InvalidRange,
-    StateOutOfRange,
-    StateSpaceMismatch,
-)
+from .errors import InputError
 from .jsondoc import field, int_vector, integer, read_object, require_keys
 
 __all__ = [
@@ -62,18 +55,18 @@ class MixtureInstance:
 
     def __post_init__(self):
         if len(self.models) < 2:
-            raise DimensionMismatch("an instance needs K >= 2 models")
+            raise InputError("an instance needs K >= 2 models")
         if any(m.S != self.S for m in self.models):
-            raise StateSpaceMismatch("all models must share the same state space")
+            raise InputError("all models must share the same state space")
         if self.H < 2:
-            raise DimensionMismatch("H must be >= 2")
+            raise InputError("H must be >= 2")
         if self.T < 1:
-            raise DimensionMismatch("an instance needs T >= 1 trajectories")
+            raise InputError("an instance needs T >= 1 trajectories")
         if self.decoding.ndim != 1 or self.decoding.shape[0] != self.T:
-            raise DimensionMismatch("decoding length does not match T")
+            raise InputError("decoding length does not match T")
         # named 1-based, as an instance file holds the decoding
         if self.decoding.min() < 0 or self.decoding.max() >= self.K:
-            raise DimensionMismatch("decoding values outside [1, K]")
+            raise InputError("decoding values outside [1, K]")
         self.decoding.setflags(write=False)
 
     @property
@@ -130,11 +123,11 @@ def cluster_sizes(alpha: np.ndarray, T: int) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     K = alpha.shape[0]
     if T < K:
-        raise EmptyClusterAfterRounding(f"T={T} < K={K}: some cluster must be empty")
+        raise InputError(f"T={T} < K={K}: some cluster must be empty")
     if not np.isfinite(alpha).all() or abs(alpha.sum() - 1.0) > 1e-9:
-        raise InvalidRange(f"alpha must be finite and sum to 1; got {alpha.tolist()}")
+        raise InputError(f"alpha must be finite and sum to 1; got {alpha.tolist()}")
     if np.any(alpha <= 0.0):
-        raise EmptyClusterAfterRounding("alpha has a zero entry; every cluster must be nonempty")
+        raise InputError("alpha has a zero entry; every cluster must be nonempty")
     raw = alpha * T
     sizes = np.floor(raw).astype(np.int64)
     rem = raw - sizes
@@ -166,11 +159,11 @@ def make_instance(models: Sequence[MarkovModel], alpha: np.ndarray, T: int, H: i
 
 
 def check_seed(seed: int) -> None:
-    """Raise ``InvalidRange`` unless 0 <= seed < 2**64, the range of the key
+    """Raise ``InputError`` unless 0 <= seed < 2**64, the range of the key
     word that a seed fills in each trajectory's Philox stream."""
     if not 0 <= seed < 1 << 64:
-        raise InvalidRange(f"seed must be in [0, 2**64), the range of one Philox key word; "
-                           f"got {seed}")
+        raise InputError(f"seed must be in [0, 2**64), the range of one Philox key word; "
+                         f"got {seed}")
 
 
 def _refill(out: np.ndarray, gen: np.random.Generator, template: dict, h: int) -> None:
@@ -254,7 +247,7 @@ def _cdf_table(instance: MixtureInstance) -> _CdfTable:
 
 def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     """Sample all T trajectories; trajectory t uses the Philox stream keyed by
-    (seed, t), for a seed in [0, 2**64) (``InvalidRange`` otherwise).
+    (seed, t), for a seed in [0, 2**64) (``InputError`` otherwise).
 
     The walk is vectorized across trajectories (inverse-CDF steps on
     per-trajectory uniforms), which leaves the per-trajectory streams intact:
@@ -319,9 +312,9 @@ def gen_random_ergodic(S: int, seed: int, floor: float) -> MarkovModel:
     floor bounds the cross-chain transition ratio eta_p by construction.
     """
     if S < 2:
-        raise DimensionMismatch("S must be >= 2")
+        raise InputError("S must be >= 2")
     if not 0.0 < floor < 1.0 / S:
-        raise InvalidRange(f"floor must lie in (0, 1/S); got {floor}")
+        raise InputError(f"floor must lie in (0, 1/S); got {floor}")
     rng = np.random.default_rng(seed)
     lam = S * floor
     P = (1.0 - lam) * rng.dirichlet(np.ones(S), size=S) + floor
@@ -341,7 +334,7 @@ def gen_separation_models(S_prime: int) -> tuple[MarkovModel, MarkovModel]:
     step and have pseudo-spectral gap 1.
     """
     if S_prime < 1:
-        raise DimensionMismatch("S_prime must be >= 1")
+        raise InputError("S_prime must be >= 1")
     hi, lo = 3.0 / (4.0 * S_prime), 1.0 / (4.0 * S_prime)
     row1 = np.concatenate([np.full(S_prime, hi), np.full(S_prime, lo)])
     row2 = np.concatenate([np.full(S_prime, lo), np.full(S_prime, hi)])
@@ -371,8 +364,8 @@ def instance_from_json(doc: dict, where: str = "instance document") -> MixtureIn
     T, H = field(doc, "T", integer, where), field(doc, "H", integer, where)
     try:
         return MixtureInstance(models=models, decoding=decoding, T=T, H=H)
-    except InputError as exc:  # keep the type, name the document
-        raise type(exc)(f"{where}: {exc}") from exc
+    except InputError as exc:  # name the document
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def save_instance(instance: MixtureInstance, path: str | Path) -> None:
@@ -391,9 +384,9 @@ def save_trajectories(trajs: TrajectorySet, path: str | Path, S: int, instance_i
     States must lie in [0, S) with S <= 65535, so that every one fits 1-based.
     """
     if S > 0xFFFF:
-        raise StateOutOfRange(f"S={S} exceeds the 65535 states a u16 file can hold")
+        raise InputError(f"S={S} exceeds the 65535 states a u16 file can hold")
     if trajs.states.size and (trajs.states.min() < 0 or trajs.states.max() >= S):
-        raise StateOutOfRange(f"state indices must lie in [0, {S - 1}]")
+        raise InputError(f"state indices must lie in [0, {S - 1}]")
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<III", trajs.T, trajs.H, S))
@@ -410,14 +403,14 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int, str]:
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12:
-            raise DimensionMismatch(f"{path} is shorter than its 12-byte header")
+            raise InputError(f"{path} is shorter than its 12-byte header")
         T, H, S = struct.unpack("<III", header)
         if S == 0:
-            raise DimensionMismatch(f"{path}: its header has S = 0 states")
+            raise InputError(f"{path}: its header has S = 0 states")
         size = os.fstat(fh.fileno()).st_size - 12
         if size != 2 * T * H:
-            raise DimensionMismatch(f"{path} holds {size} state bytes; "
-                                    f"its header (T={T}, H={H}) needs {2 * T * H}")
+            raise InputError(f"{path} holds {size} state bytes; "
+                             f"its header (T={T}, H={H}) needs {2 * T * H}")
         raw = np.fromfile(fh, dtype="<u2", count=T * H).reshape(T, H)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     try:
@@ -431,8 +424,8 @@ def load_trajectories(path: str | Path) -> tuple[TrajectorySet, int, str]:
     # wrap to the top of the dtype's range (a 0 in a 1-based file to 255 in
     # uint8), where a count's own range check at S = 256 would not see it
     if raw.size and (raw.min() < base or raw.max() >= base + S):
-        raise StateOutOfRange(f"{path}: state indices must lie in [{base}, {base + S - 1}] "
-                              f"(S={S}, index base {base})")
+        raise InputError(f"{path}: state indices must lie in [{base}, {base + S - 1}] "
+                         f"(S={S}, index base {base})")
     states = np.empty((T, H), dtype=np.min_scalar_type(S - 1))
     # each difference lies in [0, S), so narrowing it is exact; the int64 loop
     # takes a base of either sign

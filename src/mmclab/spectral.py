@@ -38,7 +38,7 @@ import numpy as np
 
 from . import memory
 from .embedding import DataMatrix
-from .errors import EigenFailure, EmptyInput, InvalidRange, NonpositiveLogArgument
+from .errors import InputError, NumericalError
 from .jsondoc import boolean, field, float_array, int_vector, integer, number, read_object
 
 __all__ = ["SpectralConfig", "Stage1Result", "sigma_threshold", "spectral_cluster",
@@ -66,13 +66,13 @@ class SpectralConfig:
     def __post_init__(self):
         # each message names the constant by its sweep-config key (gamma for gamma_ps)
         if not 0.0 < self.delta < 1.0:
-            raise InvalidRange(f"delta must be in (0,1); got {self.delta}")
+            raise InputError(f"delta must be in (0,1); got {self.delta}")
         if not 0.0 < self.gamma_ps <= 1.0:
-            raise InvalidRange(f"gamma must be in (0,1]; got {self.gamma_ps}")
+            raise InputError(f"gamma must be in (0,1]; got {self.gamma_ps}")
         if not self.c_sigma >= 0.0:
-            raise InvalidRange(f"c_sigma must be >= 0; got {self.c_sigma}")
+            raise InputError(f"c_sigma must be >= 0; got {self.c_sigma}")
         if not self.c_rho > 0.0:
-            raise InvalidRange(f"c_rho must be > 0; got {self.c_rho}")
+            raise InputError(f"c_rho must be > 0; got {self.c_rho}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _log_term(T: int, H: int, delta: float) -> float:
     # math.log handles arbitrarily large python ints, so huge noiseless-limit
     # horizons are fine here even when float(H) would overflow.
     if T < 1 or H < 1:
-        raise NonpositiveLogArgument("T and H must be >= 1")
+        raise InputError("T and H must be >= 1")
     # positive: SpectralConfig keeps delta in (0, 1)
     return math.log(T) + math.log(H) - math.log(delta)
 
@@ -227,7 +227,7 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
     """
     T, S, H = W_hat.T, W_hat.S, W_hat.H
     if T == 0 or S == 0:
-        raise EmptyInput("empty data matrix")
+        raise InputError("empty data matrix")
 
     gram_of_columns = T >= S * S
     sigma_thres = sigma_threshold(T, S, H, cfg)
@@ -240,7 +240,7 @@ def spectral_cluster(W_hat: DataMatrix, cfg: SpectralConfig) -> Stage1Result:
         R_hat = max(1, n - _count_below(G, r2)) if r2 > 0.0 else n
         eigvals, V = _top_eigenpairs(G, min(R_hat + 1, n))
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure("eigendecomposition of the Gram matrix did not converge") from exc
+        raise NumericalError("eigendecomposition of the Gram matrix did not converge") from exc
     del G
     sv = np.sqrt(np.clip(eigvals, 0.0, None))
     V = V[:, :R_hat]  # descending; column order sets the distances' rounding
@@ -341,9 +341,14 @@ def save_stage1(res: Stage1Result, path: str | Path) -> None:
 
 def load_stage1(path: str | Path) -> Stage1Result:
     doc, where = read_object(path, _STAGE1_KEYS), str(path)
+    K_hat = field(doc, "K_hat", integer, where)
+    labels = field(doc, "labels", int_vector, where) - 1
+    # a carve always holds its centre, so no cluster of a stage-1 result is empty
+    if not np.array_equal(np.unique(labels), np.arange(K_hat)):
+        raise InputError(f"{where}: labels must take every value in [1, {K_hat}]")
     return Stage1Result(
-        K_hat=field(doc, "K_hat", integer, where),
-        labels=field(doc, "labels", int_vector, where) - 1,
+        K_hat=K_hat,
+        labels=labels,
         centers=field(doc, "centers", int_vector, where) - 1,
         R_hat=field(doc, "R_hat", integer, where),
         singular_values=field(doc, "singular_values", float_array, where),

@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 
 from mmclab import gen_random_ergodic, gen_separation_models, make_instance, validate_model
 from mmclab.embedding import DataMatrix
-from mmclab.errors import DimensionMismatch
+from mmclab.errors import InputError
 from mmclab.simgen import TrajectorySet
 
 
@@ -33,7 +33,7 @@ def matrix_from_values(values, S, H):
     read-only view of it, or copied into the leading rows of ``out``."""
     values = np.asarray(values, dtype=np.float64).view()
     if values.ndim != 2 or values.shape[1] != S * S:
-        raise DimensionMismatch(f"values must be a (T, {S * S}) array; got {values.shape}")
+        raise InputError(f"values must be a (T, {S * S}) array; got {values.shape}")
     values.setflags(write=False)
 
     def build(rows, out):
@@ -181,5 +181,5 @@ def reference_two_inf_distance(a, b):
     """2->infinity distance: max over rows of the l2 row difference."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+        raise InputError(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.sqrt(((a - b) ** 2).sum(axis=1)).max())

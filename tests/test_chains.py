@@ -19,16 +19,7 @@ from mmclab import (
 )
 from mmclab import chains, memory
 from mmclab.chains import mixing_time, stationary_distribution
-from mmclab.errors import (
-    DimensionMismatch,
-    EigenFailure,
-    NotIrreducible,
-    NotMixedWithinTMax,
-    NumericalError,
-    Periodic,
-    RowNotStochastic,
-    SingularSystem,
-)
+from mmclab.errors import InputError, NumericalError
 from tests.conftest import reference_pseudo_spectral_gap_terms
 
 P2 = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -155,41 +146,41 @@ class TestValidateModel:
         assert np.max(np.abs(two_state.pi @ two_state.P - two_state.pi)) <= 1e-10
 
     def test_identity_not_irreducible(self):
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(InputError, match="positive-transition graph is not strongly connected"):
             validate_model(np.eye(2), [0.5, 0.5])
 
     def test_two_cycle_periodic(self):
-        with pytest.raises(Periodic):
+        with pytest.raises(InputError, match="chain has period 2$"):
             validate_model([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match=r"matrix must be square, got shape \(2, 3\)"):
             validate_model(np.ones((2, 3)) / 3, [0.5, 0.5])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="mu has length 3, expected 2"):
             validate_model(P2, [1.0, 0.0, 0.0])
-        with pytest.raises(DimensionMismatch, match="mu must be 1-D"):
+        with pytest.raises(InputError, match="mu must be 1-D"):
             validate_model(P2, [[0.5, 0.5]])
 
     def test_row_not_stochastic(self):
-        with pytest.raises(RowNotStochastic):
+        with pytest.raises(InputError, match=r"row 0 sums to .*1\.1\b.*, not 1 within 1e-12$"):
             validate_model([[0.9, 0.2], [0.2, 0.8]], [0.5, 0.5])
-        with pytest.raises(RowNotStochastic):
+        with pytest.raises(InputError, match="row 0 has negative entries"):
             validate_model([[1.1, -0.1], [0.2, 0.8]], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_P_rejected(self, bad):
         P = P2.copy()
         P[1] = [bad, 0.8]
-        with pytest.raises(RowNotStochastic, match="row 1 has non-finite entries"):
+        with pytest.raises(InputError, match="row 1 has non-finite entries"):
             validate_model(P, [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mu_rejected(self, bad):
-        with pytest.raises(RowNotStochastic, match="mu has non-finite entries"):
+        with pytest.raises(InputError, match="mu has non-finite entries"):
             validate_model(P2, [bad, 1.0])
 
     def test_three_cycle_period_in_message(self):
-        with pytest.raises(Periodic, match="period 3"):
+        with pytest.raises(InputError, match="period 3"):
             validate_model(np.roll(np.eye(3), 1, axis=1), np.ones(3) / 3)
 
     @given(adjacencies())
@@ -206,10 +197,10 @@ class TestValidateModel:
         mu = np.full(adj.shape[0], 1.0 / adj.shape[0])
         n_components, _ = connected_components(adj, directed=True, connection="strong")
         if n_components > 1:
-            with pytest.raises(NotIrreducible):
+            with pytest.raises(InputError, match="not strongly connected"):
                 validate_model(P, mu)
         elif (period := return_time_gcd(adj)) > 1:
-            with pytest.raises(Periodic, match=f"period {period}$"):
+            with pytest.raises(InputError, match=f"period {period}$"):
                 validate_model(P, mu)
         else:
             try:
@@ -228,7 +219,7 @@ class TestValidateModel:
             raise np.linalg.LinAlgError("synthetic failure")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-        with pytest.raises(EigenFailure, match="eigensolver failed at k=1"):
+        with pytest.raises(NumericalError, match="eigensolver failed at k=1"):
             validate_model(P2, [0.5, 0.5])
 
     def test_floored_chain_takes_one_eigensolve(self, monkeypatch):
@@ -247,7 +238,7 @@ class TestValidateModel:
         # sandwich bound holds
         P = np.array([[0.95, 0.05], [0.05, 0.95]])
         EigvalshCalls(monkeypatch, nan_at=[k])
-        with pytest.raises(EigenFailure, match="gamma_ps \\* t_mix = nan outside sandwich"):
+        with pytest.raises(NumericalError, match="gamma_ps \\* t_mix = nan outside sandwich"):
             validate_model(P, [0.5, 0.5])
 
     def test_json_roundtrip_recomputes_derived(self, two_state):
@@ -258,7 +249,7 @@ class TestValidateModel:
         assert again.t_mix == two_state.t_mix
 
     def test_json_size_disagreeing_with_P_raises(self, two_state):
-        with pytest.raises(DimensionMismatch, match="S=3 does not match P shape"):
+        with pytest.raises(InputError, match="S=3 does not match P shape"):
             model_from_json(dict(model_to_json(two_state), S=3))
 
 
@@ -272,13 +263,13 @@ class TestStationary:
         assert np.allclose(m1.pi, [3 / 8, 3 / 8, 1 / 8, 1 / 8], atol=1e-12)
 
     def test_reducible_raises(self):
-        with pytest.raises(SingularSystem):
+        with pytest.raises(NumericalError, match="stationary solve failed"):
             stationary_distribution(np.eye(3))
 
     def test_residual_above_tolerance_raises(self):
         # row 0 sums to 1.1: the solve succeeds with pi = (1/2, 1/2), but
         # pi P - pi = (0, 0.05)
-        with pytest.raises(SingularSystem, match="residual 5.000e-02 exceeds 1e-10"):
+        with pytest.raises(NumericalError, match="residual 5.000e-02 exceeds 1e-10"):
             stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
 
@@ -375,7 +366,7 @@ class TestPseudoSpectralGap:
             return original(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_second_call)
-        with pytest.raises(EigenFailure, match="eigensolver failed at k=2$"):
+        with pytest.raises(NumericalError, match="eigensolver failed at k=2$"):
             validate_model([[0.95, 0.05], [0.05, 0.95]], [0.5, 0.5])
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7))
@@ -411,7 +402,7 @@ class TestMixingTime:
         P = np.array([[0.999, 0.001], [0.001, 0.999]])
         pi = stationary_distribution(P)
         monkeypatch.setattr(chains, "MIXING_T_MAX", 3)
-        with pytest.raises(NotMixedWithinTMax):
+        with pytest.raises(NumericalError, match="did not mix to 0.25 within t_max=3$"):
             mixing_time(P, pi)
 
 

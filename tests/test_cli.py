@@ -20,11 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmclab import (count_transitions, memory, pool_estimates, predicted_error_rate,
-                    trajectory_loglik)
+from mmclab import (chains, count_transitions, memory, pool_estimates, predicted_error_rate,
+                    simgen, trajectory_loglik)
 from mmclab.cli import main, run_sweep, SWEEP_COLUMNS
-from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError,
-                           InvalidSpec, MMCLabError, NumericalError)
+from mmclab.errors import InputError, MMCLabError, NumericalError
 from mmclab.metrics import GapReport
 from mmclab.simgen import MixtureInstance, load_instance, load_trajectories
 from mmclab.spectral import load_stage1
@@ -33,6 +32,10 @@ from tests.test_golden_outputs import GOLDEN, SAMPLE_SPEC
 from tests.test_imports import run_fresh
 
 HAS_MALLINFO2 = platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallinfo2")
+
+
+def failed_solve(A, b):
+    raise np.linalg.LinAlgError("synthetic failure")
 
 
 def strip_walltime(csv_text: str) -> str:
@@ -312,6 +315,25 @@ class TestGenerate:
         assert "eigensolver failed" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
 
+    # the other numerical failures of model validation, each forced
+    @pytest.mark.parametrize("target, name, value, message", [
+        pytest.param(np.linalg, "solve", failed_solve, "stationary solve failed",
+                     id="stationary-solve"),
+        pytest.param(np.linalg, "solve", lambda A, b: np.full(len(b), 1 / len(b)),
+                     "stationary solve residual", id="stationary-residual"),
+        pytest.param(chains, "pseudo_spectral_gap", lambda *args: math.nan,
+                     "gamma_ps * t_mix = nan outside sandwich", id="sandwich"),
+        pytest.param(chains, "MIXING_T_MAX", 0, "chain did not mix to 0.25 within t_max=0",
+                     id="not-mixed")])
+    def test_model_validation_failure_exits_3(self, tmp_path, capsys, monkeypatch, target, name,
+                                              value, message):
+        monkeypatch.setattr(target, name, value)
+        spec = json.dumps({"type": "random", "S": 3, "K": 2, "floor": 0.05,
+                           "seed": 1, "T": 10, "H": 10})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "instance.instance.json").exists()
+
 
 class TestPipeline:
     @pytest.fixture
@@ -507,8 +529,37 @@ class TestPipeline:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["refine", str(traj), str(path), "--out", str(tmp_path)]) == 2
-        assert f"labels must lie in [0, {doc['K_hat'] - 1}]" in capsys.readouterr().err
+        assert (f"{path}: labels must take every value in [1, {doc['K_hat']}]"
+                in capsys.readouterr().err)
         assert not (tmp_path / "refine.stage2.json").exists()
+
+    # a label file cut to 10 labels, or one whose labels are all 0 (stored
+    # labels are 1-based): evaluate and refine each exit 2 naming the file
+    @pytest.mark.parametrize("defect", ["cut", "zeros"])
+    @pytest.mark.parametrize("command", ["evaluate", "refine"])
+    def test_bad_label_file_exits_2_naming_it(self, tmp_path, instance_file, capsys, command,
+                                              defect):
+        main(["sample", str(instance_file), "--seed", "4", "--out", str(tmp_path)])
+        traj = tmp_path / "sample.traj.bin"
+        assert main(["cluster", str(traj), "--gamma", "1.0", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "cluster.stage1.json"
+        doc = json.loads(path.read_text())
+        K_hat = doc["K_hat"]
+        # the cut keeps a label of every cluster, so only its length is wrong
+        doc["labels"] = [1 + t % K_hat for t in range(10)] if defect == "cut" else [0] * 60
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main({"evaluate": ["evaluate", "--instance", str(instance_file), str(path)],
+                     "refine": ["refine", str(traj), str(path), "--out", str(tmp_path)]}
+                    [command]) == 2
+        out, err = capsys.readouterr()
+        assert {("evaluate", "cut"): f"{path} holds 10 labels, not the 60 trajectories "
+                                     f"of {instance_file}",
+                ("refine", "cut"): f"{path} holds 10 labels, not the 60 trajectories of {traj}",
+                ("evaluate", "zeros"): f"{path}: labels are 1-based and must be >= 1; got 0",
+                ("refine", "zeros"): f"{path}: labels must take every value in [1, {K_hat}]",
+                }[command, defect] in err
+        assert "E_T" not in out and not (tmp_path / "refine.stage2.json").exists()
 
     def test_missing_sidecar_exits_2(self, tmp_path, instance_file, capsys):
         main(["sample", str(instance_file), "--seed", "3", "--out", str(tmp_path)])
@@ -922,7 +973,7 @@ class TestSweep:
     def test_repeated_axis_value_rejected(self, tmp_path, capsys, no_work, axis, values, read):
         cfg = dict(SWEEP_CFG, **{axis: values})
         message = f"axis {axis!r} repeats a value; got {read}"
-        with pytest.raises(InvalidSpec, match=re.escape(f"sweep config: {message}")):
+        with pytest.raises(InputError, match=re.escape(f"sweep config: {message}")):
             run_sweep(cfg, jobs=1)
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
@@ -959,7 +1010,6 @@ class TestSweep:
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import mmclab.cli as cli_mod
-        from mmclab.errors import EigenFailure
 
         spec = json.dumps({"type": "separation", "S_prime": 1, "T": 10, "H": 20})
         main(["generate", spec, "--out", str(tmp_path)])
@@ -967,13 +1017,34 @@ class TestSweep:
               "--out", str(tmp_path)])
 
         def boom(*_args, **_kwargs):
-            raise EigenFailure("synthetic failure")
+            raise NumericalError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "spectral_cluster", boom)
         rc = main(["cluster", str(tmp_path / "sample.traj.bin"),
                    "--instance", str(tmp_path / "instance.instance.json"),
                    "--out", str(tmp_path)])
         assert rc == 3
+
+    def test_zero_probability_transition_in_oracle_exits_3(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # trajectory 0 alternates 0 -> 1 -> 0: the up chain of SUPPORT_SWEEP
+        # forbids 1 -> 0 and the down chain 0 -> 1, so the oracle scores it -inf
+        # under both, while stage 2's smoothed kernels score it finitely
+        sample = simgen.sample_trajectories
+
+        def forbidden(instance, seed):
+            trajs = sample(instance, seed)
+            states = trajs.states.copy()
+            states[0] = np.arange(instance.H) % 2
+            return dataclasses.replace(trajs, states=states)
+
+        monkeypatch.setattr(simgen, "sample_trajectories", forbidden)
+        path = tmp_path / "support.json"
+        path.write_text(json.dumps(SUPPORT_SWEEP))
+        assert main(["sweep", str(path), "--out", str(tmp_path)]) == 3
+        assert ("numerical failure: every model assigns probability 0 to a transition of one "
+                "trajectory" in capsys.readouterr().err)
+        assert not (tmp_path / "run.sweep.csv").exists()
 
     def test_cli_roundtrip_and_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "sweep.json"
@@ -1073,6 +1144,27 @@ class TestSweep:
         path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path} row 1: {column} must be >= 1; got {value}" in capsys.readouterr().err
+
+    # the envelope's inputs, checked where the row is parsed (a +inf D_pi, of
+    # chains that differ in support, is valid: see the support sweep's report)
+    @pytest.mark.parametrize("column, value, message", [
+        pytest.param("gamma_ps", "0.0", "gamma_ps must be in (0, 1]; got 0.0", id="gamma_ps-0"),
+        pytest.param("gamma_ps", "1.5", "gamma_ps must be in (0, 1]; got 1.5",
+                     id="gamma_ps-above-1"),
+        pytest.param("gamma_ps", "nan", "gamma_ps must be in (0, 1]; got nan", id="gamma_ps-nan"),
+        pytest.param("D_pi", "nan", "D_pi must be >= 0 and not NaN; got nan", id="D_pi-nan"),
+        pytest.param("D_pi", "-0.5", "D_pi must be >= 0 and not NaN; got -0.5",
+                     id="D_pi-negative")])
+    def test_report_envelope_input_out_of_range_exits_2(self, tmp_path, capsys, column, value,
+                                                        message):
+        path = tmp_path / "envelope.csv"
+        text = run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1]), jobs=1)
+        header, row = text.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")), **{column: value})
+        path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
+        assert main(["report", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path} row 1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.report.csv").exists()
         assert not (tmp_path / "summary.report.csv").exists()
 
     def test_report_wrong_type_field_exits_2(self, tmp_path, capsys):
@@ -1201,18 +1293,17 @@ class TestSweep:
         assert f"{path} {message}" in capsys.readouterr().err
         assert no_work == []
 
-    # T and H are sweep axes that make_instance checks; the error names the
-    # config and keeps its type
-    @pytest.mark.parametrize("key, value, error, message", [
-        ("T", [1], EmptyClusterAfterRounding, "T=1 < K=2: some cluster must be empty"),
-        ("H", [1], DimensionMismatch, "H must be >= 2")])
+    # T and H are sweep axes that make_instance checks; the error names the config
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("T", [1], "T=1 < K=2: some cluster must be empty", id="T"),
+        pytest.param("H", [1], "H must be >= 2", id="H")])
     def test_T_or_H_out_of_range_fails_before_any_point(self, tmp_path, capsys, no_work,
-                                                        key, value, error, message):
+                                                        key, value, message):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({**SWEEP_CFG, key: value}))
         assert main(["sweep", str(path), "--jobs", "2", "--out", str(tmp_path)]) == 2
         assert f"{path} instance: {message}" in capsys.readouterr().err
-        with pytest.raises(error, match=re.escape(f"{path} instance: {message}")):
+        with pytest.raises(InputError, match=re.escape(f"{path} instance: {message}")):
             run_sweep({**SWEEP_CFG, key: value}, where=str(path))
         assert no_work == []
 
@@ -1278,8 +1369,12 @@ class TestSweep:
 
 def test_input_and_numerical_errors_are_the_only_package_errors():
     # main maps InputError to exit 2 and NumericalError to exit 3, and has no
-    # handler for the base class: nothing raises it, and no third kind exists
+    # handler for the base class: nothing raises it, and no third kind exists;
+    # no caller tells two kinds of input or numerical error apart, so neither
+    # type has subclasses
     assert MMCLabError.__subclasses__() == [InputError, NumericalError]
+    assert InputError.__subclasses__() == []
+    assert NumericalError.__subclasses__() == []
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the threshold is glibc's")

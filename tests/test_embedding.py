@@ -17,7 +17,7 @@ from mmclab import (
     validate_model,
 )
 from mmclab.memory import PASS_BYTES
-from mmclab.errors import DimensionMismatch, InvalidRange, StateOutOfRange
+from mmclab.errors import InputError
 from tests.conftest import (
     gen_separation_instance,
     matrix_from_values,
@@ -71,7 +71,7 @@ class TestCountStats:
             assert np.all((outgoing == cs.visits[0]) | (outgoing == cs.visits[0] - 1))
 
     def test_state_out_of_range(self):
-        with pytest.raises(StateOutOfRange):
+        with pytest.raises(InputError, match=r"state indices must lie in \[0, 1\]"):
             one([0, 3], S=2)
 
     @pytest.mark.parametrize("bad", [2, -1])
@@ -79,12 +79,12 @@ class TestCountStats:
         # either would fold into a neighbouring count cell if it were counted
         states = np.zeros((3, 5), dtype=np.int32)
         states[1, 2] = bad
-        with pytest.raises(StateOutOfRange):
+        with pytest.raises(InputError, match=r"state indices must lie in \[0, 1\]"):
             count_transitions(states, 2)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 1), (2, 3, 4)])
     def test_shape_rejected(self, shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match=r"states must be a \(T, H\) array with H >= 2"):
             count_transitions(np.zeros(shape, dtype=np.int32), 2)
 
     def test_counts_are_read_only_and_narrow(self):
@@ -111,9 +111,9 @@ class TestCountStats:
     def test_horizon_beyond_int32_counts_rejected(self):
         # a zero-stride view: 2^31 + 1 states without allocating them; they are
         # out of range too, so a range scan run before the guard would raise
-        # StateOutOfRange (after reading every one)
+        # the state-range error (after reading every one)
         states = np.broadcast_to(np.int32(2), (1, 2**31 + 1))
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InputError, match="H = 2147483649 exceeds the int32 count range"):
             count_transitions(states, 2)
 
     @pytest.mark.parametrize("T", [255, 256, 257, 513])
@@ -334,7 +334,7 @@ class TestDataMatrices:
             assert np.isnan(out[block.shape[0]:]).all()
 
     def test_values_must_have_S_squared_columns(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match=r"values must be a \(T, 4\) array; got \(3, 5\)"):
             matrix_from_values(np.zeros((3, 5)), S=2, H=10)
 
     def test_two_inf_examples(self):
@@ -348,7 +348,7 @@ class TestDataMatrices:
         assert reference_two_inf_distance(a[perm], b[perm]) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_inf_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match=r"shape mismatch \(2, 2\) vs \(3, 2\)"):
             reference_two_inf_distance(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_counts_must_match_instance(self):
@@ -357,5 +357,5 @@ class TestDataMatrices:
         for counts in (count_transitions(states, inst.S + 1),
                        count_transitions(states[:4], inst.S),
                        count_transitions(states[:, :7], inst.S)):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(InputError, match="trajectory counts do not match the instance shape"):
                 build_matrices(inst, counts)

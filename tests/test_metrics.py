@@ -27,7 +27,7 @@ from mmclab import (
     predicted_error_rate,
     validate_model,
 )
-from mmclab.errors import InvalidRange, LengthMismatch, StateSpaceMismatch
+from mmclab.errors import InputError
 from mmclab import memory
 from mmclab.metrics import (
     LOG_E_OVER_2,
@@ -240,7 +240,7 @@ class TestMisclassification:
         assert misclassification(np.array([1, 0, 0, 0]), f_hat) == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match=r"label shapes differ: \(2,\) vs \(3,\)"):
             misclassification(np.array([0, 1]), np.array([0, 1, 1]))
 
     def test_empty_labels_have_no_errors(self):
@@ -248,7 +248,7 @@ class TestMisclassification:
 
     @pytest.mark.parametrize("f_hat, f", [([0, -1], [0, 1]), ([0, 1], [-2, 1])])
     def test_negative_labels_raise(self, f_hat, f):
-        with pytest.raises(LengthMismatch, match="labels must be nonnegative"):
+        with pytest.raises(InputError, match="labels must be nonnegative"):
             misclassification(np.array(f_hat), np.array(f))
 
     def test_brute_equals_assignment(self):
@@ -303,7 +303,7 @@ class TestDivergencePrimitives:
         assert kl_divergence(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0
 
     def test_kl_shape_mismatch_raises(self):
-        with pytest.raises(LengthMismatch, match="shape mismatch"):
+        with pytest.raises(InputError, match="shape mismatch"):
             kl_divergence(np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5]))
 
     def test_kl_frozen_value(self):
@@ -484,19 +484,19 @@ class TestModelChecks:
     @pytest.mark.parametrize("compute", [divergence_D_pi, delta_W_sq, witness_state_gap,
                                          eta_params, check_gap_inequalities])
     def test_one_model_raises(self, compute):
-        with pytest.raises(InvalidRange, match="need at least two models"):
+        with pytest.raises(InputError, match="need at least two models"):
             compute(random_models(1, 3))
 
     @pytest.mark.parametrize("compute", [divergence_D_pi, witness_state_gap, eta_params,
                                          check_gap_inequalities])
     def test_state_space_mismatch_raises(self, compute):
         models = [gen_random_ergodic(3, 0, 0.05), gen_random_ergodic(4, 1, 0.05)]
-        with pytest.raises(StateSpaceMismatch, match="same state space"):
+        with pytest.raises(InputError, match="same state space"):
             compute(models)
 
     @pytest.mark.parametrize("H", [1, 0])
     def test_visitation_weights_need_two_steps(self, H):
-        with pytest.raises(InvalidRange, match="H must be >= 2"):
+        with pytest.raises(InputError, match="H must be >= 2"):
             visitation_weights(random_models(1, 3)[0], H)
 
 
@@ -704,16 +704,16 @@ class TestLowerBound:
             assert rep.min_H_necessary == scan
 
     def test_invalid_ranges(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InputError, match=r"eps must be in \(0,1\]; got 0.0"):
             lower_bound_check(0.0, 0.1, 10, 10, 0.1, 0.5)
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InputError, match=r"delta must be in \(0, 1/2\]; got 0.6"):
             lower_bound_check(0.1, 0.6, 10, 10, 0.1, 0.5)
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InputError, match=r"alpha_min must be in \(0,1\]; got 1.5"):
             lower_bound_check(0.1, 0.1, 10, 10, 0.1, 1.5)
 
     @pytest.mark.parametrize("T, H", [(0, 10), (10, 1)])
     def test_T_or_H_out_of_range_raises(self, T, H):
-        with pytest.raises(InvalidRange, match="need T >= 1 and H >= 2"):
+        with pytest.raises(InputError, match="need T >= 1 and H >= 2"):
             lower_bound_check(0.1, 0.1, T, H, 0.1, 0.5)
 
     def test_min_H_steps_back_from_an_overshooting_ceil(self):
@@ -736,7 +736,7 @@ class TestPredictedErrorRate:
         (100, 50, 0.0, "gamma_ps must be in"), (100, 50, 1.5, "gamma_ps must be in"),
     ])
     def test_out_of_range_arguments_raise(self, T, H, gamma_ps, message):
-        with pytest.raises(InvalidRange, match=message):
+        with pytest.raises(InputError, match=message):
             predicted_error_rate(T, H, gamma_ps, 0.1, 1.0)
 
     def test_rate_upper_bounds_observed_error(self):
@@ -766,7 +766,7 @@ class TestPredictedErrorRate:
     def test_explicit_constant(self):
         val = c_eta_explicit(3.0)
         assert val == pytest.approx(1 / (256 * (36 + 5 * math.log(3))), rel=1e-12)
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InputError, match="eta_p must be >= 1"):
             c_eta_explicit(0.5)
 
 

@@ -16,8 +16,7 @@ from mmclab import (
     validate_model,
 )
 from mmclab import memory, simgen
-from mmclab.errors import (DimensionMismatch, EmptyClusterAfterRounding, InputError, InvalidRange,
-                          StateOutOfRange, StateSpaceMismatch)
+from mmclab.errors import InputError
 from mmclab.metrics import eta_params
 from mmclab.simgen import (
     cluster_sizes,
@@ -42,17 +41,17 @@ class TestClusterSizes:
         assert cluster_sizes(np.array([0.99, 0.01]), 10).tolist() == [9, 1]
 
     def test_t_below_k_raises(self):
-        with pytest.raises(EmptyClusterAfterRounding):
+        with pytest.raises(InputError, match="T=2 < K=3: some cluster must be empty"):
             cluster_sizes(np.array([0.4, 0.3, 0.3]), 2)
 
     def test_zero_alpha_raises(self):
-        with pytest.raises(EmptyClusterAfterRounding):
+        with pytest.raises(InputError, match="alpha has a zero entry; every cluster must be nonempty"):
             cluster_sizes(np.array([1.0, 0.0]), 10)
 
     @pytest.mark.parametrize("alpha", [[2.0, 2.0], [0.1, 0.1], [0.9, 0.3], [np.nan, 1.0],
                                        [np.inf, -np.inf]])
     def test_alpha_not_finite_or_not_summing_to_one_raises(self, alpha):
-        with pytest.raises(InvalidRange, match="alpha must be finite and sum to 1"):
+        with pytest.raises(InputError, match="alpha must be finite and sum to 1"):
             cluster_sizes(np.array(alpha), 10)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=1000))
@@ -85,11 +84,11 @@ class TestMakeInstance:
     def test_state_space_mismatch(self):
         m1 = gen_random_ergodic(3, 0, 0.05)
         m2 = gen_random_ergodic(4, 1, 0.05)
-        with pytest.raises(StateSpaceMismatch):
+        with pytest.raises(InputError, match="all models must share the same state space"):
             make_instance([m1, m2], np.array([0.5, 0.5]), 10, 5)
 
     def test_one_model_raises(self):
-        with pytest.raises(DimensionMismatch, match="K >= 2"):
+        with pytest.raises(InputError, match="K >= 2"):
             make_instance(random_models(1, 3), np.array([1.0]), 10, 5)
 
 
@@ -278,7 +277,7 @@ class TestSampling:
     def test_seed_outside_one_philox_key_word_raises(self, seed):
         # a seed is one 64-bit key word: 2**64 would alias seed 0, and -1 seed 2**64 - 1
         inst = gen_separation_instance(1, T=4, H=6)
-        with pytest.raises(InvalidRange, match=rf"seed must be in \[0, 2\*\*64\).*got {seed}$"):
+        with pytest.raises(InputError, match=rf"seed must be in \[0, 2\*\*64\).*got {seed}$"):
             sample_trajectories(inst, seed)
 
     def test_top_seed_keys_its_own_streams(self):
@@ -359,7 +358,7 @@ class TestGenerators:
         (lambda: gen_separation_models(0), "S_prime must be >= 1"),
     ], ids=["random-S-1", "separation-S_prime-0"])
     def test_state_space_too_small_raises(self, call, message):
-        with pytest.raises(DimensionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             call()
 
 
@@ -379,7 +378,7 @@ class TestPersistence:
     ], ids=["short", "above-K", "zero"])
     def test_bad_decoding_raises(self, decoding, message):
         doc = dict(instance_to_json(gen_separation_instance(2, T=10, H=20)), decoding=decoding)
-        with pytest.raises(DimensionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             instance_from_json(doc)
 
     def test_trajectory_binary_roundtrip(self, tmp_path):
@@ -416,7 +415,9 @@ class TestPersistence:
     def test_save_rejects_states_the_file_cannot_hold(self, tmp_path, states, S):
         trajs = TrajectorySet(states=np.array(states, dtype=np.int32), seed=0)
         path = tmp_path / "t.traj.bin"
-        with pytest.raises(StateOutOfRange):
+        message = (f"S={S} exceeds the 65535 states" if S > 0xFFFF
+                   else re.escape(f"state indices must lie in [0, {S - 1}]"))
+        with pytest.raises(InputError, match=message):
             save_trajectories(trajs, path, S, "x")
         assert not path.exists()
 
@@ -456,7 +457,7 @@ class TestPersistence:
         bad = {0: 0, "S": S, "S+1": S + 1}[bad]
         path = tmp_path / "t.traj.bin"
         self.write_raw(path, [[base, bad, base]], S, base)
-        with pytest.raises(StateOutOfRange, match=re.escape(f"[{base}, {base + S - 1}]")):
+        with pytest.raises(InputError, match=re.escape(f"[{base}, {base + S - 1}]")):
             load_trajectories(path)
 
     @pytest.mark.parametrize("keep", [0, 5, 12, 12 + 2 * 7 * 13 - 1])
@@ -465,7 +466,9 @@ class TestPersistence:
         path = tmp_path / "t.traj.bin"
         save_trajectories(sample_trajectories(inst, 4), path, inst.S, "x")
         path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(DimensionMismatch):
+        message = ("is shorter than its 12-byte header" if keep < 12 else
+                   rf"holds {keep - 12} state bytes; its header \(T=7, H=13\) needs 182$")
+        with pytest.raises(InputError, match=message):
             load_trajectories(path)
 
     def test_missing_sidecar_raises_input_error_naming_it(self, tmp_path):

@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from mmclab import (
     SpectralConfig,
 )
 from mmclab.embedding import DataMatrix, embed_model
-from mmclab.errors import EigenFailure, EmptyInput, NonpositiveLogArgument
+from mmclab.errors import InputError, NumericalError
 from mmclab import memory, spectral
 from mmclab.spectral import Stage1Result, save_stage1, load_stage1
 from tests.conftest import (STAGE1_EIGEN_FAILURES, gen_separation_instance,
@@ -188,7 +190,7 @@ class TestSigmaThreshold:
     def test_nonpositive_log_argument(self):
         # unreachable through a valid config (T, H >= 1 and delta < 1 keep
         # TH/delta > 1); degenerate sizes trip the guard
-        with pytest.raises(NonpositiveLogArgument):
+        with pytest.raises(InputError, match="T and H must be >= 1"):
             sigma_threshold(0, 2, 1, SpectralConfig(delta=0.5, gamma_ps=0.5))
 
 
@@ -281,7 +283,7 @@ class TestSpectralCluster:
 
     def test_empty_input(self):
         W = matrix_from_values(np.zeros((0, 4)), S=2, H=10)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="empty data matrix"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
     def test_single_trajectory(self):
@@ -402,7 +404,7 @@ class TestSpectralCluster:
     def test_eigensolver_failure_raises(self, monkeypatch, module, name, breaker, n):
         monkeypatch.setattr(module, name, breaker(getattr(module, name)))
         W = matrix_from_values(np.eye(n), S=math.isqrt(n), H=10)
-        with pytest.raises(EigenFailure, match="did not converge"):
+        with pytest.raises(NumericalError, match="did not converge"):
             spectral_cluster(W, SpectralConfig(delta=0.1, gamma_ps=1.0))
 
     @pytest.mark.parametrize("kind, T, c_sigma, c_rho", [
@@ -561,6 +563,17 @@ class TestSpectralCluster:
         assert again.K_hat == res.K_hat
         assert again.sigma_thres == res.sigma_thres
 
+    # stored labels are 1-based, and stage 1 leaves no cluster empty
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 1, 1], [1, 2, 3], []],
+                             ids=["zero", "empty-cluster", "above-K_hat", "no-labels"])
+    def test_stage1_labels_must_take_every_cluster(self, tmp_path, labels):
+        doc = {"K_hat": 2, "labels": labels, "centers": [1, 2], "R_hat": 1,
+               "singular_values": [1.0], "sigma_thres": 0.5, "forced_first_cluster": False}
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=re.escape(f"{path}: labels must take every "
+                                                       f"value in [1, 2]")):
+            load_stage1(path)
 
     @pytest.mark.xfail(strict=True, reason=(
         "sigma_thres grows as sqrt(T) while the spacing of the cluster centres "
