@@ -344,7 +344,8 @@ def load_stage1(path: str | Path) -> Stage1Result:
     K_hat = field(doc, "K_hat", integer, where)
     labels = field(doc, "labels", int_vector, where) - 1
     # a carve always holds its centre, so no cluster of a stage-1 result is empty
-    if not np.array_equal(np.unique(labels), np.arange(K_hat)):
+    values = np.unique(labels)
+    if values.size != K_hat or (K_hat and (values[0] != 0 or values[-1] != K_hat - 1)):
         raise InputError(f"{where}: labels must take every value in [1, {K_hat}]")
     return Stage1Result(
         K_hat=K_hat,

@@ -1144,6 +1144,7 @@ class TestSweep:
         path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path} row 1: {column} must be >= 1; got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "summary.report.csv").exists()
 
     # the envelope's inputs, checked where the row is parsed (a +inf D_pi, of
     # chains that differ in support, is valid: see the support sweep's report)
@@ -1164,7 +1165,6 @@ class TestSweep:
         path.write_text(header + "\n" + ",".join(fields.values()) + "\n")
         assert main(["report", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path} row 1: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "summary.report.csv").exists()
         assert not (tmp_path / "summary.report.csv").exists()
 
     def test_report_wrong_type_field_exits_2(self, tmp_path, capsys):

@@ -563,16 +563,19 @@ class TestSpectralCluster:
         assert again.K_hat == res.K_hat
         assert again.sigma_thres == res.sigma_thres
 
-    # stored labels are 1-based, and stage 1 leaves no cluster empty
-    @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 1, 1], [1, 2, 3], []],
-                             ids=["zero", "empty-cluster", "above-K_hat", "no-labels"])
-    def test_stage1_labels_must_take_every_cluster(self, tmp_path, labels):
-        doc = {"K_hat": 2, "labels": labels, "centers": [1, 2], "R_hat": 1,
+    # stored labels are 1-based, and stage 1 leaves no cluster empty; a huge
+    # K_hat is refused without allocating K_hat entries
+    @pytest.mark.parametrize("K_hat, labels", [(2, [0, 1, 2]), (2, [1, 1, 1]), (2, [1, 2, 3]),
+                                               (2, []), (10**12, [1, 2])],
+                             ids=["zero", "empty-cluster", "above-K_hat", "no-labels",
+                                  "huge-K_hat"])
+    def test_stage1_labels_must_take_every_cluster(self, tmp_path, K_hat, labels):
+        doc = {"K_hat": K_hat, "labels": labels, "centers": [1, 2], "R_hat": 1,
                "singular_values": [1.0], "sigma_thres": 0.5, "forced_first_cluster": False}
         path = tmp_path / "s1.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match=re.escape(f"{path}: labels must take every "
-                                                       f"value in [1, 2]")):
+                                                       f"value in [1, {K_hat}]")):
             load_stage1(path)
 
     @pytest.mark.xfail(strict=True, reason=(
