@@ -49,8 +49,18 @@ __all__ = [
 
 def _row_fault(M: np.ndarray) -> tuple[int, str] | None:
     """First row of the 2-D M that is not a finite, nonnegative vector summing
-    to 1 within PROB_SUM_TOL, with the reason; None when every row is one."""
-    with np.errstate(invalid="ignore"):  # inf - inf in a sum; caught as non-finite
+    to 1 within PROB_SUM_TOL, with the reason; None when every row is one.
+
+    A clean row set (every entry in [0, 1], every row sum within
+    PROB_SUM_TOL of 1) is accepted in one pass: its entries are finite, so
+    its sums need no error state. Any other M, the empty one included, is
+    diagnosed row by row."""
+    if M.size and M.min() >= 0.0 and M.max() <= 1.0:
+        if (np.abs(M.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all():
+            return None
+    # inf - inf in a sum is caught as non-finite, and a finite row whose sum
+    # overflows reports its sum as inf
+    with np.errstate(invalid="ignore", over="ignore"):
         sums = M.sum(axis=1)
     nonfinite = ~np.isfinite(M).all(axis=1)
     negative = (M < 0).any(axis=1)
@@ -62,7 +72,7 @@ def _row_fault(M: np.ndarray) -> tuple[int, str] | None:
         return s, "has non-finite entries"
     if negative[s]:
         return s, "has negative entries"
-    return s, f"sums to {sums[s]!r}, not 1 within {PROB_SUM_TOL}"
+    return s, f"sums to {float(sums[s])!r}, not 1 within {PROB_SUM_TOL}"
 
 
 def check_prob_vector(v: np.ndarray, name: str = "vector") -> np.ndarray:
@@ -148,7 +158,8 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """
     P = np.asarray(P, dtype=np.float64)
     S = P.shape[0]
-    A = P.T - np.eye(S)
+    A = P.T.copy()
+    A.ravel()[::S + 1] -= 1.0  # A = P^T - I
     A[-1, :] = 1.0
     b = np.zeros(S)
     b[-1] = 1.0
@@ -170,6 +181,17 @@ def _conjugate(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return (d[:, None] * P) / d[None, :]
 
 
+def _lam2(stack: np.ndarray, k: int) -> np.ndarray:
+    """lambda_2 of X^T X for each X of the (n, S, S) stack, 0 when S = 1;
+    an eigensolver failure names k, the power of B that X[0] holds."""
+    try:
+        ev = np.linalg.eigvalsh(np.matmul(stack.transpose(0, 2, 1), stack))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed at k={k}") from exc
+    # eigvalsh sorts ascending; a 1-state chain has no second eigenvalue
+    return ev[:, -2] if stack.shape[1] > 1 else np.zeros(len(stack))
+
+
 def _terms(B: np.ndarray, Bk: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The gap terms for k = k_lo..k_hi, given Bk = B^(k_lo - 1); returns them
     with B^k_hi. Each eigensolve takes a stack of (B^k)^T B^k within the
@@ -183,12 +205,7 @@ def _terms(B: np.ndarray, Bk: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndar
         for i in range(n):
             Bk = Bk @ B
             stack[i] = Bk
-        try:
-            ev = np.linalg.eigvalsh(np.matmul(stack[:n].transpose(0, 2, 1), stack[:n]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed at k={k_lo + lo}") from exc
-        # eigvalsh sorts ascending; a 1-state chain has no second eigenvalue
-        lam2 = ev[:, -2] if B.shape[0] > 1 else np.zeros(n)
+        lam2 = _lam2(stack[:n], k_lo + lo)
         terms[lo:lo + n] = (1.0 - np.minimum(lam2, 1.0)) / np.arange(k_lo + lo, k_lo + lo + n)
     return terms, Bk
 
@@ -200,18 +217,20 @@ def pseudo_spectral_gap(P: np.ndarray, pi: np.ndarray, k_max: int) -> float:
     rounding error, so term k is at most (1 + GAP_TERM_MARGIN)/k, and no k
     above (1 + GAP_TERM_MARGIN)/term_1 can beat term 1. Only the k up to that
     bound (and k_max) are computed, in one eigensolve after term 1's; the
-    result is the maximum over all k_max terms bit for bit. A NaN term 1
-    sets no bound, so a NaN gap stays NaN.
+    result is the maximum over all k_max terms bit for bit. Term 1 comes
+    from B^T B itself: B is finite and nonnegative, so B equals I B exactly.
+    A NaN term 1 sets no bound, and the maximum over an array keeps any NaN
+    term, so a NaN gap stays NaN.
     """
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     B = _conjugate(P, pi)
-    terms, Bk = _terms(B, np.eye(P.shape[0]), 1, 1)
-    bound = (1.0 + GAP_TERM_MARGIN) / terms[0] if terms[0] > 0.0 else math.inf
+    term1 = 1.0 - min(float(_lam2(B[None], 1)[0]), 1.0)
+    bound = (1.0 + GAP_TERM_MARGIN) / term1 if term1 > 0.0 else math.inf
     k_hi = k_max if not bound < k_max else math.floor(bound)
     if k_hi > 1:
-        terms = np.concatenate([terms, _terms(B, Bk, 2, k_hi)[0]])
-    return float(terms.max())
+        return float(_terms(B, B, 2, k_hi)[0].max(initial=term1))
+    return term1
 
 
 def mixing_time(P: np.ndarray, pi: np.ndarray) -> int:
@@ -230,7 +249,10 @@ def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
     Ergodicity is checked on the positive-transition graph: it is irreducible
     when every state has a breadth-first depth from state 0 both forwards and
     backwards, and its period is the gcd of depth(u) + 1 - depth(v) over its
-    edges (u, v); one stacked search covers the graph and its reverse. The
+    edges (u, v); one stacked search covers the graph and its reverse. A
+    chain whose transitions are all positive skips the search: every state
+    is one step from every other and has a self-loop, so it is primitive
+    (Seneta 2006) and the search could only accept it. The
     pseudo-spectral gap is taken once, at k_max = max(10, 2 * t_mix), and
     the sandwich 1/2 <= gamma_ps * t_mix <= 1 + 2 log 2 + log(1/pi_min) must
     hold. A larger k_max could not change that verdict: term t_mix is at
@@ -249,13 +271,14 @@ def validate_model(P: np.ndarray, mu: np.ndarray) -> MarkovModel:
         raise InputError(f"mu has length {mu.shape[0]}, expected {S}")
 
     adj = P > 0.0
-    depth = _depths(np.stack([adj, adj.T]))
-    if depth.min() < 0:
-        raise InputError("positive-transition graph is not strongly connected")
-    u, v = np.nonzero(adj)
-    period = int(np.gcd.reduce(depth[0, u] + 1 - depth[0, v]))
-    if period != 1:
-        raise InputError(f"chain has period {period}")
+    if not adj.all():  # a positive chain is primitive: the search could only accept it
+        depth = _depths(np.stack([adj, adj.T]))
+        if depth.min() < 0:
+            raise InputError("positive-transition graph is not strongly connected")
+        u, v = np.nonzero(adj)
+        period = int(np.gcd.reduce(depth[0, u] + 1 - depth[0, v]))
+        if period != 1:
+            raise InputError(f"chain has period {period}")
 
     pi = stationary_distribution(P)
     t_mix = mixing_time(P, pi)

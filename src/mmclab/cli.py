@@ -16,7 +16,6 @@ import math
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import memory, simgen
@@ -312,6 +311,8 @@ def run_sweep(cfg: dict, jobs: int = 1, where: str = "sweep config") -> str:
               for instance in instances
               for stage1_cfg in stage1_cfgs for lam in lams for seed in seeds]
     if jobs > 1:
+        # the pool's modules (multiprocessing, socket, pickle) load only here
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=memory.pin_mmap_threshold) as pool:
             results = list(pool.map(_sweep_point, points))
     else:

@@ -161,8 +161,8 @@ def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise InputError("need at least two models")
     if len({m.S for m in models}) > 1:
         raise InputError("all models must share the same state space")
-    return (np.stack([m.P for m in models]), np.stack([m.mu for m in models]),
-            np.stack([m.pi for m in models]))
+    return (np.array([m.P for m in models]), np.array([m.mu for m in models]),
+            np.array([m.pi for m in models]))
 
 
 def _off_min(pair: np.ndarray) -> float:

@@ -120,6 +120,24 @@ def reference_sample_trajectories(instance, seed, chunk=2048):
     return TrajectorySet(states=states, seed=int(seed))
 
 
+def reference_row_fault(M: np.ndarray) -> tuple[int, str] | None:
+    """``chains._row_fault`` without its one-pass acceptance of a clean row
+    set: every M is diagnosed row by row."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = M.sum(axis=1)
+    nonfinite = ~np.isfinite(M).all(axis=1)
+    negative = (M < 0).any(axis=1)
+    bad = nonfinite | negative | (np.abs(sums - 1.0) > 1e-12)
+    if not bad.any():
+        return None
+    s = int(np.argmax(bad))
+    if nonfinite[s]:
+        return s, "has non-finite entries"
+    if negative[s]:
+        return s, "has negative entries"
+    return s, f"sums to {float(sums[s])!r}, not 1 within 1e-12"
+
+
 def reference_pseudo_spectral_gap_terms(P: np.ndarray, pi: np.ndarray, k_max: int) -> np.ndarray:
     """(1/k)(1 - lambda_2((B^k)^T B^k)) with B = D^{1/2} P D^{-1/2}, by one
     eigensolve per k."""

@@ -20,7 +20,7 @@ from mmclab import (
 from mmclab import chains, memory
 from mmclab.chains import mixing_time, stationary_distribution
 from mmclab.errors import InputError, NumericalError
-from tests.conftest import reference_pseudo_spectral_gap_terms
+from tests.conftest import reference_pseudo_spectral_gap_terms, reference_row_fault
 
 P2 = np.array([[0.9, 0.1], [0.2, 0.8]])
 
@@ -137,6 +137,46 @@ def reference_doublet_kernel(P: np.ndarray) -> np.ndarray:
     return Pt
 
 
+# non-finite, negative, signed-zero, boundary, above-1 and overflowing entries
+ROW_SPECIALS = [math.nan, math.inf, -math.inf, -0.5, -0.0, 0.0, 1.0, 1.5, 1e308]
+
+
+def ulps_away(x: float, steps: int) -> float:
+    """x moved by |steps| representable values, up for steps > 0."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def row_sets(draw):
+    """A 2-D float matrix, 0 x 0 to 4 x 5: rows normalized to sum to 1 or
+    left raw, then some entries replaced by non-finite, negative, above-1 or
+    overflowing values, or moved by a few ulps."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 5)))
+    M = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        sums = M.sum(axis=1, keepdims=True)
+        M = np.divide(M, sums, out=M, where=sums > 0.0)
+    for _ in range(draw(st.integers(0, 2)) if M.size else 0):
+        i, j = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        if draw(st.booleans()):
+            M[i, j] = draw(st.sampled_from(ROW_SPECIALS))
+        else:
+            M[i, j] = ulps_away(M[i, j], draw(st.integers(-4, 4)))
+    return M
+
+
+def tolerance_edge_rows() -> list[np.ndarray]:
+    """Two-entry rows whose sums lie a few ulps either side of 1 - 1e-12 and
+    1 + 1e-12, with every entry in [0, 1]."""
+    rows = []
+    for first, second in [(0.5, 0.5 - 1e-12), (0.5, 0.5 + 1e-12),
+                          (1.0, 1e-12), (1.0 - 1e-12, 0.0), (0.25, 0.75 + 1e-12)]:
+        rows += [np.array([[first, ulps_away(second, steps)]]) for steps in range(-4, 5)]
+    return rows
+
+
 class TestValidateModel:
     def test_two_state_stationary(self, two_state):
         # oracle: closed form (q, p) / (p + q) for a 2-state chain
@@ -162,8 +202,10 @@ class TestValidateModel:
             validate_model(P2, [[0.5, 0.5]])
 
     def test_row_not_stochastic(self):
-        with pytest.raises(InputError, match=r"row 0 sums to .*1\.1\b.*, not 1 within 1e-12$"):
+        with pytest.raises(InputError, match=r"row 0 sums to 1\.1, not 1 within 1e-12$"):
             validate_model([[0.9, 0.2], [0.2, 0.8]], [0.5, 0.5])
+        with pytest.raises(InputError, match=r"mu sums to 1\.1, not 1 within 1e-12$"):
+            validate_model(P2, [0.9, 0.2])
         with pytest.raises(InputError, match="row 0 has negative entries"):
             validate_model([[1.1, -0.1], [0.2, 0.8]], [0.5, 0.5])
 
@@ -178,6 +220,45 @@ class TestValidateModel:
     def test_non_finite_mu_rejected(self, bad):
         with pytest.raises(InputError, match="mu has non-finite entries"):
             validate_model(P2, [bad, 1.0])
+
+    @given(row_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_row_fault_matches_the_row_by_row_diagnosis(self, M):
+        assert chains._row_fault(M) == reference_row_fault(M)
+
+    @pytest.mark.parametrize("M", tolerance_edge_rows() + [
+        np.array([[1e308, 1e308], [0.5, 0.5]]), np.array([[0.5, 0.5], [np.inf, -np.inf]]),
+        np.array([[0.5, 0.5], [1.5, -0.5]]), np.array([[0.5, 0.5], [np.nan, 1.0]]),
+        np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 3))])
+    def test_row_fault_matches_at_the_edges(self, M):
+        assert chains._row_fault(M) == reference_row_fault(M)
+
+    def test_edge_rows_fall_on_both_sides_of_the_tolerance(self):
+        verdicts = {reference_row_fault(M) is None for M in tolerance_edge_rows()}
+        assert verdicts == {True, False}
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_chain_passes_the_graph_search(self, S, seed):
+        # validate_model skips the search on a positive P: every state is one
+        # step from every other and has a self-loop, so it could only accept
+        rng = np.random.default_rng(seed)
+        P = (1.0 - rng.random((S, S))) * 10.0 ** -rng.integers(0, 300, size=(S, S))
+        adj = P > 0.0
+        assert adj.all()
+        depth = chains._depths(np.stack([adj, adj.T]))
+        assert depth.min() >= 0
+        u, v = np.nonzero(adj)
+        assert np.gcd.reduce(depth[0, u] + 1 - depth[0, v]) == 1
+
+    def test_graph_search_runs_only_with_a_zero_transition(self, monkeypatch):
+        searches = []
+        original = chains._depths
+        monkeypatch.setattr(chains, "_depths", lambda adj: searches.append(1) or original(adj))
+        validate_model(P2, [0.5, 0.5])
+        assert searches == []
+        validate_model([[0.9, 0.1], [1.0, 0.0]], [0.5, 0.5])
+        assert searches == [1]
 
     def test_three_cycle_period_in_message(self):
         with pytest.raises(InputError, match="period 3"):
@@ -343,6 +424,14 @@ class TestPseudoSpectralGap:
         ref = reference_pseudo_spectral_gap_terms(P, pi, k_max)
         assert batched_terms(P, pi, k_max).tobytes() == ref.tobytes()
         assert np.float64(pseudo_spectral_gap(P, pi, k_max)).tobytes() == ref.max().tobytes()
+
+    @given(gap_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_term_one_equals_the_reference_bit_for_bit(self, chain):
+        # term 1 comes from B^T B, not from (I B)^T (I B)
+        P, pi = chain
+        ref = reference_pseudo_spectral_gap_terms(P, pi, 1)[0]
+        assert np.float64(pseudo_spectral_gap(P, pi, 1)).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("batch, calls", [(4, 50), (16, 13), (28, 8), (1 << 20, 1)])
     def test_terms_split_into_batches_within_the_budget(self, monkeypatch, batch, calls):

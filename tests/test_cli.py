@@ -85,7 +85,7 @@ def no_work(monkeypatch):
     calls = []
     monkeypatch.setattr(cli_mod.simgen, "sample_trajectories",
                         lambda *args: calls.append("sample"))
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda *args, **kwargs: calls.append("pool"))
     return calls
 
@@ -859,15 +859,13 @@ class TestSweep:
                 == strip_walltime(run_sweep(WALKTHROUGH_SWEEP, jobs=1)))
 
     def test_pool_workers_pin_the_mmap_threshold(self, monkeypatch):
-        import mmclab.cli as cli_mod
-
         initializers = []
 
         def recording(*args, **kwargs):
             initializers.append(kwargs.get("initializer"))
             return ProcessPoolExecutor(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording)
         run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1, 2]), jobs=2)
         assert initializers == [memory.pin_mmap_threshold]
 
@@ -875,8 +873,6 @@ class TestSweep:
     # the threshold only if the pool's initializer sets it
     @pytest.mark.skipif(not HAS_MALLINFO2, reason="mallinfo2 is glibc's")
     def test_spawned_workers_keep_large_arrays_out_of_the_heap(self, monkeypatch):
-        import mmclab.cli as cli_mod
-
         added = []
 
         class Spawning(ProcessPoolExecutor):
@@ -888,7 +884,7 @@ class TestSweep:
                 added.append(self.submit(mapped_blocks_after_a_free).result())
                 return super().map(fn, *iterables, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", Spawning)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Spawning)
         run_sweep(dict(SWEEP_CFG, H=[60], seeds=[1]), jobs=2)
         assert added == [1]
 

@@ -1,15 +1,18 @@
-"""Output identity: two tiny sweeps and one sampled trajectory file against
-values recorded in ``tests/data/golden_outputs.json``.
+"""Output identity: two tiny sweeps, one sampled trajectory file, the gap
+checks of random chain pairs and one gap report against values recorded in
+``tests/data/golden_outputs.json``.
 
 The sweep rows are compared without ``wall_time_s``; the trajectory file by
-the sha256 of its bytes. A change that moves any sampled state, label, error
-count, divergence or stage-1 figure fails here.
+the sha256 of its bytes; the gap checks as ``repr`` strings. A change that
+moves any sampled state, label, error count, divergence, gap or stage-1
+figure fails here.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+from mmclab import check_gap_inequalities, gen_random_ergodic
 from mmclab.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_outputs.json"
@@ -24,6 +27,18 @@ SWEEPS = {
 }
 SAMPLE_SPEC = {"type": "random", "S": 6, "K": 3, "floor": 0.02, "seed": 3,
                "T": 60, "H": 200, "shuffle": True, "shuffle_seed": 4}
+GAP_PAIRS = 14  # two cycles of S over 2..8
+
+
+def gap_rows() -> list[str]:
+    """The gap checks of the first GAP_PAIRS pairs that ``scripts/run_gap_sweep.py``
+    draws at its defaults (seed 40000, S from 2 to 8, floor 1/(4S))."""
+    rows = []
+    for i in range(GAP_PAIRS):
+        S = 2 + i % 7
+        models = [gen_random_ergodic(S, 40_000 + 13 * i + j, 1 / (4 * S)) for j in range(2)]
+        rows += [repr(chk) for chk in check_gap_inequalities(models)]
+    return rows
 
 
 def golden_outputs(out: Path) -> dict:
@@ -40,6 +55,9 @@ def golden_outputs(out: Path) -> dict:
     assert main(["sample", str(out / "instance.instance.json"), "--seed", "5",
                  "--out", str(out)]) == 0
     doc["sample_traj_sha256"] = hashlib.sha256((out / "sample.traj.bin").read_bytes()).hexdigest()
+    assert main(["gaps", str(out / "instance.instance.json"), "--out", str(out)]) == 0
+    doc["sample_gaps"] = json.loads((out / "gaps.gaps.json").read_text())
+    doc["gap_rows"] = gap_rows()
     return doc
 
 

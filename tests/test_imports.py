@@ -1,9 +1,10 @@
-"""Which subcommands load scipy, and when.
+"""Which subcommands load scipy and the process pool, and when.
 
 scipy serves only stage 1's eigensolvers, so importing the package and every
 subcommand that does not cluster must leave it unloaded, no subcommand loads
 ``scipy.optimize``, and a Gram matrix small enough for the dense solver leaves
-``scipy.sparse.linalg`` unloaded. This module's process has scipy loaded
+``scipy.sparse.linalg`` unloaded. The process pool's modules load only for a
+sweep with ``--jobs`` above 1. This module's process has scipy loaded
 already (``conftest`` imports it), so each check runs in a fresh interpreter on
 the checkout's ``src``.
 """
@@ -110,3 +111,22 @@ def test_clustering_subcommands_load_no_scipy_optimize(tmp_path):
     """
     loaded = scipy_loaded_after(code, tmp_path)
     assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
+
+
+def test_process_pool_loads_only_for_parallel_sweeps(tmp_path):
+    # concurrent.futures itself comes in with numpy.testing, which scipy
+    # imports, so a sweep is checked for the pool's modules only
+    cfg = {"instance": {"type": "separation", "S_prime": 1}, "T": [10], "H": [20],
+           "delta": [0.1], "lambda": [0.5], "seeds": [1], "c_sigma": 0.15, "c_rho": 2.0}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    code = """
+        import json, sys
+        pool = ("concurrent.futures", "multiprocessing")
+        loaded = lambda prefixes: sorted(m for m in sys.modules if m.startswith(prefixes))
+        import mmclab.cli
+        after_import = loaded(pool)
+        assert mmclab.cli.main(["sweep", "sweep.json", "--jobs", "1"]) == 0
+        print(json.dumps([after_import,
+                          loaded(("concurrent.futures.process", "multiprocessing"))]))
+    """
+    assert run_fresh(code, tmp_path) == [[], []]
