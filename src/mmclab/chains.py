@@ -154,7 +154,8 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
     Replaces the last balance equation with the normalization constraint;
     raises NumericalError if the solve fails or the residual exceeds 1e-10
-    (both indicate the chain is not irreducible).
+    (both indicate the chain is not irreducible), or if a state gets zero
+    mass, as where a transition into it is too small for the solve to see.
     """
     P = np.asarray(P, dtype=np.float64)
     S = P.shape[0]
@@ -171,6 +172,9 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     if residual > STATIONARY_TOL or np.any(pi < -STATIONARY_TOL) or abs(pi.sum() - 1.0) > 1e-9:
         raise NumericalError(f"stationary solve residual {residual:.3e} exceeds {STATIONARY_TOL}")
     pi = np.clip(pi, 0.0, None)
+    if not pi.all():
+        raise NumericalError(f"stationary solve gives state {int(np.argmin(pi))} zero mass; "
+                             f"an irreducible chain has pi > 0 on every state")
     return pi / pi.sum()
 
 

@@ -109,9 +109,9 @@ def count_transitions(states: np.ndarray, S: int) -> Counts:
         block = states[lo:lo + rows]
         n = block.shape[0]
         flat = index[:n]
-        flat[...] = block[:, :-1]
-        flat += np.arange(n, dtype=np.int64)[:, None] * S
-        flat *= S
+        np.multiply(block[:, :-1], S, out=flat, dtype=np.int64)
+        if n > 1:  # a pass of one trajectory has no offset to add
+            flat += np.arange(0, n * S * S, S * S, dtype=np.int64)[:, None]
         flat += block[:, 1:]
         transitions[lo:lo + n] = np.bincount(flat.ravel(), minlength=n * S * S).reshape(n, S, S)
     # every visit but the last is the source of one transition

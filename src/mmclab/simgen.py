@@ -5,7 +5,9 @@ decoding (trajectory index -> chain index). Sampling draws each trajectory
 from its own counter-based Philox stream keyed by (seed, t), for a seed in
 [0, 2**64), so results are bit-identical regardless of iteration order or
 worker count. One bit generator serves all T streams: each refill of the
-sampler's uniform buffer re-keys it per trajectory.
+sampler's uniform buffer re-keys it per trajectory. A sampling step leaves
+its pointers in the row of that buffer it has just read, and the states are
+written from those rows once per refill.
 """
 
 from __future__ import annotations
@@ -269,6 +271,13 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     state, and one table maps the pointer to the next row's first guide entry.
     On ``wide`` (S = 40, K = 8) M = 256 and L = 1, against six levels from the
     row start; on ``decay`` (S = 4) M = 16 and L = 1, against two.
+
+    Step j writes its final pointers, as int64, over row j of the uniform
+    buffer, which it has read by then, and the next step's guide row is read
+    from there; with L = 1 a step takes 7 numpy calls. Once a chunk of steps
+    is done, one pass masks its pointer rows to states and one transposed
+    copy writes them into the (T, H) states, so the pointers need no buffer
+    of their own.
     """
     check_seed(seed)
     T, H, S = instance.T, instance.H, instance.S
@@ -288,6 +297,8 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
     bucket = np.empty(T, dtype=np.int64)
     states = np.empty((T, H), dtype=np.min_scalar_type(S - 1))
     Ut = np.empty((min(_CHUNK, H), T))  # one buffer of uniforms, step-major, refilled per chunk
+    # step j's pointers overwrite row j of the uniforms, read by then, as int64
+    Pt = Ut.view(np.int64)
     for h in range(0, H, _CHUNK):
         width = min(_CHUNK, H - h)
         _refill(Ut[:width], gen, template, h)
@@ -299,9 +310,13 @@ def sample_trajectories(instance: MixtureInstance, seed: int) -> TrajectorySet:
             for step, probe in probes:
                 ptr += (u > probe[ptr]) * step
             if last:
-                ptr += u > flat[ptr]
-            states[:, h + j] = ptr & offset
-            ptr = next_row[ptr]
+                np.add(ptr, u > flat[ptr], out=Pt[j])
+            else:
+                Pt[j] = ptr
+            ptr = next_row[Pt[j]]
+        chunk = Pt[:width]
+        chunk &= offset
+        states[:, h:h + width] = chunk.T
     return TrajectorySet(states=states, seed=int(seed))
 
 

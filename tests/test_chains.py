@@ -353,6 +353,14 @@ class TestStationary:
         with pytest.raises(NumericalError, match="residual 5.000e-02 exceeds 1e-10"):
             stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("P, state", [([[1.0, 1e-20], [0.5, 0.5]], 1),
+                                          ([[0.5, 0.5], [1e-20, 1.0]], 0)])
+    def test_state_with_zero_mass_raises_naming_it(self, P, state):
+        # a transition of 1e-20 vanishes against 1 in the solve, which then
+        # gives the state it leads into no mass
+        with pytest.raises(NumericalError, match=rf"gives state {state} zero mass"):
+            stationary_distribution(np.array(P))
+
 
 class TestTimeReversal:
     def test_two_state_reversible(self, two_state):

@@ -334,6 +334,16 @@ class TestGenerate:
         assert f"numerical failure: {message}" in capsys.readouterr().err
         assert not (tmp_path / "instance.instance.json").exists()
 
+    def test_state_with_zero_stationary_mass_exits_3(self, tmp_path, capsys):
+        # the rows sum to 1 within 1e-12, but the solve sees P[0, 0] - 1 = 0 and
+        # gives pi = (1, 0), whose log(1 / pi_min) the sandwich bound would take
+        model = {"S": 2, "P": [[1.0, 1e-20], [0.5, 0.5]], "mu": [0.5, 0.5]}
+        spec = json.dumps({"type": "inline", "models": [model, P2_MODEL], "T": 10, "H": 10})
+        assert main(["generate", spec, "--out", str(tmp_path)]) == 3
+        assert ("numerical failure: stationary solve gives state 1 zero mass"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "instance.instance.json").exists()
+
 
 class TestPipeline:
     @pytest.fixture

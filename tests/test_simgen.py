@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -162,6 +163,8 @@ class TestSampling:
     def sample_with_constant_uniforms(monkeypatch, u, P, mu):
         """Both trajectories, of length 4, of a pair of the chain (P, mu)
         whose every uniform is u."""
+        # each step leaves its pointers in the row of uniforms it read, so a
+        # refill must write every row it is given
         def constant_refill(out, gen, template, h):
             out[:] = u
 
@@ -256,6 +259,25 @@ class TestSampling:
         assert table.guide.dtype == np.int64
         assert table.guide.nbytes <= memory.BLOCK_BYTES < 2 * table.guide.nbytes
         assert table.buckets == 64
+
+    def test_pointer_rows_reuse_the_uniform_buffer(self):
+        # at wide's S and K, the peak is the (chunk, T) float64 uniforms, the
+        # (T, H) uint8 states and the CDF tables (the rows, their next-row map
+        # and the guide); a second (chunk, T) int64 buffer for the pointers
+        # would add 14.4 MB to it
+        models = [gen_random_ergodic(40, k, 0.005) for k in range(8)]
+        T, H = 3000, 600
+        inst = make_instance(models, np.full(8, 1 / 8), T, H)
+        table = simgen._cdf_table(inst)
+        bound = (8 * min(simgen._CHUNK, H) * T + T * H
+                 + 2 * table.flat.nbytes + table.guide.nbytes + (1 << 20))
+        tracemalloc.start()
+        try:
+            sample_trajectories(inst, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @given(T=st.integers(1, 5), width=st.integers(1, 9), seed=st.sampled_from([0, 2**64 - 1]))
     @settings(max_examples=40, deadline=None)
